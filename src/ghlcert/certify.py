@@ -211,12 +211,15 @@ def special_2adic_certify(params: GhlParams,
 _THREE_ADIC_FAMILIES = {(-1, 1): (3, 3), (0, 3): (3, 5)}
 
 
-def special_3adic_check(params: GhlParams, s_limit: int = 10000) -> bool:
+def special_3adic_check(params: GhlParams) -> bool:
     """Family-level inequality behind the 3-adic window for d=4: the 3-adic
     content of the bottom product of 3+3s linear factors stays below
-    3(s+1).  Small s are evaluated exactly; beyond that the count of
-    multiples of 3, 9, ... in the arithmetic block is bounded by
-    (s+1)/2 + log_3(l0+4s), so (l0+4s)^2 < 27^(s+1) suffices."""
+    3(s+1) for every s >= 0.  s = 0..3 are evaluated exactly; beyond that
+    the count of multiples of 3, 9, ... in the arithmetic block is bounded
+    by (s+1)/2 + log_3(l0+4s), so (l0+4s)^2 < 27^(s+1) suffices.  From
+    s = 4 on, the left side grows by a factor below 27 per step and the
+    right side by exactly 27, so that inequality holds for every s >= 4
+    once it holds at s = 4: (l0+16)^2 < 27^5."""
     key = (params.u, params.alpha)
     if params.d != 4 or key not in _THREE_ADIC_FAMILIES:
         raise SpecialCaseError(
@@ -232,12 +235,7 @@ def special_3adic_check(params: GhlParams, s_limit: int = 10000) -> bool:
                     for i in range(1, j + 1))
         if not total < 3 * (s + 1):
             return False
-    pow27 = 27 ** 5
-    for s in range(4, s_limit + 1):
-        if not (l0 + 4 * s) ** 2 < pow27:
-            return False
-        pow27 *= 27
-    return True
+    return (l0 + 16) ** 2 < 27 ** 5
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +418,7 @@ def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
 
 def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
                  seed_kind: str | None = None, prime_limit: int = 50,
-                 extra_primes=(), s_limit: int = 10000,
-                 degree_sets: bool = False) -> Certificate:
+                 extra_primes=(), degree_sets: bool = False) -> Certificate:
     """Run every applicable exclusion stage and assemble a certificate.
 
     Stages, in order: witness primes, the 2-adic, 3-adic and own-prime
@@ -453,7 +450,7 @@ def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
     if (params.d == 4 and (params.u, params.alpha) in _THREE_ADIC_FAMILIES
             and params.top_term % 3 == 0):
         try:
-            if special_3adic_check(params, s_limit=s_limit):
+            if special_3adic_check(params):
                 claimed = _three_adic_claim(params, cache, ledger)
                 if not claimed:
                     notes.append(

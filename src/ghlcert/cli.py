@@ -124,7 +124,15 @@ def _parse_batch(spec: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _job_count(jobs: int) -> int:
+    """The --jobs value to use: at least 1, clamped to the CPU count."""
+    if jobs < 1:
+        raise InvalidParameters(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _cmd_certify(args) -> int:
+    jobs = _job_count(args.jobs)
     if args.batch_n:
         lo, hi = _parse_batch(args.batch_n)
         base = _params_from_args(argparse.Namespace(
@@ -133,7 +141,7 @@ def _cmd_certify(args) -> int:
         kind = args.seed or "laguerre"
         tasks = [(base.d, base.u, base.alpha, n, base.delta, kind)
                  for n in range(lo, hi + 1)]
-        dicts = certify_mod.batch_certify(tasks, jobs=args.jobs)
+        dicts = certify_mod.batch_certify(tasks, jobs=jobs)
         _emit(dicts)
         bad = sum(1 for c in dicts if c["residual"])
         return 1 if bad else 0
@@ -155,6 +163,7 @@ def _sieve_limit(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
+    jobs = _job_count(args.jobs)
     query = args.query
     if query == "gpf-bound":
         for name in ("d", "k", "bound"):
@@ -165,8 +174,7 @@ def _cmd_sieve(args) -> int:
             odd_only=bool(args.odd_only),
             not_divisible_by=args.not_divisible_by)
         report = sieve_mod.verify_gpf_bound(
-            args.d, args.k, args.bound, _sieve_limit(args), flt,
-            jobs=args.jobs)
+            args.d, args.k, args.bound, _sieve_limit(args), flt, jobs=jobs)
         _emit(report.to_json_dict())
         print(f"elapsed_ms={report.elapsed_ms:.1f}", file=sys.stderr)
         return 0

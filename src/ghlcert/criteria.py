@@ -21,6 +21,7 @@ claim to the still-open degrees so that record degree sets stay disjoint.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 
 from . import gfp
@@ -90,31 +91,52 @@ class DegreeLedger:
         return rec
 
 
+def witness_primes(params: GhlParams, seed: SeedCoefficients):
+    """Yield (k, p) for k = 1..n//2, where p is the largest prime dividing
+    the product of the k highest linear factors while dividing neither the
+    k lowest ones, nor the seed endpoints, with p > d and
+    p >= min(2k, d(d-1)); p is None when no prime qualifies.  Such a prime
+    rules out a degree-k factor of the unsubstituted polynomial and degrees
+    [d*k-d+1, d*k] after the x -> x^d substitution.
+
+    One incremental scan: every condition is monotone in k (the top block
+    only gains primes, the low block only gains primes, the threshold only
+    rises, the endpoints are fixed), so a prime that fails once fails for
+    every larger k.  The candidates sit in a max-heap; a failing top is
+    popped for good and never pushed again.  Each linear factor is
+    factorised once."""
+    if params.u not in (-1, 0):
+        raise ValueError(f"witness search needs u in {{-1, 0}}, got {params.u}")
+    n, d = params.n, params.d
+    endpoints = seed[0] * seed[n]
+    heap: list[int] = []          # negated primes of the top block
+    seen: set[int] = set()
+    low: set[int] = set()
+    for k in range(1, n // 2 + 1):
+        for p in prime_factors(params.term(n - k + 1)):
+            if p not in seen:
+                seen.add(p)
+                heapq.heappush(heap, -p)
+        low.update(prime_factors(params.term(k)))
+        threshold = max(d + 1, min(2 * k, d * (d - 1)))
+        while heap:
+            p = -heap[0]
+            if p >= threshold and p not in low and endpoints % p != 0:
+                break
+            heapq.heappop(heap)
+        yield k, (-heap[0] if heap else None)
+
+
 def find_exclusion_prime(params: GhlParams, k: int, seed: SeedCoefficients):
     """Largest prime p dividing the product of the k highest linear factors
     while dividing neither the k lowest ones, nor the seed endpoints, with
-    p > d and p >= min(2k, d(d-1)); None when no prime qualifies.  Such a
-    prime rules out a degree-k factor of the unsubstituted polynomial and
-    degrees [d*k-d+1, d*k] after the x -> x^d substitution."""
-    if params.u not in (-1, 0):
-        raise ValueError(f"witness search needs u in {{-1, 0}}, got {params.u}")
+    p > d and p >= min(2k, d(d-1)); None when no prime qualifies.  The
+    answer is read from witness_primes, run up to k."""
     if not 1 <= k <= params.n / 2:
         raise ValueError(f"k={k} outside 1..n/2 for n={params.n}")
-    candidates: set[int] = set()
-    for j in range(k):
-        candidates.update(prime_factors(params.term(params.n - j)))
-    endpoints = seed[0] * seed[params.n]
-    best = None
-    for p in sorted(candidates, reverse=True):
-        if p <= params.d or p < min(2 * k, params.d * (params.d - 1)):
-            continue
-        if any(params.term(j) % p == 0 for j in range(1, k + 1)):
-            continue
-        if endpoints % p == 0:
-            continue
-        best = p
-        break
-    return best
+    for j, p in witness_primes(params, seed):
+        if j == k:
+            return p
 
 
 def candidate_primes(params: GhlParams, prime_limit: int = 50,
@@ -162,10 +184,10 @@ class PolygonCache:
 def witness_stage(params: GhlParams, seed: SeedCoefficients,
                   ledger: DegreeLedger) -> None:
     """Witness-prime exclusions for k = 1..n//2, each covering the degree
-    window [delta*k-delta+1, delta*k]."""
+    window [delta*k-delta+1, delta*k].  The primes come from one pass of
+    witness_primes, so each linear factor is factorised once."""
     delta = params.delta
-    for k in range(1, params.n // 2 + 1):
-        p = find_exclusion_prime(params, k, seed)
+    for k, p in witness_primes(params, seed):
         if p is None:
             continue
         window = range(delta * k - delta + 1, delta * k + 1)

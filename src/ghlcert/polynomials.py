@@ -92,7 +92,14 @@ class SeedCoefficients:
 
     @classmethod
     def laguerre(cls, n: int) -> "SeedCoefficients":
-        return cls(tuple((-1) ** j * math.comb(n, j) for j in range(n + 1)))
+        """(-1)^j * C(n, j) for j = 0..n, by the exact recurrence
+        C(n, j+1) = C(n, j) * (n-j) // (j+1)."""
+        values = []
+        c = 1
+        for j in range(n + 1):
+            values.append(-c if j % 2 else c)
+            c = c * (n - j) // (j + 1)
+        return cls(tuple(values))
 
     @property
     def n(self) -> int:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_SEGMENT = 1 << 20
+# ap_prime_gaps sieves at most this far past its limit before giving up.
+MAX_GAP_SLACK = 1 << 24
 
 
 def prime_flags(limit: int) -> np.ndarray:
@@ -232,6 +234,9 @@ def _now_ms() -> float:
 def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
                      flt: RangeFilter = RangeFilter(), jobs: int = 1) -> SieveReport:
     """All filtered n <= n_limit with P(n (n+d) ... (n+d(k-1))) <= bound."""
+    for name, value in (("d", d), ("k", k), ("limit", n_limit)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     t0 = _now_ms()
     g = gpf_array(n_limit + d * (k - 1), jobs=jobs)
     best = g[:n_limit + 1].copy()
@@ -276,10 +281,16 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
     """Consecutive primes within each residue class; reports the largest
     gap and every consecutive pair (p, q) with p <= limit and q - p >
     gap_bound.  The successor q may exceed limit; the sieve is extended
-    until every class's last prime below the limit has one."""
+    until every class's last prime below the limit has one, doubling the
+    extension up to MAX_GAP_SLACK past the limit (ValueError beyond)."""
     t0 = _now_ms()
     residues = tuple(residues)
+    if modulus < 1:
+        raise ValueError(f"modulus must be at least 1, got {modulus}")
     for l in residues:
+        if not 0 <= l < modulus:
+            raise ValueError(
+                f"residue {l} outside 0..{modulus - 1} for modulus {modulus}")
         if math.gcd(l, modulus) != 1:
             raise ValueError(f"residue {l} not coprime to modulus {modulus}")
     slack = max(4 * gap_bound, 1000)
@@ -296,7 +307,11 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
             per_class[l] = sel
         if ok:
             break
-        slack *= 2
+        if slack >= MAX_GAP_SLACK:
+            raise ValueError(
+                f"residue class {l} mod {modulus} has no two primes reaching "
+                f"past {limit} below {limit + slack}")
+        slack = min(2 * slack, MAX_GAP_SLACK)
     exceptions = []
     max_gap = 0
     for l in residues:

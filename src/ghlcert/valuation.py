@@ -91,6 +91,11 @@ def _require_prime(p: int) -> None:
 def nu(p: int, r: int):
     """p-adic valuation of r; INFINITY iff r = 0."""
     _require_prime(p)
+    return _nu(p, r)
+
+
+def _nu(p: int, r: int):
+    """nu without the primality check, for callers that checked p once."""
     if r == 0:
         return INFINITY
     r = abs(r)
@@ -147,7 +152,7 @@ def prefix_valuation_rates(p: int, params: GhlParams) -> list[Fraction]:
     rates = []
     acc = 0
     for j in range(1, params.n + 1):
-        acc += nu(p, params.term(j))
+        acc += _nu(p, params.term(j))
         rates.append(Fraction(acc, j))
     return rates
 
@@ -165,13 +170,14 @@ def coefficient_valuations(p: int, params: GhlParams, seed: SeedCoefficients) ->
     if len(seed) != params.n + 1:
         raise ValueError(
             f"seed length {len(seed)} does not match degree n={params.n}")
+    _require_prime(p)
     n, delta = params.n, params.delta
     tail = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
-        tail[j] = tail[j + 1] + nu(p, params.term(j + 1))
+        tail[j] = tail[j + 1] + _nu(p, params.term(j + 1))
     ordinates = [INFINITY] * (delta * n + 1)
     for j in range(n + 1):
-        ordinates[delta * (n - j)] = nu(p, seed[j]) + tail[j]
+        ordinates[delta * (n - j)] = _nu(p, seed[j]) + tail[j]
     return ordinates
 
 

@@ -162,3 +162,75 @@ def irreducible_over_z(coeffs: list[int]) -> bool:
         if factor_of_degree(coeffs, k) is not None:
             return False
     return True
+
+
+def distinct_prime_factors(m: int) -> set[int]:
+    """Prime divisors of |m| by plain trial division."""
+    m = abs(m)
+    out = set()
+    f = 2
+    while f * f <= m:
+        while m % f == 0:
+            out.add(f)
+            m //= f
+        f += 1
+    if m > 1:
+        out.add(m)
+    return out
+
+
+def witness_primes_per_k(params, seed) -> list:
+    """Witness primes for k = 1..n//2, each searched afresh: the largest
+    prime dividing one of the k highest linear factors, dividing none of
+    the k lowest ones nor the seed endpoints, with p > d and
+    p >= min(2k, d(d-1)); None where no prime qualifies."""
+    n, d = params.n, params.d
+    endpoints = seed[0] * seed[n]
+    factors = {i: distinct_prime_factors(params.term(i))
+               for i in range(1, n + 1)}
+    out = []
+    for k in range(1, n // 2 + 1):
+        candidates = set()
+        for i in range(n - k + 1, n + 1):
+            candidates |= factors[i]
+        best = None
+        for p in sorted(candidates, reverse=True):
+            if p <= d or p < min(2 * k, d * (d - 1)):
+                continue
+            if any(params.term(j) % p == 0 for j in range(1, k + 1)):
+                continue
+            if endpoints % p == 0:
+                continue
+            best = p
+            break
+        out.append(best)
+    return out
+
+
+def three_adic_check_loop(params, s_limit: int = 10000) -> bool:
+    """The d=4 3-adic family inequality checked step by step: the 3-adic
+    content of the bottom 3+3s linear factors is below 3(s+1) for s < 4,
+    and (l0+4s)^2 < 27^(s+1) for s = 4..s_limit, with l0 = 3 for
+    (u, alpha) = (-1, 1) and l0 = 5 for (0, 3)."""
+    l0 = {(-1, 1): 3, (0, 3): 5}[(params.u, params.alpha)]
+    for s in range(4):
+        content = sum(p_exponent(3, params.term(i))
+                      for i in range(1, 3 + 3 * s + 1))
+        if not content < 3 * (s + 1):
+            return False
+    pow27 = 27 ** 5
+    for s in range(4, s_limit + 1):
+        if not (l0 + 4 * s) ** 2 < pow27:
+            return False
+        pow27 *= 27
+    return True
+
+
+def p_exponent(p: int, m: int) -> int:
+    """Exponent of p in m != 0, by repeated division."""
+    m = abs(m)
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v

@@ -30,7 +30,8 @@ from ghlcert.polynomials import (
 )
 from ghlcert.valuation import ord_factorial
 
-from oracles import factor_of_degree, irreducible_over_z
+from oracles import (factor_of_degree, irreducible_over_z,
+                     three_adic_check_loop)
 
 
 def test_exception_family_tags():
@@ -138,7 +139,18 @@ def test_special_3adic_check():
     with pytest.raises(SpecialCaseError):
         special_3adic_check(GhlParams(d=4, u=0, alpha=1, n=5))    # other family
     # the bound is uniform in the block count, small caps still pass
-    assert special_3adic_check(GhlParams(d=4, u=-1, alpha=1, n=3), s_limit=50)
+    assert special_3adic_check(GhlParams(d=4, u=-1, alpha=1, n=3))
+
+
+def test_special_3adic_closed_form_matches_loop():
+    # the inequality depends on the family only; n just has to put a
+    # factor 3 in the top linear factor
+    for u, alpha in ((-1, 1), (0, 3)):
+        ns = [n for n in range(1, 30)
+              if GhlParams(d=4, u=u, alpha=alpha, n=n).top_term % 3 == 0]
+        for n in ns[:4]:
+            params = GhlParams(d=4, u=u, alpha=alpha, n=n)
+            assert special_3adic_check(params) == three_adic_check_loop(params)
 
 
 def test_laguerre_np_records():

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from ghlcert.cli import main
+from ghlcert.cli import _job_count, main
 
 
 def run(capsys, *argv):
@@ -141,6 +142,35 @@ def test_sieve_gpf_bound(capsys):
     assert code == 0
     assert blob["exceptions"] == [11, 21, 45, 77, 121]
     assert blob["extremal"] == 121
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--k", "0"), ("--d", "0"), ("--limit", "-5"), ("--limit", "0")])
+def test_sieve_gpf_bound_rejects_bad_input(capsys, flag, value):
+    args = {"--d": "4", "--k": "2", "--bound": "12", "--limit": "200"}
+    args[flag] = value
+    argv = ["sieve", "gpf-bound"] + [t for kv in args.items() for t in kv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{flag[2:]} must be at least 1, got {value}" in err
+
+
+def test_job_count_validates_and_clamps():
+    cpus = os.cpu_count() or 1
+    assert _job_count(1) == 1
+    assert _job_count(cpus) == cpus
+    assert _job_count(cpus + 3) == cpus
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="--jobs must be at least 1"):
+            _job_count(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--q", "1/3", "--n", "5", "--delta", "3", "--jobs", "0"],
+    ["sieve", "p5-pairs", "--limit", "100", "--jobs", "-2"]])
+def test_jobs_below_one_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_sieve_smoothness(capsys):

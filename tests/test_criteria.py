@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,11 +12,12 @@ from ghlcert.criteria import (
     degree_set_stage,
     exclude_degrees,
     find_exclusion_prime,
+    witness_primes,
 )
 from ghlcert.polynomials import (GhlParams, IntegerPolynomial,
                                  SeedCoefficients, laguerre_seed)
 
-from oracles import poly_mul
+from oracles import poly_mul, witness_primes_per_k
 
 
 def test_find_exclusion_prime_known_values():
@@ -49,6 +51,46 @@ def test_find_exclusion_prime_rejects_bad_inputs():
         find_exclusion_prime(params, 0, laguerre_seed(10))
     with pytest.raises(ValueError):
         find_exclusion_prime(params, 6, laguerre_seed(10))   # k > n/2
+
+
+def _scan_cases():
+    """Fixed-seed grid for the scan/oracle comparison: every (d, alpha)
+    with d = 2..7, both u, n = 1..60 plus two random n up to 400, delta 1
+    or d at random, and ones, binomial and random seeds whose endpoints
+    carry 2, 3, 5 or 7."""
+    rng = random.Random(0x3C4A)
+    for d in range(2, 8):
+        for alpha in (a for a in range(1, d) if math.gcd(a, d) == 1):
+            for u in (-1, 0):
+                ns = list(range(1, 61)) + rng.sample(range(61, 401), 2)
+                for n in ns:
+                    delta = rng.choice((1, d))
+                    params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=delta)
+                    ends = [rng.choice((1, -1)) * rng.choice((2, 3, 5, 7, 6, 35))
+                            for _ in range(2)]
+                    middle = tuple(rng.randint(-9, 9) for _ in range(n - 1))
+                    yield params, SeedCoefficients.ones(n)
+                    yield params, laguerre_seed(n)
+                    yield params, SeedCoefficients((ends[0],) + middle
+                                                   + (ends[1],))
+
+
+def test_witness_scan_matches_per_k_oracle():
+    count = 0
+    for params, seed in _scan_cases():
+        scan = list(witness_primes(params, seed))
+        assert [k for k, _ in scan] == list(range(1, params.n // 2 + 1))
+        assert [p for _, p in scan] == witness_primes_per_k(params, seed), \
+            (params, seed.values)
+        count += 1
+    assert count > 6000
+
+
+def test_find_exclusion_prime_reads_the_scan():
+    params = GhlParams(d=3, u=-1, alpha=2, n=43)
+    seed = laguerre_seed(43)
+    assert [find_exclusion_prime(params, k, seed) for k in range(1, 22)] == \
+        [p for _, p in witness_primes(params, seed)]
 
 
 def test_candidate_primes():

@@ -84,6 +84,12 @@ def test_seed_constructors():
     assert laguerre_seed(5).values == (1, -5, 10, -10, 5, -1)
 
 
+def test_laguerre_seed_recurrence_matches_comb():
+    for n in range(1, 301):
+        assert SeedCoefficients.laguerre(n).values == tuple(
+            (-1) ** j * math.comb(n, j) for j in range(n + 1))
+
+
 def test_integer_polynomial_basics():
     f = IntegerPolynomial((4, 0, 1, 0))
     assert f.degree == 2

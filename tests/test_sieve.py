@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ghlcert import sieve
 from ghlcert.sieve import (
     RangeFilter,
     SpfTable,
@@ -151,6 +152,23 @@ def test_ap_prime_gaps_small():
 def test_ap_prime_gaps_rejects_bad_residue():
     with pytest.raises(ValueError):
         ap_prime_gaps(4, (2,), 100, 10)
+
+
+@pytest.mark.parametrize("modulus, residues", [
+    (0, (1,)), (-3, (1,)),            # no residue classes at all
+    (4, (5,)), (4, (1, 7)), (3, (-1,)),   # residue outside 0..modulus-1
+])
+def test_ap_prime_gaps_rejects_bad_classes(modulus, residues):
+    # these inputs used to extend the sieve without bound
+    with pytest.raises(ValueError, match="modulus"):
+        ap_prime_gaps(modulus, residues, 100, 10)
+
+
+def test_ap_prime_gaps_extension_is_capped(monkeypatch):
+    # no prime is 1 mod 10007 below 4010, so the extension hits the cap
+    monkeypatch.setattr(sieve, "MAX_GAP_SLACK", 4000)
+    with pytest.raises(ValueError, match="no two primes"):
+        ap_prime_gaps(10007, (1,), 10, 0)
 
 
 def test_residue_prime_count():
