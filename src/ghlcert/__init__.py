@@ -1,39 +1,6 @@
 """Factor-degree certificates for integer polynomials built from
 arithmetic-progression coefficient products, with the Newton-polygon and
-sieve machinery behind them."""
+sieve machinery behind them.
 
-from .certify import (BreakSequence, Certificate, CertificationInternalError,
-                      HypothesisViolation, SpecialCaseError, Verdict,
-                      batch_certify, certify_instance, exception_family,
-                      expected_breaks, full_certify, laguerre_np_certify,
-                      special_2adic_certify, special_3adic_check,
-                      verify_break_valuations, verify_certificate)
-from .criteria import (ExclusionRecord, Method, ScanResult, candidate_primes,
-                       exclude_degrees, find_exclusion_prime)
-from .newton import (Edge, FactorDegreeSet, NewtonPolygon, PreconditionError,
-                     admissible_degrees, build_polygon, intersect_admissible,
-                     newton_function, newton_margin_excludes,
-                     polygon_from_ordinates, polygon_from_params, polygon_svg,
-                     polygon_tsv, slope_window_excludes, viable_margin,
-                     widest_window)
-from .polynomials import (GhlParams, IntegerPolynomial, InvalidParameters,
-                          SeedCoefficients, build_ghl, build_substituted,
-                          hermite_polynomial, laguerre_seed,
-                          read_coefficients, substitute_power,
-                          write_coefficients)
-from .sieve import (RangeFilter, SieveReport, ap_prime_gaps, exact_p5_pairs,
-                    factorize, gpf, gpf_ap_product, gpf_array,
-                    gpf_floor_check, growth_inequality, integer_root,
-                    prime_count, prime_factors, primes_up_to,
-                    progression_prime_set, progression_prime_set_mismatches,
-                    progression_prime_set_size_printed, shared_table,
-                    smooth_pairs, smoothness_bound, smoothness_bound_exact,
-                    smoothness_bound_pow2, verify_gpf_bound)
-from .valuation import (INFINITY, coefficient_valuations, digit_sum,
-                        is_prime, nu, ord_binomial, ord_factorial,
-                        ord_tail_product, ordinates_from_polynomial,
-                        prefix_valuation_rates)
-
-__version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+The package root exports no names: import from the submodules
+(ghlcert.certify, ghlcert.criteria, ghlcert.newton, ghlcert.sieve, ...)."""

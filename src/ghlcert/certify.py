@@ -1,16 +1,12 @@
 """End-to-end factor-degree certification.
 
-full_certify runs, in order: hypothesis validation, witness-prime scan,
-the special handlers (2-adic break polygons for d=3 with a power-of-two
-top factor, the 3-adic window for the two d=4 families whose top factor
-is divisible by 3, and the own-prime polygon for binomial-seeded
-instances with an exceptional top factor), then the generic polygon
-stages, and last, when asked for with degree_sets=True and only while
-degrees remain open, the modular degree-set stage (Musser's test on the
-distinct-degree factorisation mod each candidate prime).  Whatever degrees
-survive become the residual, and the verdict says whether the instance is
-fully certified, lands in a known exceptional family, or simply was not
-closed.
+full_certify validates the seed and parameter hypotheses, then runs the
+stage table _STAGES in order: the generic stages of the criteria module
+and the special handlers defined here for the exceptional shapes (2-adic
+break polygons, the 3-adic window, the own-prime polygon).  Whatever
+degrees survive become the residual, and the verdict says whether the
+instance is fully certified, lands in a known exceptional family, or
+simply was not closed.
 """
 
 from __future__ import annotations
@@ -179,7 +175,7 @@ def special_2adic_certify(params: GhlParams,
             f"2-adic vertex sequence {realized} does not match any expected "
             f"break pattern {sorted(accepted)}")
     seeded_poly = polygon_from_params(2, params, seed)
-    seeded_admissible = admissible_degrees(seeded_poly).admissible
+    seeded_admissible = admissible_degrees(seeded_poly)
     m = delta * n
     degrees: set[int] = set()
     margins: dict[int, int] = {}
@@ -283,7 +279,7 @@ def laguerre_np_certify(params: GhlParams) -> ExclusionRecord:
     if not gaps_ok:
         raise SpecialCaseError(
             f"vertex spacing too tight at p={p}: {xs}")
-    admissible = admissible_degrees(poly).admissible
+    admissible = admissible_degrees(poly)
     if d in admissible:
         raise SpecialCaseError(
             f"degree {d} stays lattice-admissible at p={p} (vertices {xs})")
@@ -382,14 +378,6 @@ def classify_seed(seed: SeedCoefficients) -> str:
     return "custom"
 
 
-def _make_seed(n: int, seed_kind: str) -> SeedCoefficients:
-    if seed_kind == "ones":
-        return SeedCoefficients.ones(n)
-    if seed_kind == "laguerre":
-        return SeedCoefficients.laguerre(n)
-    raise ValueError(f"unknown seed kind {seed_kind!r}")
-
-
 def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
     if params.u not in (-1, 0):
         raise HypothesisViolation(f"u must be -1 or 0, got {params.u}")
@@ -416,65 +404,111 @@ def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
                 "is a power of three")
 
 
-def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
-                 seed_kind: str | None = None, prime_limit: int = 50,
-                 extra_primes=(), degree_sets: bool = False) -> Certificate:
-    """Run every applicable exclusion stage and assemble a certificate.
+@dataclass
+class _Run:
+    """What the stages of one full_certify call share."""
 
-    Stages, in order: witness primes, the 2-adic, 3-adic and own-prime
-    special handlers where they apply, the polygon stages (admissible
-    degrees, slope windows, margins) and, with degree_sets=True, the
-    modular degree-set stage on whatever is still open.  The degree-set
-    stage is off by default, and the batch driver behind the CLI leaves
-    it off."""
+    params: GhlParams
+    seed: SeedCoefficients
+    seed_kind: str
+    degree_sets: bool
+    ledger: DegreeLedger
+    primes: list[int]
+    cache: PolygonCache
+
+
+def _claim_record(run: _Run, rec: ExclusionRecord) -> None:
+    run.ledger.claim(rec.method, rec.degrees, mirror=False, detail=rec.detail)
+
+
+def _three_adic_stage(run: _Run) -> str | None:
+    """Once the family inequality holds, record the widest flat-tail window
+    at p=3 as a SPECIAL_3ADIC claim."""
+    if not special_3adic_check(run.params):
+        return "family inequalities failed"
+    best = None
+    for carrier in ("self", "ones"):
+        if carrier == "ones" and not run.cache.seed_coprime(3):
+            continue
+        poly = run.cache.polygon(3, carrier)
+        if poly.ordinates[0] != 0 or poly.ordinates[poly.degree] == 0:
+            continue
+        k = widest_window(poly, 0)
+        if k is not None and (best is None or k > best[0]):
+            best = (k, carrier, poly)
+    if best is not None:
+        k, carrier, poly = best
+        if run.ledger.claim(
+                Method.SPECIAL_3ADIC, range(1, k + 1),
+                detail={"prime": 3, "carrier": carrier, "k": k,
+                        "max_slope": str(poly.max_slope)}) is not None:
+            return None
+    return "window at p=3 excluded nothing new"
+
+
+def _always(run: _Run) -> bool:
+    return True
+
+
+# The certification pipeline: (name, applies, run) in the order
+# full_certify runs them.  A run returns None or a note, and a
+# SpecialCaseError it raises becomes a note; either note is headed by the
+# stage name.  Each run reaches its stage function through this module's
+# global name at call time, so rebinding that name (a tracer, a test
+# double) sees the call.
+_STAGES = (
+    ("witness", _always,
+     lambda r: witness_stage(r.params, r.seed, r.ledger)),
+    ("2-adic handler",
+     lambda r: r.params.d == 3 and _is_power_of(r.params.top_term, 2),
+     lambda r: _claim_record(r, special_2adic_certify(r.params, r.seed))),
+    ("3-adic handler",
+     lambda r: (r.params.d == 4
+                and (r.params.u, r.params.alpha) in _THREE_ADIC_FAMILIES
+                and r.params.top_term % 3 == 0),
+     _three_adic_stage),
+    ("own-prime handler",
+     lambda r: (r.seed_kind == "laguerre"
+                and exception_family(r.params) is not None),
+     lambda r: _claim_record(r, laguerre_np_certify(r.params))),
+    ("delta", _always, lambda r: delta_stage(r.cache, r.ledger, r.primes)),
+    ("window", _always, lambda r: window_stage(r.cache, r.ledger, r.primes)),
+    ("margin", _always, lambda r: margin_stage(r.cache, r.ledger, r.primes)),
+    ("degree-set", lambda r: r.degree_sets and bool(r.ledger.remaining),
+     lambda r: degree_set_stage(build_substituted(r.params, r.seed),
+                                r.ledger, r.primes)),
+)
+
+
+def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
+                 seed_kind: str | None = None,
+                 degree_sets: bool = False) -> Certificate:
+    """Run every applicable stage of _STAGES, in order, and assemble a
+    certificate.  The degree-set stage runs only with degree_sets=True and
+    while degrees remain open; it is off by default, and batch_certify,
+    which the CLI calls, leaves it off."""
     if seed is None:
-        seed = _make_seed(params.n, seed_kind or "ones")
+        seed = SeedCoefficients.of_kind(params.n, seed_kind or "ones")
     if seed_kind is None:
         seed_kind = classify_seed(seed)
     _check_hypotheses(params, seed)
+    run = _Run(params=params, seed=seed, seed_kind=seed_kind,
+               degree_sets=degree_sets,
+               ledger=DegreeLedger(params.delta * params.n),
+               primes=candidate_primes(params),
+               cache=PolygonCache(params, seed))
     notes: list[str] = []
-    ledger = DegreeLedger(params.delta * params.n)
-    primes = candidate_primes(params, prime_limit, extra_primes)
-    cache = PolygonCache(params, seed)
-
-    witness_stage(params, seed, ledger)
-
-    if params.d == 3 and _is_power_of(params.top_term, 2):
+    for name, applies, stage in _STAGES:
+        if not applies(run):
+            continue
         try:
-            rec = special_2adic_certify(params, seed)
-            ledger.claim(rec.method, rec.degrees, mirror=False,
-                         detail=rec.detail)
+            note = stage(run)
         except SpecialCaseError as exc:
-            notes.append(f"2-adic handler: {exc}")
+            note = str(exc)
+        if note:
+            notes.append(f"{name}: {note}")
 
-    if (params.d == 4 and (params.u, params.alpha) in _THREE_ADIC_FAMILIES
-            and params.top_term % 3 == 0):
-        try:
-            if special_3adic_check(params):
-                claimed = _three_adic_claim(params, cache, ledger)
-                if not claimed:
-                    notes.append(
-                        "3-adic handler: window at p=3 excluded nothing new")
-            else:
-                notes.append("3-adic handler: family inequalities failed")
-        except SpecialCaseError as exc:
-            notes.append(f"3-adic handler: {exc}")
-
-    if seed_kind == "laguerre" and exception_family(params) is not None:
-        try:
-            rec = laguerre_np_certify(params)
-            ledger.claim(rec.method, rec.degrees, mirror=False,
-                         detail=rec.detail)
-        except SpecialCaseError as exc:
-            notes.append(f"own-prime handler: {exc}")
-
-    delta_stage(cache, ledger, primes)
-    window_stage(cache, ledger, primes)
-    margin_stage(cache, ledger, primes)
-
-    if degree_sets and ledger.remaining:
-        degree_set_stage(build_substituted(params, seed), ledger, primes)
-
+    ledger = run.ledger
     residual = tuple(sorted(ledger.remaining))
     if not residual:
         verdict = Verdict.IRREDUCIBLE_CERTIFIED
@@ -485,29 +519,6 @@ def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
     return Certificate(params=params, seed_kind=seed_kind,
                        seed=tuple(seed.values), records=tuple(ledger.records),
                        residual=residual, verdict=verdict, notes=tuple(notes))
-
-
-def _three_adic_claim(params: GhlParams, cache: PolygonCache,
-                      ledger: DegreeLedger) -> bool:
-    """Record the widest flat-tail window at p=3 as a SPECIAL_3ADIC claim."""
-    best = None
-    for carrier in ("self", "ones"):
-        if carrier == "ones" and not cache.seed_coprime(3):
-            continue
-        poly = cache.polygon(3, carrier)
-        if poly.ordinates[0] != 0 or poly.ordinates[poly.degree] == 0:
-            continue
-        k = widest_window(poly, 0)
-        if k is not None and (best is None or k > best[0]):
-            best = (k, carrier, poly)
-    if best is None:
-        return False
-    k, carrier, poly = best
-    rec = ledger.claim(
-        Method.SPECIAL_3ADIC, range(1, k + 1),
-        detail={"prime": 3, "carrier": carrier, "k": k,
-                "max_slope": str(poly.max_slope)})
-    return rec is not None
 
 
 def certify_instance(d: int, u: int, alpha: int, n: int, delta: int,

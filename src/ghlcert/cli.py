@@ -64,9 +64,7 @@ def _seed_from_args(args, n: int) -> SeedCoefficients:
     if args.seed_file:
         poly = read_coefficients(args.seed_file)
         return SeedCoefficients(values=tuple(poly.coeffs))
-    kind = args.seed or "laguerre"
-    return (SeedCoefficients.ones(n) if kind == "ones"
-            else SeedCoefficients.laguerre(n))
+    return SeedCoefficients.of_kind(n, args.seed or "laguerre")
 
 
 def _cmd_build(args) -> int:
@@ -112,7 +110,7 @@ def _cmd_polygon(args) -> int:
         "vertices": [[x, polygon.ordinates[x]] for x in polygon.vertex_xs()],
         "min_slope": str(polygon.min_slope),
         "max_slope": str(polygon.max_slope),
-        "admissible_degrees": sorted(admissible_degrees(polygon).admissible),
+        "admissible_degrees": sorted(admissible_degrees(polygon)),
     })
     return 0
 
@@ -121,7 +119,10 @@ def _parse_batch(spec: str) -> tuple[int, int]:
     lo, sep, hi = spec.partition(":")
     if not sep:
         raise InvalidParameters("--batch-n takes lo:hi")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise InvalidParameters(f"range {spec} is empty: {lo} > {hi}")
+    return lo, hi
 
 
 def _job_count(jobs: int) -> int:
@@ -300,6 +301,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> list[str]:
         return argv
     with open(path) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path} holds a JSON {type(config).__name__}, "
+                         "not an object")
     injected: list[str] = []
     for key, value in sorted(config.items()):
         flag = "--" + key.replace("_", "-")
@@ -323,7 +327,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv = _apply_config(parser, argv)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: bad --config: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)

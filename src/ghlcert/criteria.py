@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import gfp
 from .newton import (NewtonPolygon, admissible_degrees, polygon_from_params,
-                     viable_margin, widest_window, window_holds)
+                     viable_margin, widest_window)
 from .polynomials import GhlParams, IntegerPolynomial, SeedCoefficients
 from .sieve import prime_factors, primes_up_to
 from .valuation import INFINITY
@@ -139,14 +139,15 @@ def find_exclusion_prime(params: GhlParams, k: int, seed: SeedCoefficients):
             return p
 
 
-def candidate_primes(params: GhlParams, prime_limit: int = 50,
-                     extra_primes=()) -> list[int]:
-    """Primes worth building polygons at: the small primes plus every
-    divisor of the top linear factor and of n."""
-    out = {int(p) for p in primes_up_to(prime_limit)}
+SMALL_PRIME_LIMIT = 50
+
+
+def candidate_primes(params: GhlParams) -> list[int]:
+    """Primes worth building polygons at: the primes up to
+    SMALL_PRIME_LIMIT plus every divisor of the top linear factor and of n."""
+    out = {int(p) for p in primes_up_to(SMALL_PRIME_LIMIT)}
     out.update(prime_factors(params.top_term))
     out.update(prime_factors(params.n))
-    out.update(extra_primes)
     return sorted(out)
 
 
@@ -177,7 +178,7 @@ class PolygonCache:
         key = (p, carrier)
         if key not in self._admissible:
             self._admissible[key] = admissible_degrees(
-                self.polygon(p, carrier)).admissible
+                self.polygon(p, carrier))
         return self._admissible[key]
 
 
@@ -297,26 +298,3 @@ def degree_set_stage(poly: IntegerPolynomial, ledger: DegreeLedger,
             mirror=False,
             detail={"prime": p, "factor_degrees": {
                 str(i): c for i, c in sorted(counts.items())}})
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    records: tuple[ExclusionRecord, ...]
-    unresolved: frozenset
-
-
-def exclude_degrees(params: GhlParams, seed: SeedCoefficients, *,
-                    prime_limit: int = 50, extra_primes=()) -> ScanResult:
-    """Run the generic stages (witness primes, then polygon criteria over a
-    configurable prime list) against every candidate factor degree of the
-    substituted polynomial.  Unresolved degrees are data, not errors; the
-    certify module layers the special handlers on top."""
-    ledger = DegreeLedger(params.delta * params.n)
-    primes = candidate_primes(params, prime_limit, extra_primes)
-    witness_stage(params, seed, ledger)
-    cache = PolygonCache(params, seed)
-    delta_stage(cache, ledger, primes)
-    window_stage(cache, ledger, primes)
-    margin_stage(cache, ledger, primes)
-    return ScanResult(records=tuple(ledger.records),
-                      unresolved=frozenset(ledger.remaining))

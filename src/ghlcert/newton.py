@@ -74,10 +74,6 @@ class NewtonPolygon:
     def max_slope(self) -> Fraction:
         return self.edges[-1].slope
 
-    @property
-    def rightmost_edge(self) -> Edge:
-        return self.edges[-1]
-
     def vertex_xs(self) -> tuple[int, ...]:
         return tuple(x for x, _ in self.vertices)
 
@@ -146,50 +142,16 @@ def newton_function(polygon: NewtonPolygon, x) -> Fraction:
     raise AssertionError("unreachable: x within range but no edge found")
 
 
-@dataclass(frozen=True)
-class FactorDegreeSet:
+def admissible_degrees(polygon: NewtonPolygon) -> frozenset:
     """Degrees a hypothetical factor could have, per the lattice-segment
-    subset-sum rule.  Always contains 0 and the full degree and is closed
-    under k -> degree - k."""
-
-    degree: int
-    admissible: frozenset
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.admissible
-
-    def sorted(self) -> list[int]:
-        return sorted(self.admissible)
-
-
-def admissible_degrees(polygon: NewtonPolygon) -> FactorDegreeSet:
-    """Subset sums of minimal lattice-segment widths, via a bitset."""
+    subset-sum rule: subset sums of minimal lattice-segment widths, via a
+    bitset.  Always contains 0 and the full degree and is closed under
+    k -> degree - k."""
     bits = 1
     for e in polygon.edges:
         for _ in range(e.lattice_length):
             bits |= bits << e.segment_width
-    admissible = frozenset(
-        k for k in range(polygon.degree + 1) if (bits >> k) & 1)
-    return FactorDegreeSet(degree=polygon.degree, admissible=admissible)
-
-
-def intersect_admissible(items) -> FactorDegreeSet:
-    """Intersection of admissible-degree sets (polygons of the same degree
-    at different primes, or precomputed sets)."""
-    sets = []
-    for item in items:
-        if isinstance(item, NewtonPolygon):
-            item = admissible_degrees(item)
-        sets.append(item)
-    if not sets:
-        raise ValueError("need at least one polygon or degree set")
-    degree = sets[0].degree
-    for s in sets[1:]:
-        if s.degree != degree:
-            raise ValueError(
-                f"mismatched degrees: {s.degree} vs {degree}")
-    admissible = frozenset.intersection(*(s.admissible for s in sets))
-    return FactorDegreeSet(degree=degree, admissible=admissible)
+    return frozenset(k for k in range(polygon.degree + 1) if (bits >> k) & 1)
 
 
 def margin_holds(polygon: NewtonPolygon, k: int, r: int) -> bool:
@@ -214,30 +176,6 @@ def viable_margin(polygon: NewtonPolygon, k: int):
     return r if gk > r else None
 
 
-def newton_margin_excludes(g: IntegerPolynomial, p: int, k: int, r: int,
-                           seed_ok: bool = True) -> bool:
-    """Degree-k factor exclusion from a two-sided Newton-function margin.
-
-    When this returns True, no polynomial obtained by rescaling the
-    coefficients of g with p-units (any seed b_j with p not dividing
-    b_0 * b_m) has a factor of degree k.  seed_ok is the caller's assertion
-    that the intended seed satisfies that coprimality; passing False always
-    yields False since the conclusion would not transfer.
-    """
-    if k < 1:
-        raise PreconditionError(f"k must be positive, got {k}")
-    if g.degree < 2 * k:
-        raise PreconditionError(
-            f"degree {g.degree} too small for k={k} (need m >= 2k)")
-    polygon = build_polygon(g, p)
-    if polygon.ordinates[0] != 0:
-        raise PreconditionError(
-            f"prime {p} divides the leading coefficient")
-    if not seed_ok:
-        return False
-    return margin_holds(polygon, k, r)
-
-
 def window_holds(polygon: NewtonPolygon, l: int, k: int) -> bool:
     """True iff p divides every coefficient except the leading block down to
     index m-l, and the rightmost edge is flatter than 1/k."""
@@ -249,20 +187,6 @@ def window_holds(polygon: NewtonPolygon, l: int, k: int) -> bool:
         if y is not INFINITY and y < 1:
             return False
     return polygon.max_slope < Fraction(1, k)
-
-
-def slope_window_excludes(g: IntegerPolynomial, p: int, l: int, k: int) -> bool:
-    """Factor-degree window exclusion: True means g has no factor of degree
-    in [l+1, k]."""
-    if not k >= 1:
-        raise PreconditionError(f"k must be positive, got {k}")
-    if l < 0 or 2 * l >= 2 * k:
-        raise PreconditionError(f"need k > l >= 0, got l={l}, k={k}")
-    if g.degree < 2 * k:
-        raise PreconditionError(
-            f"degree {g.degree} too small for k={k} (need m >= 2k)")
-    polygon = build_polygon(g, p)
-    return window_holds(polygon, l, k)
 
 
 def widest_window(polygon: NewtonPolygon, l: int):

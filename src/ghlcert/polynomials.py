@@ -101,6 +101,15 @@ class SeedCoefficients:
             c = c * (n - j) // (j + 1)
         return cls(tuple(values))
 
+    @classmethod
+    def of_kind(cls, n: int, kind: str) -> "SeedCoefficients":
+        """The named seed of degree n: "ones" or "laguerre"."""
+        if kind == "ones":
+            return cls.ones(n)
+        if kind == "laguerre":
+            return cls.laguerre(n)
+        raise InvalidParameters(f"unknown seed kind {kind!r}")
+
     @property
     def n(self) -> int:
         return len(self.values) - 1

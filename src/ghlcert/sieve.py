@@ -94,25 +94,23 @@ class SpfTable:
         return out
 
 
-_SPF_CACHE: dict[str, SpfTable] = {}
-_FLAG_CACHE: dict[str, np.ndarray] = {}
+_shared_spf: SpfTable | None = None
+_shared_prime_flags: np.ndarray | None = None
 
 
 def shared_table(limit: int, jobs: int = 1) -> SpfTable:
     """Process-wide smallest-prime-factor table, grown on demand."""
-    table = _SPF_CACHE.get("t")
-    if table is None or table.limit < limit:
-        table = SpfTable(limit, jobs=jobs)
-        _SPF_CACHE["t"] = table
-    return table
+    global _shared_spf
+    if _shared_spf is None or _shared_spf.limit < limit:
+        _shared_spf = SpfTable(limit, jobs=jobs)
+    return _shared_spf
 
 
 def _shared_flags(limit: int) -> np.ndarray:
-    flags = _FLAG_CACHE.get("f")
-    if flags is None or len(flags) <= limit:
-        flags = prime_flags(limit)
-        _FLAG_CACHE["f"] = flags
-    return flags
+    global _shared_prime_flags
+    if _shared_prime_flags is None or len(_shared_prime_flags) <= limit:
+        _shared_prime_flags = prime_flags(limit)
+    return _shared_prime_flags
 
 
 def factorize(m: int) -> dict:

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
+from ghlcert import certify, criteria
 from ghlcert.certify import (
     CertificationInternalError,
     HypothesisViolation,
@@ -198,6 +200,50 @@ def test_full_certify_methods_compose():
     methods = {rec.method for rec in cert.records}
     assert Method.SPECIAL_2ADIC in methods
     assert Method.LAGUERRE_NP in methods
+
+
+def test_full_certify_witness_only_instance():
+    # q = -3/4, n = 20: witness primes alone close every degree, one record
+    # per k = 1..10
+    cert = full_certify(GhlParams(d=4, u=-1, alpha=3, n=20, delta=4),
+                        laguerre_seed(20))
+    assert cert.residual == ()
+    assert {rec.method for rec in cert.records} == {Method.WITNESS_PRIME}
+    assert sorted(rec.k for rec in cert.records) == list(range(1, 11))
+
+
+_STAGE_FUNCTIONS = ("witness_stage", "special_2adic_certify",
+                    "special_3adic_check", "laguerre_np_certify",
+                    "delta_stage", "window_stage", "margin_stage",
+                    "degree_set_stage")
+
+
+def test_full_certify_calls_stages_through_module_names(monkeypatch):
+    # the pipeline must reach every stage function through its module-level
+    # name at call time, as a tracer that rebinds those names relies on;
+    # each applicable stage runs exactly once, the others not at all
+    calls = Counter()
+    for name in _STAGE_FUNCTIONS:
+        def counted(*args, _name=name, _fn=getattr(certify, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in (certify, criteria):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    generic = {"witness_stage": 1, "delta_stage": 1, "window_stage": 1,
+               "margin_stage": 1}
+    cases = [
+        (GhlParams(d=3, u=0, alpha=1, n=5, delta=3), None, False,
+         {"special_2adic_certify": 1}),
+        (GhlParams(d=4, u=0, alpha=3, n=3, delta=4), None, False,
+         {"special_3adic_check": 1}),
+        (GhlParams(d=3, u=0, alpha=2, n=16, delta=3), laguerre_seed(16), True,
+         {"laguerre_np_certify": 1, "degree_set_stage": 1}),
+    ]
+    for params, seed, degree_sets, special in cases:
+        calls.clear()
+        full_certify(params, seed, degree_sets=degree_sets)
+        assert dict(calls) == {**generic, **special}, params
 
 
 def test_full_certify_residual_regressions():

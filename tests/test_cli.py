@@ -212,3 +212,22 @@ def test_elapsed_goes_to_stderr(capsys):
     main(["build", "--hermite", "2"])
     err = capsys.readouterr().err
     assert "elapsed_ms=" in err
+
+
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert main(["certify", "--config", str(cfg), "--q", "1/3",
+                 "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --config:")
+    assert "list" in captured.err
+
+
+def test_certify_batch_rejects_an_empty_range(capsys):
+    assert main(["certify", "--q", "1/3", "--batch-n", "5:2",
+                 "--delta", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "5:2" in captured.err

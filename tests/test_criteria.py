@@ -10,7 +10,6 @@ from ghlcert.criteria import (
     PolygonCache,
     candidate_primes,
     degree_set_stage,
-    exclude_degrees,
     find_exclusion_prime,
     witness_primes,
 )
@@ -100,7 +99,6 @@ def test_candidate_primes():
     assert 43 in cands                             # divides n
     big = GhlParams(d=4, u=0, alpha=3, n=10)      # top term 43 > 50
     assert 43 in candidate_primes(big)
-    assert 101 in candidate_primes(params, extra_primes=(101,))
 
 
 def test_exclusion_record_validation():
@@ -148,35 +146,6 @@ def test_polygon_cache_consistency():
     assert not blocked.seed_coprime(43)
     adm = cache.admissible(2, "self")
     assert isinstance(adm, frozenset) and 0 in adm
-
-
-def test_exclude_degrees_small_instance():
-    params = GhlParams(d=3, u=0, alpha=1, n=5, delta=3)
-    result = exclude_degrees(params, laguerre_seed(5))
-    assert result.unresolved == set()
-    covered = set()
-    for rec in result.records:
-        assert not (covered & set(rec.degrees))
-        covered |= set(rec.degrees)
-    assert covered == set(range(1, 15))
-    assert {rec.method for rec in result.records} <= set(Method)
-
-
-def test_exclude_degrees_witness_only_instance():
-    params = GhlParams(d=4, u=-1, alpha=3, n=20, delta=4)
-    result = exclude_degrees(params, laguerre_seed(20))
-    assert result.unresolved == set()
-    assert {rec.method for rec in result.records} == {Method.WITNESS_PRIME}
-    ks = sorted(rec.k for rec in result.records)
-    assert ks == list(range(1, 11))
-
-
-def test_exclude_degrees_reports_unresolved():
-    # q = 2/3, n = 2 leaves degrees 2 and 4 open (a genuine gap in the
-    # exclusion machinery, the polynomial itself is irreducible)
-    params = GhlParams(d=3, u=0, alpha=2, n=2, delta=3)
-    result = exclude_degrees(params, laguerre_seed(2))
-    assert result.unresolved == {2, 4}
 
 
 def test_degree_set_stage_never_excludes_a_real_factor_degree():

@@ -6,15 +6,12 @@ from ghlcert.newton import (
     PreconditionError,
     admissible_degrees,
     build_polygon,
-    intersect_admissible,
     margin_holds,
     newton_function,
-    newton_margin_excludes,
     polygon_from_ordinates,
     polygon_from_params,
     polygon_svg,
     polygon_tsv,
-    slope_window_excludes,
     viable_margin,
     widest_window,
     window_holds,
@@ -43,7 +40,7 @@ def test_hull_of_perfect_square():
     assert polygon.vertices == ((0, 0), (2, 2))
     edge = polygon.edges[0]
     assert (edge.width, edge.height, edge.lattice_length, edge.segment_width) == (2, 2, 2, 1)
-    assert admissible_degrees(polygon).sorted() == [0, 1, 2]
+    assert sorted(admissible_degrees(polygon)) == [0, 1, 2]
 
 
 def test_collinear_points_are_merged():
@@ -96,21 +93,11 @@ def test_admissible_degrees_multi_edge():
     widths = [(e.lattice_length, e.segment_width) for e in polygon.edges]
     assert widths == [(3, 32), (3, 8), (1, 9)]
     adm = admissible_degrees(polygon)
-    degrees = adm.sorted()
+    degrees = sorted(adm)
     assert len(degrees) == 32
     assert 0 in adm and 129 in adm
     assert 8 in adm and 9 in adm and 17 in adm
     assert 1 not in adm and 3 not in adm
-
-
-def test_intersect_admissible():
-    a = admissible_degrees(polygon_from_ordinates(2, [0, 2, 2]))
-    b = admissible_degrees(polygon_from_ordinates(3, [0, INFINITY, 2]))
-    both = intersect_admissible([a, b])
-    assert both.sorted() == [0, 1, 2]
-    c = admissible_degrees(polygon_from_ordinates(2, [0, 1]))
-    with pytest.raises(ValueError):
-        intersect_admissible([a, c])
 
 
 def test_margins_on_carrier():
@@ -123,17 +110,19 @@ def test_margins_on_carrier():
 
 
 def test_margin_exclusion_preconditions():
+    # the margin read off the assembled polynomial is the one the carrier
+    # polygon from parameters gives; there is no margin for k = 0 or for
+    # m < 2k, and doubling the polynomial puts p in the leading
+    # coefficient, which every margin stage skips
     g = build_substituted(GhlParams(d=3, u=-1, alpha=2, n=43, delta=3),
                           SeedCoefficients.ones(43))
-    assert newton_margin_excludes(g, 2, 6, 2)
-    assert not newton_margin_excludes(g, 2, 6, 2, seed_ok=False)
-    with pytest.raises(PreconditionError):
-        newton_margin_excludes(g, 2, 0, 1)
-    with pytest.raises(PreconditionError):
-        newton_margin_excludes(g, 2, 70, 1)
+    polygon = build_polygon(g, 2)
+    assert polygon == carrier_polygon(2, 3, -1, 2, 43, 3)
+    assert margin_holds(polygon, 6, 2)
+    assert viable_margin(polygon, 0) is None
+    assert viable_margin(polygon, 70) is None
     doubled = IntegerPolynomial(tuple(2 * c for c in g.coeffs))
-    with pytest.raises(PreconditionError):
-        newton_margin_excludes(doubled, 2, 6, 2)
+    assert build_polygon(doubled, 2).ordinates[0] != 0
 
 
 def test_slope_window():
@@ -144,11 +133,7 @@ def test_slope_window():
     assert window_holds(polygon, 0, 4)
     assert not window_holds(polygon, 0, 6)      # slope 1/6 is not < 1/6
     assert widest_window(polygon, 0) == 5
-    assert slope_window_excludes(poly, 3, 0, 4)
-    with pytest.raises(PreconditionError):
-        slope_window_excludes(poly, 3, 4, 4)
-    with pytest.raises(PreconditionError):
-        slope_window_excludes(poly, 3, 0, 7)    # m < 2k
+    assert widest_window(polygon, 5) is None    # needs k > l
 
 
 def test_widest_window_small_example():
