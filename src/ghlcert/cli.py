@@ -2,9 +2,9 @@
 
 Subcommands: build (emit coefficients), polygon (Newton polygon data),
 certify (factor-degree certificates), sieve (numeric survey queries).
-JSON goes to stdout with sorted keys; timing goes to stderr.  Exit codes:
-0 success, 1 certify finished with a nonempty residual, 2 usage or
-hypothesis errors, 3 internal errors.
+JSON goes to stdout with sorted keys; timing and sieve memory go to
+stderr.  Exit codes: 0 success, 1 certify finished with a nonempty
+residual, 2 usage or hypothesis errors, 3 internal errors.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -29,6 +30,15 @@ _ENV_SIEVE_LIMIT = "GHLCERT_SIEVE_LIMIT"
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
+
+
+def _report_query(report) -> None:
+    """Stdout gets the report; stderr gets the query's own time and the
+    process's peak resident set so far."""
+    _emit(report.to_json_dict())
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"query_ms={report.elapsed_ms:.1f} peak_rss_mb={peak_mb:.1f}",
+          file=sys.stderr)
 
 
 def _add_param_options(sub: argparse.ArgumentParser) -> None:
@@ -115,10 +125,10 @@ def _cmd_polygon(args) -> int:
     return 0
 
 
-def _parse_batch(spec: str) -> tuple[int, int]:
+def _parse_batch(spec: str, flag: str) -> tuple[int, int]:
     lo, sep, hi = spec.partition(":")
     if not sep:
-        raise InvalidParameters("--batch-n takes lo:hi")
+        raise InvalidParameters(f"{flag} takes lo:hi, got {spec!r}")
     lo, hi = int(lo), int(hi)
     if lo > hi:
         raise InvalidParameters(f"range {spec} is empty: {lo} > {hi}")
@@ -135,7 +145,7 @@ def _job_count(jobs: int) -> int:
 def _cmd_certify(args) -> int:
     jobs = _job_count(args.jobs)
     if args.batch_n:
-        lo, hi = _parse_batch(args.batch_n)
+        lo, hi = _parse_batch(args.batch_n, "--batch-n")
         base = _params_from_args(argparse.Namespace(
             d=args.d, u=args.u, alpha=args.alpha, q=args.q, n=lo,
             delta=args.delta))
@@ -176,8 +186,7 @@ def _cmd_sieve(args) -> int:
             not_divisible_by=args.not_divisible_by)
         report = sieve_mod.verify_gpf_bound(
             args.d, args.k, args.bound, _sieve_limit(args), flt, jobs=jobs)
-        _emit(report.to_json_dict())
-        print(f"elapsed_ms={report.elapsed_ms:.1f}", file=sys.stderr)
+        _report_query(report)
         return 0
     if query == "p5-pairs":
         pairs = sieve_mod.exact_p5_pairs(_sieve_limit(args))
@@ -193,8 +202,7 @@ def _cmd_sieve(args) -> int:
             raise InvalidParameters("--residues is required for ap-gaps")
         report = sieve_mod.ap_prime_gaps(
             args.modulus, residues, _sieve_limit(args), args.gap_bound)
-        _emit(report.to_json_dict())
-        print(f"elapsed_ms={report.elapsed_ms:.1f}", file=sys.stderr)
+        _report_query(report)
         return 0
     if query == "smoothness":
         if args.k is None:
@@ -215,7 +223,7 @@ def _cmd_sieve(args) -> int:
         return 0
     if query == "rset-mismatch":
         if args.k_range:
-            lo, hi = _parse_batch(args.k_range)
+            lo, hi = _parse_batch(args.k_range, "--k-range")
         elif args.k is not None:
             lo = hi = args.k
         else:

@@ -1,11 +1,14 @@
 """Exact range-verification engine for prime-factor statements.
 
-Backs every bulk query with either a boolean prime sieve or a segmented
-smallest-prime-factor table, then answers greatest-prime-factor questions
-over arithmetic progressions, smooth-pair enumerations, prime gaps in
-residue classes, and the closed-form bound evaluations, all in exact
-integer arithmetic (floats only at the final root/log step where a real
-number is the answer).
+Backs every bulk query with a boolean prime sieve or a segmented
+smoothness sieve, which divides the primes up to the bound out of one
+fixed-size block at a time and so needs memory for one block only.  It
+answers greatest-prime-factor questions over arithmetic progressions,
+smooth-pair enumerations, prime gaps in residue classes, and the
+closed-form bound evaluations, all in exact integer arithmetic (floats only
+at the final root/log step where a real number is the answer).  The
+smallest-prime-factor table and the full greatest-prime-factor array are
+the reference the tests check the smoothness sieve against.
 """
 
 from __future__ import annotations
@@ -229,6 +232,56 @@ def _now_ms() -> float:
     return time.monotonic() * 1000.0
 
 
+def _smooth_mask(lo: int, hi: int, bound: int, primes) -> np.ndarray:
+    """Whether P(m) <= bound, for every m in [lo, hi); m = 0 reads as
+    smooth.  ``primes`` are the primes <= bound, ascending, up to at least
+    isqrt(hi-1).
+
+    Divides every prime p <= min(bound, isqrt(hi-1)) out of each m with
+    its full multiplicity.  If bound < isqrt(hi-1), the cofactor is 1 or
+    has only prime factors above bound; otherwise it is 1 or a single prime
+    above isqrt(hi-1).  Either way P(m) <= bound exactly when the cofactor
+    is <= bound."""
+    cur = np.arange(lo, hi, dtype=np.int64)
+    top = hi - 1
+    root = math.isqrt(top)
+    for p in primes:
+        if p > root:
+            break
+        pe = p
+        while pe <= top:
+            cur[(-lo) % pe::pe] //= p
+            pe *= p
+    return cur <= bound
+
+
+def _smooth_sweep(limit: int, halo: int, bound: int, select, jobs: int = 1) -> list:
+    """Walks n in [0, limit] in blocks of DEFAULT_SEGMENT and concatenates
+    ``select(lo, size, mask)`` in block order, where the block holds n in
+    [lo, lo + size) and mask[j] says whether P(lo + j) <= bound, for
+    j < size + halo.  Memory is O(DEFAULT_SEGMENT + halo) per worker."""
+    primes = [int(p) for p in
+              primes_up_to(max(0, min(bound, math.isqrt(limit + halo))))]
+
+    def block(lo):
+        size = min(DEFAULT_SEGMENT, limit + 1 - lo)
+        return select(lo, size, _smooth_mask(lo, lo + size + halo, bound,
+                                             primes))
+
+    starts = range(0, limit + 1, DEFAULT_SEGMENT)
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(block, starts))
+    else:
+        parts = [block(lo) for lo in starts]
+    return [item for part in parts for item in part]
+
+
+def _check_limit(limit: int) -> None:
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+
+
 def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
                      flt: RangeFilter = RangeFilter(), jobs: int = 1) -> SieveReport:
     """All filtered n <= n_limit with P(n (n+d) ... (n+d(k-1))) <= bound."""
@@ -236,13 +289,15 @@ def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     t0 = _now_ms()
-    g = gpf_array(n_limit + d * (k - 1), jobs=jobs)
-    best = g[:n_limit + 1].copy()
-    for i in range(1, k):
-        np.maximum(best, g[i * d:i * d + n_limit + 1], out=best)
-    values = np.arange(n_limit + 1, dtype=np.int64)
-    keep = flt.mask(values) & (values >= 1) & (best <= bound)
-    exceptions = [int(v) for v in values[keep]]
+
+    def select(lo, size, mask):
+        ok = mask[:size].copy()
+        for i in range(1, k):
+            ok &= mask[i * d:i * d + size]
+        values = lo + np.flatnonzero(ok)
+        return values[flt.mask(values) & (values >= 1)].tolist()
+
+    exceptions = _smooth_sweep(n_limit, d * (k - 1), bound, select, jobs)
     return SieveReport(
         query="gpf-ap-bound",
         params={"d": d, "k": k, "bound": bound, "n_limit": n_limit,
@@ -255,23 +310,37 @@ def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
 
 def smooth_pairs(M: int, gap: int, limit: int) -> list[int]:
     """All m in [1, limit] with P(m (m+gap)) <= M."""
-    g = gpf_array(limit + gap)
-    best = np.maximum(g[1:limit + 1], g[1 + gap:limit + 1 + gap])
-    return [int(m) for m in np.flatnonzero(best <= M) + 1]
+    _check_limit(limit)
+    if gap < 0:
+        raise ValueError(f"gap must be nonnegative, got {gap}")
+
+    def select(lo, size, mask):
+        m = lo + np.flatnonzero(mask[:size] & mask[gap:gap + size])
+        return m[m >= 1].tolist()
+
+    return _smooth_sweep(limit, gap, M, select)
 
 
 def exact_p5_pairs(limit: int) -> list[tuple[int, int]]:
     """Pairs (i, X) with 1 <= i <= 7, X > 80, 3 not dividing X, X(X+3i)
-    even, and greatest prime factor of X(X+3i) exactly 5."""
-    g = gpf_array(limit + 21)
-    x = np.arange(limit + 1, dtype=np.int64)
-    out = []
-    for i in range(1, 8):
-        best = np.maximum(g[:limit + 1], g[3 * i:limit + 1 + 3 * i])
-        keep = (x > 80) & (x % 3 != 0) & (best == 5)
-        keep &= ((x % 2 == 0) | ((x + 3 * i) % 2 == 0))
-        out.extend((i, int(v)) for v in x[keep])
-    return sorted(out)
+    even, and greatest prime factor of X(X+3i) exactly 5: both factors
+    5-smooth and 5 dividing one of them."""
+    _check_limit(limit)
+
+    def select(lo, size, mask):
+        j = np.flatnonzero(mask[:size])
+        x = lo + j
+        base = (x > 80) & (x % 3 != 0)
+        out = []
+        for i in range(1, 8):
+            y = x + 3 * i
+            keep = base & mask[j + 3 * i]
+            keep &= (x % 5 == 0) | (y % 5 == 0)
+            keep &= (x % 2 == 0) | (y % 2 == 0)
+            out.extend((i, v) for v in x[keep].tolist())
+        return out
+
+    return sorted(_smooth_sweep(limit, 21, 5, select))
 
 
 def ap_prime_gaps(modulus: int, residues, limit: int,

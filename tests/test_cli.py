@@ -231,3 +231,40 @@ def test_certify_batch_rejects_an_empty_range(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "5:2" in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["certify", "--q", "1/3", "--batch-n", "5", "--delta", "3"],
+     "--batch-n"),
+    (["sieve", "rset-mismatch", "--k-range", "5"], "--k-range")])
+def test_range_without_colon_names_its_flag(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} takes lo:hi, got '5'" in captured.err
+
+
+@pytest.mark.parametrize("limit", ["-5", "0"])
+def test_sieve_p5_pairs_rejects_bad_limit(capsys, limit):
+    assert main(["sieve", "p5-pairs", "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: limit must be at least 1, got {limit}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "gpf-bound", "--d", "4", "--k", "2", "--bound", "12",
+     "--limit", "200", "--odd-only", "--min-exclusive", "8"],
+    ["sieve", "ap-gaps", "--modulus", "3", "--residues", "1,2",
+     "--limit", "1000", "--gap-bound", "40"]])
+def test_sieve_reports_query_time_and_memory_on_stderr(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "peak_rss_mb" not in captured.out
+    lines = captured.err.splitlines()
+    assert [ln.split("=")[0] for ln in lines] == ["query_ms", "elapsed_ms"]
+    assert captured.err.count("elapsed_ms=") == 1
+    assert captured.err.count("peak_rss_mb=") == 1
+    fields = dict(kv.split("=") for kv in lines[0].split())
+    assert set(fields) == {"query_ms", "peak_rss_mb"}
+    assert float(fields["peak_rss_mb"]) > 0

@@ -1,7 +1,8 @@
-"""The certify commands of the benchmark's W1 (AC-11 grid) and W2 (one
-n = 2000 certificate) workloads, run in-process: each one's stdout and exit
-code must equal the digests recorded in perfbench/reference.json.  A
-refactor of the pipeline that changes one byte of a certificate fails
+"""The commands of the benchmark's four workloads, run in-process: W1
+(AC-11 grid) and W2 (one n = 2000 certificate) certify, W3 (the AC-01..06
+sieve sweeps) and W4 (gpf-bound at 10^7) sieve.  Each command's stdout and
+exit code must equal the digests recorded in perfbench/reference.json.  A
+refactor of the pipeline or the sieve that changes one byte of output fails
 here."""
 
 import hashlib
@@ -15,17 +16,27 @@ from ghlcert.cli import main
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
-def _commands():
+def _commands(*workloads):
     reference = json.loads(REFERENCE.read_text())
-    for workload in ("w1_grid", "w2_large"):
+    for workload in workloads:
         for command, expected in sorted(reference[workload].items()):
             yield pytest.param(command, expected, id=command)
 
 
-@pytest.mark.parametrize("command,expected", _commands())
-def test_certify_output_matches_reference(command, expected, capsys):
+def _check(command, expected, capsys):
     code = main(command.split())
     out = capsys.readouterr().out.encode()
     assert code == expected["exit"]
     assert len(out) == expected["bytes"]
     assert hashlib.sha256(out).hexdigest() == expected["sha256"]
+
+
+@pytest.mark.parametrize("command,expected", _commands("w1_grid", "w2_large"))
+def test_certify_output_matches_reference(command, expected, capsys):
+    _check(command, expected, capsys)
+
+
+@pytest.mark.parametrize("command,expected",
+                         _commands("w3_sweeps", "w4_gpf7"))
+def test_sieve_output_matches_reference(command, expected, capsys):
+    _check(command, expected, capsys)

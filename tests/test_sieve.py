@@ -247,3 +247,134 @@ def test_gpf_floor_check():
         gpf_floor_check(100, 3, 300)        # below the quotable range
     with pytest.raises(ValueError):
         gpf_floor_check(7000, 5, 300)
+
+
+# --- segmented smoothness sieve --------------------------------------------
+
+_GPF = [0, 1] + [max(brute_factorize(m)) for m in range(2, 2100)]
+
+
+def brute_gpf_bound(d, k, bound, limit, flt=RangeFilter()):
+    return [n for n in range(1, limit + 1)
+            if flt.mask(np.array([n]))[0]
+            and max(_GPF[n + d * i] for i in range(k)) <= bound]
+
+
+def gpf_array_bound(d, k, bound, limit, flt):
+    """The same query answered from a full greatest-prime-factor array."""
+    g = gpf_array(limit + d * (k - 1))
+    best = g[:limit + 1].copy()
+    for i in range(1, k):
+        np.maximum(best, g[i * d:i * d + limit + 1], out=best)
+    values = np.arange(limit + 1)
+    return values[flt.mask(values) & (values >= 1) & (best <= bound)].tolist()
+
+
+@pytest.fixture
+def small_segment(monkeypatch):
+    # an odd block size, so that halos and prime powers cross block edges
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 97)
+
+
+def test_segmented_gpf_bound_matches_brute_force(rng, small_segment):
+    for _ in range(60):
+        d, k = rng.randint(1, 6), rng.randint(1, 4)
+        limit = rng.randint(1, 2100 - d * (k - 1) - 1)
+        # small bounds, and bounds at or above isqrt(top), where the
+        # cofactor left after dividing out the small primes is a prime
+        bound = rng.choice([rng.randint(0, 20), rng.randint(30, 300)])
+        flt = RangeFilter(min_exclusive=rng.randint(0, 20),
+                          odd_only=rng.random() < 0.5,
+                          not_divisible_by=rng.choice([None, 3, 5]))
+        expect = brute_gpf_bound(d, k, bound, limit, flt)
+        report = verify_gpf_bound(d, k, bound, limit, flt)
+        assert report.exceptions == expect, (d, k, bound, limit, flt)
+        assert report.extremal == max(expect, default=None)
+
+
+@pytest.mark.parametrize("segment", [97, 128, 243, 729, 1024, 1025])
+def test_segmented_sieve_divides_out_prime_powers(monkeypatch, segment):
+    # 2^10 and 3^6 start or end a block for some of these sizes
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+    assert verify_gpf_bound(1, 1, 2, 2000).exceptions == \
+        [2 ** e for e in range(11)]
+    assert smooth_pairs(3, 0, 1500) == sorted(
+        2 ** a * 3 ** b for a in range(11) for b in range(7)
+        if 2 ** a * 3 ** b <= 1500)
+    # 729 * 972 = 3^11 * 2^2 and 1024 * 1029 = 2^10 * 3 * 7^3
+    assert 729 in verify_gpf_bound(243, 2, 3, 1000).exceptions
+    assert 1024 in verify_gpf_bound(5, 2, 7, 1050).exceptions
+    for d, k, bound, limit in ((243, 2, 3, 1000), (5, 2, 7, 1050),
+                               (7, 3, 13, 1500)):
+        assert verify_gpf_bound(d, k, bound, limit).exceptions == \
+            brute_gpf_bound(d, k, bound, limit)
+
+
+def test_segmented_gpf_bound_edge_bounds(small_segment):
+    assert verify_gpf_bound(4, 1, 0, 500).exceptions == []
+    assert verify_gpf_bound(4, 1, 1, 500).exceptions == [1]
+    assert verify_gpf_bound(4, 2, 1, 500).exceptions == []
+    # every m <= top is smooth once the bound reaches the top
+    assert verify_gpf_bound(3, 3, 506, 500).exceptions == \
+        list(range(1, 501))
+    # 48 * 49: the prime 7 = isqrt(49) is only reached through the halo
+    assert verify_gpf_bound(1, 2, 7, 48).exceptions == \
+        brute_gpf_bound(1, 2, 7, 48)
+    for bound in (0, 1, 2, 40, 500):
+        assert verify_gpf_bound(1, 1, bound, 1000).exceptions == \
+            brute_gpf_bound(1, 1, bound, 1000)
+
+
+def test_segmented_gpf_bound_threads_match_serial(rng, small_segment):
+    flt = RangeFilter(min_exclusive=3, odd_only=True)
+    for _ in range(10):
+        d, k, bound = rng.randint(1, 6), rng.randint(1, 4), rng.randint(2, 60)
+        one = verify_gpf_bound(d, k, bound, 2000, flt, jobs=1)
+        two = verify_gpf_bound(d, k, bound, 2000, flt, jobs=2)
+        assert two.exceptions == one.exceptions
+
+
+def test_segmented_pairs_match_brute_force(small_segment):
+    for M, gap in ((11, 4), (5, 1), (13, 12), (2, 2)):
+        assert smooth_pairs(M, gap, 2000) == \
+            [m for m in range(1, 2001) if max(_GPF[m], _GPF[m + gap]) <= M]
+    brute = sorted(
+        (i, x) for x in range(81, 2001) if x % 3
+        for i in range(1, 8)
+        if x * (x + 3 * i) % 2 == 0 and max(_GPF[x], _GPF[x + 3 * i]) == 5)
+    assert exact_p5_pairs(2000) == brute
+
+
+@pytest.mark.parametrize("d, k, bound, flt", [
+    (4, 2, 12, RangeFilter(min_exclusive=8, odd_only=True)),       # AC-01
+    (4, 3, 16, RangeFilter(min_exclusive=12, odd_only=True)),      # AC-02
+    (4, 2, 8, RangeFilter(min_exclusive=8, odd_only=True)),        # AC-03
+    (3, 2, 6, RangeFilter(min_exclusive=6, not_divisible_by=3)),   # AC-04
+])
+def test_segmented_gpf_bound_matches_gpf_array(monkeypatch, d, k, bound, flt):
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 9973)
+    assert verify_gpf_bound(d, k, bound, 10 ** 5, flt).exceptions == \
+        gpf_array_bound(d, k, bound, 10 ** 5, flt)
+
+
+def test_segmented_p5_pairs_matches_gpf_array(monkeypatch):      # AC-05
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 9973)
+    limit = 10 ** 5
+    g = gpf_array(limit + 21)
+    x = np.arange(limit + 1)
+    expect = sorted(
+        (i, v) for i in range(1, 8)
+        for v in x[(x > 80) & (x % 3 != 0)
+                   & (np.maximum(g[:limit + 1], g[3 * i:limit + 1 + 3 * i]) == 5)
+                   & ((x * (x + 3 * i)) % 2 == 0)].tolist())
+    assert exact_p5_pairs(limit) == expect
+
+
+@pytest.mark.parametrize("limit", [-5, 0])
+def test_pair_queries_reject_bad_limit(limit):
+    with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
+        exact_p5_pairs(limit)
+    with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
+        smooth_pairs(7, 6, limit)
+    with pytest.raises(ValueError, match="gap must be nonnegative, got -1"):
+        smooth_pairs(7, -1, 100)
