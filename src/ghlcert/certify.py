@@ -147,13 +147,14 @@ def verify_break_valuations(bs: BreakSequence) -> bool:
     return True
 
 
-def special_2adic_certify(params: GhlParams,
-                          seed: SeedCoefficients) -> ExclusionRecord:
+def special_2adic_certify(cache: PolygonCache) -> ExclusionRecord:
     """Low-degree exclusions from the 2-adic polygon when the top linear
     factor is a power of two (witness primes are structurally unavailable
-    there).  Returns a record covering the degrees it could certify, which
+    there).  The p = 2 polygons and admissible degrees come from the run's
+    cache.  Returns a record covering the degrees it could certify, which
     may be a proper subset of [1, delta]; raises SpecialCaseError when the
     instance is outside the family or nothing at all is certified."""
+    params, seed = cache.params, cache.seed
     if params.d != 3:
         raise SpecialCaseError(f"2-adic handler needs d=3, got d={params.d}")
     n, delta = params.n, params.delta
@@ -163,7 +164,7 @@ def special_2adic_certify(params: GhlParams,
     if not verify_break_valuations(bs):
         raise CertificationInternalError(
             f"break valuation closed forms disagree with Legendre at {bs}")
-    carrier_poly = polygon_from_params(2, params, SeedCoefficients.ones(n))
+    carrier_poly = cache.polygon(2, "ones")
     realized = tuple(carrier_poly.vertex_xs())
     full = tuple(delta * b for b in bs.breaks)
     accepted = {full, (0, delta * n)}
@@ -174,8 +175,7 @@ def special_2adic_certify(params: GhlParams,
         raise SpecialCaseError(
             f"2-adic vertex sequence {realized} does not match any expected "
             f"break pattern {sorted(accepted)}")
-    seeded_poly = polygon_from_params(2, params, seed)
-    seeded_admissible = admissible_degrees(seeded_poly)
+    seeded_admissible = cache.admissible(2, "self")
     m = delta * n
     degrees: set[int] = set()
     margins: dict[int, int] = {}
@@ -427,11 +427,8 @@ def _three_adic_stage(run: _Run) -> str | None:
     if not special_3adic_check(run.params):
         return "family inequalities failed"
     best = None
-    for carrier in ("self", "ones"):
-        if carrier == "ones" and not run.cache.seed_coprime(3):
-            continue
-        poly = run.cache.polygon(3, carrier)
-        if poly.ordinates[0] != 0 or poly.ordinates[poly.degree] == 0:
+    for carrier, poly in run.cache.carriers(3):
+        if poly.ordinates[poly.degree] == 0:
             continue
         k = widest_window(poly, 0)
         if k is not None and (best is None or k > best[0]):
@@ -461,7 +458,7 @@ _STAGES = (
      lambda r: witness_stage(r.params, r.seed, r.ledger)),
     ("2-adic handler",
      lambda r: r.params.d == 3 and _is_power_of(r.params.top_term, 2),
-     lambda r: _claim_record(r, special_2adic_certify(r.params, r.seed))),
+     lambda r: _claim_record(r, special_2adic_certify(r.cache))),
     ("3-adic handler",
      lambda r: (r.params.d == 4
                 and (r.params.u, r.params.alpha) in _THREE_ADIC_FAMILIES

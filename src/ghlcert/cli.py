@@ -208,7 +208,7 @@ def _cmd_sieve(args) -> int:
         if args.k is None:
             raise InvalidParameters("--k is required for smoothness")
         if args.pow2:
-            bound = sieve_mod.smoothness_bound_pow2(args.k)
+            bound = sieve_mod.smoothness_bound(args.k, 1)
             _emit({"query": "smoothness", "k": args.k, "variant": "pow2",
                    "bound": bound})
             return 0
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv) -> list[str]:
+def _apply_config(argv) -> list[str]:
     """Splice --config values in as if they were flags given first, so that
     explicit flags still win."""
     argv = list(argv)
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
+        argv = _apply_config(argv)
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: bad --config: {exc}", file=sys.stderr)
         return 2

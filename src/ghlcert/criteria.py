@@ -174,6 +174,18 @@ class PolygonCache:
             self._cache[key] = polygon_from_params(p, self.params, seed)
         return self._cache[key]
 
+    def carriers(self, p: int):
+        """Yield (carrier, polygon) at p for the seeded polynomial and then
+        the ones carrier, lazily: the ones carrier only when seed_coprime(p),
+        and only polygons with leading ordinate 0 (p does not divide the
+        leading coefficient), which every margin and window reading needs."""
+        for carrier in ("self", "ones"):
+            if carrier == "ones" and not self.seed_coprime(p):
+                continue
+            poly = self.polygon(p, carrier)
+            if poly.ordinates[0] == 0:
+                yield carrier, poly
+
     def admissible(self, p: int, carrier: str) -> frozenset:
         key = (p, carrier)
         if key not in self._admissible:
@@ -224,12 +236,7 @@ def window_stage(cache: PolygonCache, ledger: DegreeLedger,
     for p in primes:
         if not ledger.remaining:
             return
-        for carrier in ("self", "ones"):
-            if carrier == "ones" and not cache.seed_coprime(p):
-                continue
-            poly = cache.polygon(p, carrier)
-            if poly.ordinates[0] != 0:
-                continue
+        for carrier, poly in cache.carriers(p):
             if poly.ordinates[m] == 0:
                 continue  # p must divide the constant term
             l_min = max((x for x in range(1, m)
@@ -258,12 +265,7 @@ def margin_stage(cache: PolygonCache, ledger: DegreeLedger,
             continue
         hit = False
         for p in primes:
-            for carrier in ("self", "ones"):
-                if carrier == "ones" and not cache.seed_coprime(p):
-                    continue
-                poly = cache.polygon(p, carrier)
-                if poly.ordinates[0] != 0:
-                    continue
+            for carrier, poly in cache.carriers(p):
                 r = viable_margin(poly, kk)
                 if r is not None:
                     ledger.claim(

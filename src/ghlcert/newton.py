@@ -154,17 +154,9 @@ def admissible_degrees(polygon: NewtonPolygon) -> frozenset:
     return frozenset(k for k in range(polygon.degree + 1) if (bits >> k) & 1)
 
 
-def margin_holds(polygon: NewtonPolygon, k: int, r: int) -> bool:
-    """True iff the polygon's Newton function g satisfies g(k) > r and
-    g(m) - g(m-k) < r + 1."""
-    m = polygon.degree
-    gk = newton_function(polygon, k)
-    rise = newton_function(polygon, m) - newton_function(polygon, m - k)
-    return gk > r and rise < r + 1
-
-
 def viable_margin(polygon: NewtonPolygon, k: int):
-    """Smallest integer r for which margin_holds, or None.  r must satisfy
+    """Smallest integer r with g(k) > r and g(m) - g(m-k) < r + 1, where g
+    is the polygon's Newton function, or None.  r must satisfy
     g(m) - g(m-k) - 1 < r < g(k); the least integer above the left bound is
     floor(left) + 1."""
     m = polygon.degree

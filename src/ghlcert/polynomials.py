@@ -70,9 +70,6 @@ class GhlParams:
     def top_term(self) -> int:
         return self.term(self.n)
 
-    def terms(self) -> tuple[int, ...]:
-        return tuple(self.term(i) for i in range(1, self.n + 1))
-
 
 @dataclass(frozen=True)
 class SeedCoefficients:
@@ -119,11 +116,6 @@ class SeedCoefficients:
 
     def __getitem__(self, j: int) -> int:
         return self.values[j]
-
-
-def laguerre_seed(n: int) -> SeedCoefficients:
-    """Alternating binomial seed (-1)^j * C(n, j)."""
-    return SeedCoefficients.laguerre(n)
 
 
 @dataclass(frozen=True)
@@ -209,7 +201,7 @@ def hermite_polynomial(m: int) -> IntegerPolynomial:
     if half == 0:
         return IntegerPolynomial((0, 2))  # H_1 = 2x
     params = GhlParams(d=2, u=-1 + odd, alpha=1, n=half)
-    core = build_ghl(params, laguerre_seed(half))
+    core = build_ghl(params, SeedCoefficients.laguerre(half))
     out = [0] * (m + 1)
     for j in range(half + 1):
         out[2 * j + odd] = sign * (1 << (half + j + odd)) * core.coefficient(j)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .valuation import ord_factorial
+
 DEFAULT_SEGMENT = 1 << 20
 # ap_prime_gaps sieves at most this far past its limit before giving up.
 MAX_GAP_SLACK = 1 << 24
@@ -83,19 +85,6 @@ class SpfTable:
         spf[rest] = rest  # untouched entries are primes (or 0, 1)
         self.spf = spf
 
-    def smallest_factor(self, m: int) -> int:
-        if not 2 <= m <= self.limit:
-            raise ValueError(f"{m} outside table range 2..{self.limit}")
-        return int(self.spf[m])
-
-    def factorize(self, m: int) -> dict:
-        out: dict[int, int] = {}
-        while m > 1:
-            p = int(self.spf[m])
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        return out
-
 
 _shared_spf: SpfTable | None = None
 _shared_prime_flags: np.ndarray | None = None
@@ -153,15 +142,6 @@ def gpf(m: int) -> int:
     return max(factorize(m))
 
 
-def gpf_ap_product(n: int, d: int, k: int) -> int:
-    """P(n (n+d) ... (n+d(k-1))) as the max of per-term values."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if n < 1 or d < 1:
-        raise ValueError("terms must be positive")
-    return max(gpf(n + d * i) for i in range(k))
-
-
 def gpf_array(limit: int, jobs: int = 1) -> np.ndarray:
     """Greatest prime factor of every m in [0, limit]; entries 0, 1 map to
     0, 1.  Peels smallest factors off the whole range at once."""
@@ -214,17 +194,14 @@ class SieveReport:
     extremal: object = None
     elapsed_ms: float = field(default=0.0, compare=False)
 
-    def to_json_dict(self, include_elapsed: bool = False) -> dict:
-        body = {
+    def to_json_dict(self) -> dict:
+        return {
             "query": self.query,
             "params": self.params,
             "exceptions": [list(e) if isinstance(e, tuple) else e
                            for e in self.exceptions],
             "extremal": self.extremal,
         }
-        if include_elapsed:
-            body["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return body
 
 
 def _now_ms() -> float:
@@ -257,16 +234,21 @@ def _smooth_mask(lo: int, hi: int, bound: int, primes) -> np.ndarray:
 
 def _smooth_sweep(limit: int, halo: int, bound: int, select, jobs: int = 1) -> list:
     """Walks n in [0, limit] in blocks of DEFAULT_SEGMENT and concatenates
-    ``select(lo, size, mask)`` in block order, where the block holds n in
-    [lo, lo + size) and mask[j] says whether P(lo + j) <= bound, for
-    j < size + halo.  Memory is O(DEFAULT_SEGMENT + halo) per worker."""
+    ``select(lo, size, window)`` in block order, where the block holds n in
+    [lo, lo + size) and window(s)[j] says whether P(lo + s + j) <= bound,
+    for 0 <= s <= halo and j < size.  A halo up to the block size is sieved
+    with the block as one mask; a longer one, window by window, so memory
+    is O(DEFAULT_SEGMENT) per worker whatever the halo."""
     primes = [int(p) for p in
               primes_up_to(max(0, min(bound, math.isqrt(limit + halo))))]
 
     def block(lo):
         size = min(DEFAULT_SEGMENT, limit + 1 - lo)
-        return select(lo, size, _smooth_mask(lo, lo + size + halo, bound,
-                                             primes))
+        if halo <= DEFAULT_SEGMENT:
+            mask = _smooth_mask(lo, lo + size + halo, bound, primes)
+            return select(lo, size, lambda s: mask[s:s + size])
+        return select(lo, size, lambda s: _smooth_mask(
+            lo + s, lo + s + size, bound, primes))
 
     starts = range(0, limit + 1, DEFAULT_SEGMENT)
     if jobs > 1:
@@ -277,11 +259,6 @@ def _smooth_sweep(limit: int, halo: int, bound: int, select, jobs: int = 1) -> l
     return [item for part in parts for item in part]
 
 
-def _check_limit(limit: int) -> None:
-    if limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-
-
 def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
                      flt: RangeFilter = RangeFilter(), jobs: int = 1) -> SieveReport:
     """All filtered n <= n_limit with P(n (n+d) ... (n+d(k-1))) <= bound."""
@@ -290,10 +267,10 @@ def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
             raise ValueError(f"{name} must be at least 1, got {value}")
     t0 = _now_ms()
 
-    def select(lo, size, mask):
-        ok = mask[:size].copy()
+    def select(lo, size, window):
+        ok = window(0).copy()
         for i in range(1, k):
-            ok &= mask[i * d:i * d + size]
+            ok &= window(i * d)
         values = lo + np.flatnonzero(ok)
         return values[flt.mask(values) & (values >= 1)].tolist()
 
@@ -308,33 +285,21 @@ def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
     )
 
 
-def smooth_pairs(M: int, gap: int, limit: int) -> list[int]:
-    """All m in [1, limit] with P(m (m+gap)) <= M."""
-    _check_limit(limit)
-    if gap < 0:
-        raise ValueError(f"gap must be nonnegative, got {gap}")
-
-    def select(lo, size, mask):
-        m = lo + np.flatnonzero(mask[:size] & mask[gap:gap + size])
-        return m[m >= 1].tolist()
-
-    return _smooth_sweep(limit, gap, M, select)
-
-
 def exact_p5_pairs(limit: int) -> list[tuple[int, int]]:
     """Pairs (i, X) with 1 <= i <= 7, X > 80, 3 not dividing X, X(X+3i)
     even, and greatest prime factor of X(X+3i) exactly 5: both factors
     5-smooth and 5 dividing one of them."""
-    _check_limit(limit)
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
 
-    def select(lo, size, mask):
-        j = np.flatnonzero(mask[:size])
+    def select(lo, size, window):
+        j = np.flatnonzero(window(0))
         x = lo + j
         base = (x > 80) & (x % 3 != 0)
         out = []
         for i in range(1, 8):
             y = x + 3 * i
-            keep = base & mask[j + 3 * i]
+            keep = base & window(3 * i)[j]
             keep &= (x % 5 == 0) | (y % 5 == 0)
             keep &= (x % 2 == 0) | (y % 2 == 0)
             out.extend((i, v) for v in x[keep].tolist())
@@ -443,25 +408,6 @@ def progression_prime_set_mismatches(k_lo: int, k_hi: int) -> list[tuple[int, in
     return out
 
 
-def integer_root(n: int, e: int) -> int:
-    """Largest r with r**e <= n, by integer Newton iteration."""
-    if n < 0 or e < 1:
-        raise ValueError("need n >= 0 and e >= 1")
-    if n in (0, 1) or e == 1:
-        return n
-    r = 1 << ((n.bit_length() - 1) // e + 1)
-    while True:
-        nr = ((e - 1) * r + n // r ** (e - 1)) // e
-        if nr >= r:
-            break
-        r = nr
-    while r ** e > n:
-        r -= 1
-    while (r + 1) ** e <= n:
-        r += 1
-    return r
-
-
 def _nth_prime(l: int) -> int:
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
@@ -493,12 +439,7 @@ def smoothness_bound_exact(k: int, l: int, printed_inner_pi: bool = False) -> tu
     for p in primes_up_to(_nth_prime(l)):
         p = int(p)
         if p == 2:
-            e = 0
-            q = 2
-            while q <= k - 1:
-                e += (k - 1) // q
-                q *= 2
-            denom <<= e
+            denom <<= ord_factorial(2, k - 1)
             continue
         if k - 1 <= T:
             continue  # no exponent h satisfies floor((k-1)/p^h) > T
@@ -518,39 +459,3 @@ def smoothness_bound(k: int, l: int, printed_inner_pi: bool = False) -> float:
     """Real value of the smooth-range bound N**(1/T)."""
     n_exact, T = smoothness_bound_exact(k, l, printed_inner_pi)
     return math.exp(math.log(n_exact) / T) if n_exact > 1 else float(n_exact)
-
-
-def smoothness_bound_pow2(k: int) -> float:
-    """Variant bound ((k-1)! with all factors of 2 removed)**(1/T)."""
-    T = k + 1 - prime_count(4 * k + 3)
-    if T <= 0:
-        raise ValueError(f"exponent k+1-pi(4k+3) = {T} must be positive")
-    fac = math.factorial(k - 1)
-    e = 0
-    q = 2
-    while q <= k - 1:
-        e += (k - 1) // q
-        q *= 2
-    n_exact = fac >> e
-    return math.exp(math.log(n_exact) / T) if n_exact > 1 else float(n_exact)
-
-
-def growth_inequality(k: int, v0: int) -> bool:
-    """True iff log(v0*8*e) < (4 log(v0*4k) / log(4k+3)) (1 + 1.2762/log(4k+3))."""
-    if k < 1 or v0 < 1:
-        raise ValueError("need k >= 1 and v0 >= 1")
-    lg = math.log(4 * k + 3)
-    lhs = math.log(v0 * 8 * math.e)
-    rhs = (4 * math.log(v0 * 4 * k) / lg) * (1 + 1.2762 / lg)
-    return lhs < rhs
-
-
-def gpf_floor_check(n: int, d: int, k: int) -> bool:
-    """Spot evaluation of P(n (n+d) ... (n+d(k-1))) >= n on the ranges
-    where that inequality is quotable: d = 3 with 6450 < n <= 10.6*3k, or
-    d = 4 with 10**6 < n <= 138*4k."""
-    in_range = ((d == 3 and 6450 < n <= 10.6 * 3 * k)
-                or (d == 4 and 10 ** 6 < n <= 138 * 4 * k))
-    if not in_range:
-        raise ValueError(f"(n={n}, d={d}, k={k}) outside the quotable range")
-    return gpf_ap_product(n, d, k) >= n

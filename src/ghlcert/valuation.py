@@ -9,8 +9,6 @@ linear factors), never by dividing the assembled big integer.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polynomials import GhlParams, IntegerPolynomial, SeedCoefficients
 
 
@@ -124,37 +122,6 @@ def ord_factorial(p: int, m: int) -> int:
     if m < 0:
         raise ValueError(f"ord_factorial needs m >= 0, got {m}")
     return (m - digit_sum(p, m)) // (p - 1)
-
-
-def ord_binomial(p: int, m: int, k: int) -> int:
-    """Valuation of C(m, k)."""
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
-    return ord_factorial(p, m) - ord_factorial(p, k) - ord_factorial(p, m - k)
-
-
-def ord_tail_product(p: int, params: GhlParams, l: int) -> int:
-    """Valuation of the product of the linear factors with index above l,
-    i.e. of prod(alpha + (u+i)*d for i in l+1..n).  Finite because every
-    factor is nonzero (alpha and d are coprime)."""
-    if not 0 <= l <= params.n:
-        raise ValueError(f"index l={l} out of range 0..{params.n}")
-    total = 0
-    for i in range(l + 1, params.n + 1):
-        total += nu(p, params.term(i))
-    return total
-
-
-def prefix_valuation_rates(p: int, params: GhlParams) -> list[Fraction]:
-    """For j = 1..n, the valuation of the prefix product
-    prod(alpha + (u+i)*d for i in 1..j) divided by j, as exact rationals."""
-    _require_prime(p)
-    rates = []
-    acc = 0
-    for j in range(1, params.n + 1):
-        acc += _nu(p, params.term(j))
-        rates.append(Fraction(acc, j))
-    return rates
 
 
 def coefficient_valuations(p: int, params: GhlParams, seed: SeedCoefficients) -> list:

@@ -22,13 +22,12 @@ from ghlcert.certify import (
     verify_break_valuations,
     verify_certificate,
 )
-from ghlcert.criteria import Method
+from ghlcert.criteria import Method, PolygonCache
 from ghlcert.gfp import subset_sums
 from ghlcert.polynomials import (
     GhlParams,
     SeedCoefficients,
     build_substituted,
-    laguerre_seed,
 )
 from ghlcert.valuation import ord_factorial
 
@@ -109,28 +108,32 @@ def test_break_valuation_unit_correction():
 
 def test_special_2adic_record():
     params = GhlParams(d=3, u=-1, alpha=2, n=43, delta=3)
-    rec = special_2adic_certify(params, laguerre_seed(43))
+    rec = special_2adic_certify(
+        PolygonCache(params, SeedCoefficients.laguerre(43)))
     assert rec.method == Method.SPECIAL_2ADIC
     assert sorted(rec.degrees) == [1, 2, 3, 126, 127, 128]
     assert rec.detail["vertices"] == [0, 96, 120, 129]
     assert rec.detail["margins"] == {"1": 0, "2": 0, "3": 1}
     assert (rec.detail["min_slope"], rec.detail["max_slope"]) == ("11/32", "4/9")
-    flat = special_2adic_certify(GhlParams(d=3, u=-1, alpha=2, n=43, delta=1),
-                                 laguerre_seed(43))
+    flat = special_2adic_certify(
+        PolygonCache(GhlParams(d=3, u=-1, alpha=2, n=43, delta=1),
+                     SeedCoefficients.laguerre(43)))
     assert sorted(flat.degrees) == [1, 42]
 
 
 def test_special_2adic_rejections():
     with pytest.raises(SpecialCaseError):
-        special_2adic_certify(GhlParams(d=3, u=0, alpha=1, n=2, delta=3),
-                              laguerre_seed(2))      # top 7 not a 2-power
+        special_2adic_certify(      # top 7 not a 2-power
+            PolygonCache(GhlParams(d=3, u=0, alpha=1, n=2, delta=3),
+                         SeedCoefficients.laguerre(2)))
     with pytest.raises(SpecialCaseError):
-        special_2adic_certify(GhlParams(d=4, u=0, alpha=1, n=2, delta=4),
-                              laguerre_seed(2))
+        special_2adic_certify(
+            PolygonCache(GhlParams(d=4, u=0, alpha=1, n=2, delta=4),
+                         SeedCoefficients.laguerre(2)))
     even = SeedCoefficients((2,) + (1,) * 42 + (2,))
     with pytest.raises(SpecialCaseError):
-        special_2adic_certify(GhlParams(d=3, u=-1, alpha=2, n=43, delta=3),
-                              even)
+        special_2adic_certify(
+            PolygonCache(GhlParams(d=3, u=-1, alpha=2, n=43, delta=3), even))
 
 
 def test_special_3adic_check():
@@ -206,7 +209,7 @@ def test_full_certify_witness_only_instance():
     # q = -3/4, n = 20: witness primes alone close every degree, one record
     # per k = 1..10
     cert = full_certify(GhlParams(d=4, u=-1, alpha=3, n=20, delta=4),
-                        laguerre_seed(20))
+                        SeedCoefficients.laguerre(20))
     assert cert.residual == ()
     assert {rec.method for rec in cert.records} == {Method.WITNESS_PRIME}
     assert sorted(rec.k for rec in cert.records) == list(range(1, 11))
@@ -237,13 +240,30 @@ def test_full_certify_calls_stages_through_module_names(monkeypatch):
          {"special_2adic_certify": 1}),
         (GhlParams(d=4, u=0, alpha=3, n=3, delta=4), None, False,
          {"special_3adic_check": 1}),
-        (GhlParams(d=3, u=0, alpha=2, n=16, delta=3), laguerre_seed(16), True,
+        (GhlParams(d=3, u=0, alpha=2, n=16, delta=3), SeedCoefficients.laguerre(16), True,
          {"laguerre_np_certify": 1, "degree_set_stage": 1}),
     ]
     for params, seed, degree_sets, special in cases:
         calls.clear()
         full_certify(params, seed, degree_sets=degree_sets)
         assert dict(calls) == {**generic, **special}, params
+
+
+def test_full_certify_builds_each_polygon_once(monkeypatch):
+    # the 2-adic handler and the polygon stages read one PolygonCache, so
+    # q = -1/3, n = 43 (top factor 2^7) builds each p = 2 polygon once
+    builds = Counter()
+
+    def counted(p, params, seed, _fn=criteria.polygon_from_params):
+        builds[p, params, seed.values] += 1
+        return _fn(p, params, seed)
+    for module in (certify, criteria):
+        monkeypatch.setattr(module, "polygon_from_params", counted)
+    params = GhlParams(d=3, u=-1, alpha=2, n=43, delta=3)
+    cert = full_certify(params, SeedCoefficients.laguerre(43))
+    assert Method.SPECIAL_2ADIC in {rec.method for rec in cert.records}
+    assert {key[0] for key in builds} >= {2, 3}
+    assert max(builds.values()) == 1, builds.most_common(3)
 
 
 def test_full_certify_residual_regressions():
@@ -317,12 +337,12 @@ def test_degree_sets_off_by_default():
 def test_residual_instances_match_reality():
     # (1/4, n=2) really is reducible: the residual degree 4 is realized
     poly = build_substituted(GhlParams(d=4, u=0, alpha=1, n=2, delta=4),
-                             laguerre_seed(2))
+                             SeedCoefficients.laguerre(2))
     factor = factor_of_degree(list(poly.coeffs), 4)
     assert factor is not None
     # while the other residual instances are irreducible, just uncertified
     poly = build_substituted(GhlParams(d=3, u=-1, alpha=1, n=2, delta=3),
-                             laguerre_seed(2))
+                             SeedCoefficients.laguerre(2))
     assert poly.coeffs == (4, 0, 0, -8, 0, 0, 1)
     assert irreducible_over_z(list(poly.coeffs))
 
@@ -345,7 +365,7 @@ def test_hypothesis_violations():
 
 def test_classify_seed():
     assert classify_seed(SeedCoefficients.ones(4)) == "ones"
-    assert classify_seed(laguerre_seed(4)) == "laguerre"
+    assert classify_seed(SeedCoefficients.laguerre(4)) == "laguerre"
     assert classify_seed(SeedCoefficients((2, 1, 1))) == "custom"
 
 
@@ -391,7 +411,7 @@ def test_exclusions_are_sound_for_small_degrees():
     for d, u, alpha, n in grid:
         cert = certified(d, u, alpha, n)
         params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=d)
-        coeffs = list(build_substituted(params, laguerre_seed(n)).coeffs)
+        coeffs = list(build_substituted(params, SeedCoefficients.laguerre(n)).coeffs)
         total = d * n
         for k in range(1, total // 2 + 1):
             if factor_of_degree(coeffs, k) is not None:

@@ -182,6 +182,22 @@ def test_sieve_smoothness(capsys):
     assert code == 0 and blob["variant"] == "pow2"
 
 
+@pytest.mark.parametrize("k, bound", [
+    (67, 22232865.8080437), (100, 616088.8750797423),
+    (401, 106866.68098107076)])
+def test_sieve_smoothness_pow2_values(capsys, k, bound):
+    code, blob = run(capsys, "sieve", "smoothness", "--k", str(k), "--pow2")
+    assert code == 0
+    assert blob == {"query": "smoothness", "k": k, "variant": "pow2",
+                    "bound": bound}
+
+
+def test_sieve_smoothness_pow2_rejects_nonpositive_exponent(capsys):
+    assert main(["sieve", "smoothness", "--k", "3", "--pow2"]) == 2
+    assert "exponent k+1-pi(4k+3) = -2 must be positive" in \
+        capsys.readouterr().err
+
+
 def test_sieve_rset_mismatch(capsys):
     code, blob = run(capsys, "sieve", "rset-mismatch", "--k", "2")
     assert code == 0

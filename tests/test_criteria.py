@@ -14,17 +14,17 @@ from ghlcert.criteria import (
     witness_primes,
 )
 from ghlcert.polynomials import (GhlParams, IntegerPolynomial,
-                                 SeedCoefficients, laguerre_seed)
+                                 SeedCoefficients)
 
 from oracles import poly_mul, witness_primes_per_k
 
 
 def test_find_exclusion_prime_known_values():
     params = GhlParams(d=4, u=0, alpha=3, n=10)
-    assert find_exclusion_prime(params, 2, laguerre_seed(10)) == 43
+    assert find_exclusion_prime(params, 2, SeedCoefficients.laguerre(10)) == 43
     params = GhlParams(d=3, u=-1, alpha=2, n=43)
-    assert find_exclusion_prime(params, 2, laguerre_seed(43)) is None
-    assert find_exclusion_prime(params, 3, laguerre_seed(43)) == 61
+    assert find_exclusion_prime(params, 2, SeedCoefficients.laguerre(43)) is None
+    assert find_exclusion_prime(params, 3, SeedCoefficients.laguerre(43)) == 61
 
 
 def test_find_exclusion_prime_largest_qualifying():
@@ -45,11 +45,11 @@ def test_find_exclusion_prime_rejects_bad_inputs():
     params = GhlParams(d=4, u=0, alpha=3, n=10)
     with pytest.raises(ValueError):
         find_exclusion_prime(GhlParams(d=4, u=1, alpha=3, n=10), 2,
-                             laguerre_seed(10))
+                             SeedCoefficients.laguerre(10))
     with pytest.raises(ValueError):
-        find_exclusion_prime(params, 0, laguerre_seed(10))
+        find_exclusion_prime(params, 0, SeedCoefficients.laguerre(10))
     with pytest.raises(ValueError):
-        find_exclusion_prime(params, 6, laguerre_seed(10))   # k > n/2
+        find_exclusion_prime(params, 6, SeedCoefficients.laguerre(10))   # k > n/2
 
 
 def _scan_cases():
@@ -69,7 +69,7 @@ def _scan_cases():
                             for _ in range(2)]
                     middle = tuple(rng.randint(-9, 9) for _ in range(n - 1))
                     yield params, SeedCoefficients.ones(n)
-                    yield params, laguerre_seed(n)
+                    yield params, SeedCoefficients.laguerre(n)
                     yield params, SeedCoefficients((ends[0],) + middle
                                                    + (ends[1],))
 
@@ -87,7 +87,7 @@ def test_witness_scan_matches_per_k_oracle():
 
 def test_find_exclusion_prime_reads_the_scan():
     params = GhlParams(d=3, u=-1, alpha=2, n=43)
-    seed = laguerre_seed(43)
+    seed = SeedCoefficients.laguerre(43)
     assert [find_exclusion_prime(params, k, seed) for k in range(1, 22)] == \
         [p for _, p in witness_primes(params, seed)]
 
@@ -137,7 +137,7 @@ def test_degree_ledger_records_partition():
 
 def test_polygon_cache_consistency():
     params = GhlParams(d=3, u=-1, alpha=2, n=43, delta=3)
-    cache = PolygonCache(params, laguerre_seed(43))
+    cache = PolygonCache(params, SeedCoefficients.laguerre(43))
     assert cache.polygon(2, "ones") is cache.polygon(2, "ones")
     assert cache.polygon(2, "ones").vertex_xs() == (0, 96, 120, 129)
     assert cache.seed_coprime(2) and cache.seed_coprime(43)

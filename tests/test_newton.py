@@ -6,7 +6,6 @@ from ghlcert.newton import (
     PreconditionError,
     admissible_degrees,
     build_polygon,
-    margin_holds,
     newton_function,
     polygon_from_ordinates,
     polygon_from_params,
@@ -103,8 +102,6 @@ def test_admissible_degrees_multi_edge():
 def test_margins_on_carrier():
     polygon = carrier_polygon(2, 3, -1, 2, 43, 3)
     assert viable_margin(polygon, 6) == 2
-    assert margin_holds(polygon, 6, 2)
-    assert not margin_holds(polygon, 6, 1)
     assert viable_margin(polygon, 64) is None   # margin gap closes
     assert viable_margin(polygon, 65) is None   # m < 2k
 
@@ -118,7 +115,7 @@ def test_margin_exclusion_preconditions():
                           SeedCoefficients.ones(43))
     polygon = build_polygon(g, 2)
     assert polygon == carrier_polygon(2, 3, -1, 2, 43, 3)
-    assert margin_holds(polygon, 6, 2)
+    assert viable_margin(polygon, 6) == 2
     assert viable_margin(polygon, 0) is None
     assert viable_margin(polygon, 70) is None
     doubled = IntegerPolynomial(tuple(2 * c for c in g.coeffs))

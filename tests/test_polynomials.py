@@ -11,7 +11,6 @@ from ghlcert.polynomials import (
     build_ghl,
     build_substituted,
     hermite_polynomial,
-    laguerre_seed,
     read_coefficients,
     substitute_power,
     write_coefficients,
@@ -61,7 +60,6 @@ def test_from_q_roundtrip():
 def test_terms_and_top():
     p = GhlParams(d=3, u=-1, alpha=2, n=4)
     assert [p.term(i) for i in range(5)] == [-1, 2, 5, 8, 11]
-    assert p.terms() == (2, 5, 8, 11)   # product factors, indices 1..n
     assert p.top_term == 11
     assert q_params(3, 4, 10).top_term == 43
     assert q_params(-2, 3, 2).top_term == 4
@@ -81,7 +79,7 @@ def test_seed_constructors():
     assert SeedCoefficients.ones(3).values == (1, 1, 1, 1)
     lag = SeedCoefficients.laguerre(4)
     assert lag.values == (1, -4, 6, -4, 1)
-    assert laguerre_seed(5).values == (1, -5, 10, -10, 5, -1)
+    assert SeedCoefficients.laguerre(5).values == (1, -5, 10, -10, 5, -1)
 
 
 def test_laguerre_seed_recurrence_matches_comb():
@@ -128,7 +126,7 @@ def test_build_known_instance():
     # d=3, u=-1, alpha=1, n=2 with alternating-binomial seed:
     # x^2 - 2*4*x + 1*4 = x^2 - 8x + 4
     params = q_params(-2, 3, 2)
-    f = build_ghl(params, laguerre_seed(2))
+    f = build_ghl(params, SeedCoefficients.laguerre(2))
     assert f.coeffs == (4, -8, 1)
 
 
@@ -143,7 +141,7 @@ def test_substitute_power():
 
 def test_build_substituted():
     params = q_params(-2, 3, 2, delta=3)
-    g = build_substituted(params, laguerre_seed(2))
+    g = build_substituted(params, SeedCoefficients.laguerre(2))
     assert g.coeffs == (4, 0, 0, -8, 0, 0, 1)
     assert g.degree == params.delta * params.n
 

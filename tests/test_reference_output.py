@@ -3,17 +3,21 @@
 sieve sweeps) and W4 (gpf-bound at 10^7) sieve.  Each command's stdout and
 exit code must equal the digests recorded in perfbench/reference.json.  A
 refactor of the pipeline or the sieve that changes one byte of output fails
-here."""
+here, and so does one that removes a name the benchmark's layer trace
+wraps."""
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ghlcert.cli import main
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "perfbench" / "reference.json"
 
 
 def _commands(*workloads):
@@ -40,3 +44,14 @@ def test_certify_output_matches_reference(command, expected, capsys):
                          _commands("w3_sweeps", "w4_gpf7"))
 def test_sieve_output_matches_reference(command, expected, capsys):
     _check(command, expected, capsys)
+
+
+def test_layer_trace_installs():
+    # the benchmark's layer trace looks up ghlcert names by attribute; a
+    # rename or deletion of a traced name must fail here too
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; "
+            "import layertrace; layertrace.install()")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "perfbench"),
+         str(ROOT / "src")], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

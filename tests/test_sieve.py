@@ -12,11 +12,7 @@ from ghlcert.sieve import (
     exact_p5_pairs,
     factorize,
     gpf,
-    gpf_ap_product,
     gpf_array,
-    gpf_floor_check,
-    growth_inequality,
-    integer_root,
     prime_count,
     prime_factors,
     primes_up_to,
@@ -24,10 +20,8 @@ from ghlcert.sieve import (
     progression_prime_set_mismatches,
     progression_prime_set_size_printed,
     residue_prime_count,
-    smooth_pairs,
     smoothness_bound,
     smoothness_bound_exact,
-    smoothness_bound_pow2,
     verify_gpf_bound,
 )
 
@@ -56,10 +50,9 @@ def test_spf_table(rng):
     for _ in range(200):
         m = rng.randint(2, 10_000)
         brute = brute_factorize(m)
-        assert table.smallest_factor(m) == min(brute)
-        assert table.factorize(m) == brute
-    assert SpfTable(5000, segment=999, jobs=2).factorize(4998) == \
-        table.factorize(4998)
+        assert table.spf[m] == min(brute)
+    assert np.array_equal(SpfTable(5000, segment=999, jobs=2).spf,
+                          table.spf[:5001])
 
 
 def test_factorize_and_gpf(rng):
@@ -71,13 +64,6 @@ def test_factorize_and_gpf(rng):
         assert gpf(m) == max(brute)
     assert gpf(1) == 1
     assert factorize(1) == {}
-
-
-def test_gpf_ap_product():
-    # product starts at n itself: n (n+d) ... (n+d(k-1))
-    assert gpf_ap_product(10, 4, 3) == gpf(10 * 14 * 18)
-    assert gpf_ap_product(7, 3, 1) == 7
-    assert gpf_ap_product(11, 4, 2) == gpf(11 * 15)
 
 
 def test_gpf_array(rng):
@@ -110,7 +96,6 @@ def test_verify_gpf_bound_small_range():
     json.dumps(blob)
     assert blob["params"]["filter"] == "n>8, odd"
     assert "elapsed_ms" not in blob
-    assert "elapsed_ms" in report.to_json_dict(include_elapsed=True)
 
 
 def test_verify_gpf_bound_other_shapes():
@@ -123,7 +108,7 @@ def test_verify_gpf_bound_other_shapes():
 
 
 def test_smooth_pairs(rng):
-    got = smooth_pairs(7, 6, 400)
+    got = verify_gpf_bound(6, 2, 7, 400).exceptions
     brute = [m for m in range(1, 401) if gpf(m * (m + 6)) <= 7]
     assert got == brute
 
@@ -196,18 +181,6 @@ def test_progression_prime_set_printed_count_disagrees():
     assert 5 not in [k for k, _, _ in mm]
 
 
-def test_integer_root(rng):
-    for _ in range(200):
-        e = rng.randint(1, 6)
-        r = rng.randint(0, 10 ** 8)
-        n = r ** e + rng.randint(0, max(r, 1))
-        got = integer_root(n, e)
-        assert got ** e <= n < (got + 1) ** e
-    assert integer_root(10 ** 60, 2) == 10 ** 30
-    with pytest.raises(ValueError):
-        integer_root(-1, 2)
-
-
 def test_smoothness_bound_values():
     n_exact, t = smoothness_bound_exact(401, 3)
     assert t == 149
@@ -219,8 +192,15 @@ def test_smoothness_bound_values():
 
 
 def test_smoothness_bound_pow2_matches_first_prime():
+    # with l = 1 the only correction is 2^-ord_2((k-1)!): the bound is the
+    # odd part of (k-1)! to the power 1/T
     for k in (67, 100, 401):
-        assert smoothness_bound_pow2(k) == smoothness_bound(k, 1)
+        odd = math.factorial(k - 1)
+        while odd % 2 == 0:
+            odd //= 2
+        t = k + 1 - prime_count(4 * k + 3)
+        assert smoothness_bound_exact(k, 1) == (odd, t)
+        assert smoothness_bound(k, 1) == math.exp(math.log(odd) / t)
 
 
 def test_smoothness_bound_printed_variant():
@@ -231,22 +211,6 @@ def test_smoothness_bound_printed_variant():
     assert default_n != printed_n
     assert smoothness_bound_exact(67, 3)[1] == smoothness_bound_exact(
         67, 3, printed_inner_pi=True)[1]
-
-
-def test_growth_inequality():
-    assert growth_inequality(1, 138)
-    assert not growth_inequality(401, 138)
-    with pytest.raises(ValueError):
-        growth_inequality(0, 138)
-
-
-def test_gpf_floor_check():
-    assert gpf_floor_check(7000, 3, 300)
-    assert gpf_floor_check(1_000_101, 4, 2000)
-    with pytest.raises(ValueError):
-        gpf_floor_check(100, 3, 300)        # below the quotable range
-    with pytest.raises(ValueError):
-        gpf_floor_check(7000, 5, 300)
 
 
 # --- segmented smoothness sieve --------------------------------------------
@@ -298,7 +262,7 @@ def test_segmented_sieve_divides_out_prime_powers(monkeypatch, segment):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
     assert verify_gpf_bound(1, 1, 2, 2000).exceptions == \
         [2 ** e for e in range(11)]
-    assert smooth_pairs(3, 0, 1500) == sorted(
+    assert verify_gpf_bound(1, 1, 3, 1500).exceptions == sorted(
         2 ** a * 3 ** b for a in range(11) for b in range(7)
         if 2 ** a * 3 ** b <= 1500)
     # 729 * 972 = 3^11 * 2^2 and 1024 * 1029 = 2^10 * 3 * 7^3
@@ -336,7 +300,7 @@ def test_segmented_gpf_bound_threads_match_serial(rng, small_segment):
 
 def test_segmented_pairs_match_brute_force(small_segment):
     for M, gap in ((11, 4), (5, 1), (13, 12), (2, 2)):
-        assert smooth_pairs(M, gap, 2000) == \
+        assert verify_gpf_bound(gap, 2, M, 2000).exceptions == \
             [m for m in range(1, 2001) if max(_GPF[m], _GPF[m + gap]) <= M]
     brute = sorted(
         (i, x) for x in range(81, 2001) if x % 3
@@ -374,7 +338,22 @@ def test_segmented_p5_pairs_matches_gpf_array(monkeypatch):      # AC-05
 def test_pair_queries_reject_bad_limit(limit):
     with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
         exact_p5_pairs(limit)
-    with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
-        smooth_pairs(7, 6, limit)
-    with pytest.raises(ValueError, match="gap must be nonnegative, got -1"):
-        smooth_pairs(7, -1, 100)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("d", [500, 10 ** 4])
+def test_long_halo_is_sieved_window_by_window(monkeypatch, small_segment,
+                                              d, k):
+    # a halo d(k-1) longer than the block is sieved one shifted window at
+    # a time, so no mask spans more than two blocks whatever d and k are
+    spans = []
+
+    def spy(lo, hi, bound, primes, _fn=sieve._smooth_mask):
+        spans.append(hi - lo)
+        return _fn(lo, hi, bound, primes)
+    monkeypatch.setattr(sieve, "_smooth_mask", spy)
+    for bound in (13, 60):
+        expect = [n for n in range(1, 501)
+                  if max(gpf(n + d * i) for i in range(k)) <= bound]
+        assert verify_gpf_bound(d, k, bound, 500).exceptions == expect
+    assert max(spans) <= 2 * 97

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -11,11 +10,8 @@ from ghlcert.valuation import (
     digit_sum,
     is_prime,
     nu,
-    ord_binomial,
     ord_factorial,
-    ord_tail_product,
     ordinates_from_polynomial,
-    prefix_valuation_rates,
 )
 
 from oracles import legendre_direct
@@ -68,41 +64,6 @@ def test_ord_factorial_matches_direct(rng):
     assert ord_factorial(2, 41) == 38
     assert ord_factorial(2, 21) == 18
     assert ord_factorial(2, 4) == 3
-
-
-def test_ord_binomial(rng):
-    for _ in range(150):
-        p = rng.choice(SMALL_PRIMES)
-        m = rng.randint(0, 300)
-        k = rng.randint(0, m)
-        assert ord_binomial(p, m, k) == nu(p, math.comb(m, k))
-
-
-def test_ord_tail_product(rng):
-    for _ in range(100):
-        d = rng.choice([3, 4])
-        alpha = rng.choice([a for a in range(1, d) if math.gcd(a, d) == 1])
-        params = GhlParams(d=d, u=rng.choice([-1, 0]), alpha=alpha, n=rng.randint(1, 12))
-        p = rng.choice(SMALL_PRIMES)
-        l = rng.randint(0, params.n)
-        prod = 1
-        for i in range(l + 1, params.n + 1):
-            prod *= params.term(i)
-        expect = nu(p, prod) if prod != 0 else INFINITY
-        got = ord_tail_product(p, params, l)
-        if expect is INFINITY:
-            assert got is INFINITY
-        else:
-            assert got == expect
-
-
-def test_prefix_valuation_rates():
-    params = GhlParams(d=4, u=0, alpha=3, n=6)
-    rates = prefix_valuation_rates(7, params)
-    assert len(rates) == params.n
-    for j in range(1, params.n + 1):
-        total = sum(nu(7, params.term(i)) for i in range(1, j + 1))
-        assert rates[j - 1] == Fraction(total, j)
 
 
 def test_coefficient_valuations_match_polynomial(rng):
