@@ -238,16 +238,19 @@ def special_3adic_check(params: GhlParams) -> bool:
 # Own-prime polygon handler for binomial-seeded exceptional instances
 # ---------------------------------------------------------------------------
 
-def laguerre_np_certify(params: GhlParams) -> ExclusionRecord:
+def laguerre_np_certify(cache: PolygonCache) -> ExclusionRecord:
     """For a binomial-seeded instance whose top factor has exceptional
-    shape, build the polygon at the largest prime divisor of n that avoids
-    the top factor and the three lowest linear factors, check the vertex
-    spacing, and exclude every degree outside the lattice-admissible set.
+    shape, take the polygon of G(x^d) at the largest prime divisor of n
+    that avoids the top factor and the three lowest linear factors, check
+    the vertex spacing, and exclude every degree outside the
+    lattice-admissible set.  With delta == d that polygon is the instance's
+    own and comes from the run's cache; with delta == 1 it is built here.
 
     The record is stated in the degrees of the instance itself: when
     delta == 1 a degree-k factor of the base polynomial would lift to a
     degree d*k factor of the substituted one, so exclusions transfer down.
     """
+    params = cache.params
     d, n = params.d, params.n
     if params.u not in (-1, 0) or d not in (3, 4):
         raise SpecialCaseError(
@@ -266,8 +269,13 @@ def laguerre_np_certify(params: GhlParams) -> ExclusionRecord:
             f"no prime divisor of n={n} avoids the top factor "
             f"{params.top_term} and the low factors {abs(low)}")
     p = max(candidates)
-    lift = GhlParams(d=d, u=params.u, alpha=params.alpha, n=n, delta=d)
-    poly = polygon_from_params(p, lift, SeedCoefficients.laguerre(n))
+    if params.delta == d:
+        poly = cache.polygon(p, "self")
+        admissible = cache.admissible(p, "self")
+    else:
+        lift = GhlParams(d=d, u=params.u, alpha=params.alpha, n=n, delta=d)
+        poly = polygon_from_params(p, lift, cache.seed)
+        admissible = admissible_degrees(poly)
     if any(x % d for x in poly.vertex_xs()):
         raise CertificationInternalError(
             f"vertex abscissa not a multiple of d: {poly.vertex_xs()}")
@@ -279,7 +287,6 @@ def laguerre_np_certify(params: GhlParams) -> ExclusionRecord:
     if not gaps_ok:
         raise SpecialCaseError(
             f"vertex spacing too tight at p={p}: {xs}")
-    admissible = admissible_degrees(poly)
     if d in admissible:
         raise SpecialCaseError(
             f"degree {d} stays lattice-admissible at p={p} (vertices {xs})")
@@ -301,14 +308,14 @@ def laguerre_np_certify(params: GhlParams) -> ExclusionRecord:
 # ---------------------------------------------------------------------------
 
 def _runs(degrees):
-    """Maximal consecutive runs of a sorted integer tuple, as (lo, hi)."""
+    """Maximal consecutive runs of a sorted integer tuple, as [lo, hi]."""
     out = []
     for k in degrees:
         if out and k == out[-1][1] + 1:
             out[-1][1] = k
         else:
             out.append([k, k])
-    return [(lo, hi) for lo, hi in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -326,21 +333,28 @@ class Certificate:
         return self.params.delta * self.params.n
 
     def to_json_dict(self) -> dict:
+        """The certificate as JSON-ready data, one record entry per run of
+        consecutive degrees.  Entries share their record's detail dict as
+        evidence (a copy only where the record adds its k), so treat the
+        result as read-only."""
         entries = []
         for rec in self.records:
-            for lo, hi in _runs(rec.degrees):
-                entry = {"k_range": [lo, hi], "method": rec.method.value,
-                         "evidence": dict(rec.detail)}
-                prime = rec.witness_prime
-                if prime is None:
-                    prime = rec.detail.get("prime")
+            method = rec.method.value
+            prime = rec.witness_prime
+            if prime is None:
+                prime = rec.detail.get("prime")
+            evidence = rec.detail
+            if rec.k is not None:
+                evidence = {**evidence, "k": rec.k}
+            for k_range in _runs(rec.degrees):
+                entry = {"k_range": k_range, "method": method,
+                         "evidence": evidence}
                 if prime is not None:
                     entry["prime"] = prime
-                if rec.k is not None:
-                    entry["evidence"]["k"] = rec.k
                 entries.append(entry)
-        entries.sort(key=lambda e: (e["k_range"][0], e["k_range"][1],
-                                    e["method"]))
+        # the ledger keeps record degree sets disjoint, so no two runs
+        # share a low end
+        entries.sort(key=lambda e: e["k_range"][0])
         p = self.params
         return {
             "schema_version": 1,
@@ -467,7 +481,7 @@ _STAGES = (
     ("own-prime handler",
      lambda r: (r.seed_kind == "laguerre"
                 and exception_family(r.params) is not None),
-     lambda r: _claim_record(r, laguerre_np_certify(r.params))),
+     lambda r: _claim_record(r, laguerre_np_certify(r.cache))),
     ("delta", _always, lambda r: delta_stage(r.cache, r.ledger, r.primes)),
     ("window", _always, lambda r: window_stage(r.cache, r.ledger, r.primes)),
     ("margin", _always, lambda r: margin_stage(r.cache, r.ledger, r.primes)),

@@ -25,11 +25,83 @@ from .polynomials import (GhlParams, InvalidParameters, SeedCoefficients,
                           read_coefficients, write_coefficients)
 
 _ENV_SIEVE_LIMIT = "GHLCERT_SIEVE_LIMIT"
+_str = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+_STR_KEYS = {str}
+
+
+def _encode(obj, pad: str) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it when it
+    sits after pad, a newline and its indentation.  Plain str, int, bool,
+    None, lists and str-keyed dicts are written here, with the str and int
+    members of a container inline; any other subtree (a float, a tuple, a
+    subclass, a dict with other keys) is written by json.dumps itself,
+    re-indented.  That is exact because json escapes every newline inside
+    a string, so each newline it writes is layout."""
+    t = type(obj)
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        parts = []
+        for v in obj:
+            tv = type(v)
+            if tv is int:
+                parts.append(_int(v))
+            elif tv is str:
+                parts.append(_str(v))
+            else:
+                parts.append(_encode(v, inner))
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    if t is dict and set(map(type, obj)) <= _STR_KEYS:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        parts = []
+        for k in sorted(obj):
+            v = obj[k]
+            tv = type(v)
+            if tv is int:
+                parts.append(_str(k) + ": " + _int(v))
+            elif tv is str:
+                parts.append(_str(k) + ": " + _str(v))
+            else:
+                parts.append(_str(k) + ": " + _encode(v, inner))
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    if t is str:
+        return _str(obj)
+    if t is int:
+        return _int(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    """Write obj to stdout as json.dumps(obj, sort_keys=True, indent=2) plus
+    a newline.  A top-level list or str-keyed dict goes out one member at a
+    time, so a batch of certificates is never held as one string."""
+    write = sys.stdout.write
+    if type(obj) is list and obj:
+        members = (_encode(v, "\n  ") for v in obj)
+        brackets = "[]"
+    elif type(obj) is dict and obj and set(map(type, obj)) <= _STR_KEYS:
+        members = (_str(k) + ": " + _encode(obj[k], "\n  ")
+                   for k in sorted(obj))
+        brackets = "{}"
+    else:
+        write(_encode(obj, "\n") + "\n")
+        return
+    sep = brackets[0] + "\n  "
+    for member in members:
+        write(sep)
+        write(member)
+        sep = ",\n  "
+    write("\n" + brackets[1] + "\n")
 
 
 def _report_query(report) -> None:
@@ -145,6 +217,11 @@ def _job_count(jobs: int) -> int:
 def _cmd_certify(args) -> int:
     jobs = _job_count(args.jobs)
     if args.batch_n:
+        for flag, value in (("--n", args.n), ("--seed-file", args.seed_file)):
+            if value is not None:
+                raise InvalidParameters(
+                    f"{flag} cannot be combined with --batch-n, which "
+                    "certifies every n in its range with the --seed kind")
         lo, hi = _parse_batch(args.batch_n, "--batch-n")
         base = _params_from_args(argparse.Namespace(
             d=args.d, u=args.u, alpha=args.alpha, q=args.q, n=lo,
@@ -239,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghlcert",
         description="Factor-degree certificates for integer polynomials "
-                    "built from arithmetic-progression coefficient products")
+                    "built from arithmetic-progression coefficient products",
+        allow_abbrev=False)  # _apply_config reads only the full --config
     parser.add_argument("--config", default=None,
                         help="JSON file of option defaults (flags win)")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -297,15 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv) -> list[str]:
-    """Splice --config values in as if they were flags given first, so that
-    explicit flags still win."""
+    """Splice --config values (given as --config PATH or --config=PATH) in
+    as if they were flags given first, so that explicit flags still win."""
     argv = list(argv)
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
+    for idx, tok in enumerate(argv):
+        if tok == "--config" and idx + 1 < len(argv):
+            path, head = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+            break
+        if tok.startswith("--config="):
+            path, head = tok[len("--config="):], argv[:idx] + argv[idx + 1:]
+            break
+    else:
         return argv
     with open(path) as fh:
         config = json.load(fh)
@@ -323,7 +403,6 @@ def _apply_config(argv) -> list[str]:
         else:
             injected.extend([flag, str(value)])
     # flags go right after the subcommand name (the first non-flag token)
-    head = argv[:idx] + argv[idx + 2:]
     for pos, tok in enumerate(head):
         if not tok.startswith("-"):
             return head[:pos + 1] + injected + head[pos + 1:]

@@ -149,9 +149,12 @@ def admissible_degrees(polygon: NewtonPolygon) -> frozenset:
     k -> degree - k."""
     bits = 1
     for e in polygon.edges:
-        for _ in range(e.lattice_length):
-            bits |= bits << e.segment_width
-    return frozenset(k for k in range(polygon.degree + 1) if (bits >> k) & 1)
+        segments = e.lattice_length
+        step = e.width // segments
+        for _ in range(segments):
+            bits |= bits << step
+    low_first = bin(bits)[:1:-1]  # bin() writes "0b" and then high bits first
+    return frozenset(k for k, bit in enumerate(low_first) if bit == "1")
 
 
 def viable_margin(polygon: NewtonPolygon, k: int):

@@ -158,31 +158,36 @@ def test_special_3adic_closed_form_matches_loop():
             assert special_3adic_check(params) == three_adic_check_loop(params)
 
 
+def binomial_cache(d, u, alpha, n, delta):
+    return PolygonCache(GhlParams(d=d, u=u, alpha=alpha, n=n, delta=delta),
+                        SeedCoefficients.laguerre(n))
+
+
 def test_laguerre_np_records():
-    rec = laguerre_np_certify(GhlParams(d=3, u=0, alpha=1, n=5, delta=3))
+    rec = laguerre_np_certify(binomial_cache(3, 0, 1, 5, 3))
     assert rec.method == Method.LAGUERRE_NP
     assert rec.detail["prime"] == 5
     assert sorted(rec.degrees) == list(range(1, 15))
-    rec = laguerre_np_certify(GhlParams(d=3, u=0, alpha=2, n=26, delta=3))
+    rec = laguerre_np_certify(binomial_cache(3, 0, 2, 26, 3))
     assert rec.detail["prime"] == 13
     assert len(rec.degrees) == 76
     assert 39 not in rec.degrees and 3 in rec.degrees
-    rec = laguerre_np_certify(GhlParams(d=4, u=-1, alpha=3, n=7, delta=4))
+    rec = laguerre_np_certify(binomial_cache(4, -1, 3, 7, 4))
     assert rec.detail["prime"] == 7
     assert sorted(rec.degrees) == list(range(1, 28))
-    rec = laguerre_np_certify(GhlParams(d=3, u=0, alpha=1, n=5, delta=1))
+    rec = laguerre_np_certify(binomial_cache(3, 0, 1, 5, 1))
     assert sorted(rec.degrees) == [1, 2, 3, 4]
 
 
 def test_laguerre_np_rejections():
     with pytest.raises(SpecialCaseError, match="no prime divisor"):
-        laguerre_np_certify(GhlParams(d=3, u=0, alpha=2, n=16, delta=3))
+        laguerre_np_certify(binomial_cache(3, 0, 2, 16, 3))
     with pytest.raises(SpecialCaseError, match="lattice-admissible"):
-        laguerre_np_certify(GhlParams(d=3, u=0, alpha=2, n=6, delta=3))
+        laguerre_np_certify(binomial_cache(3, 0, 2, 6, 3))
     with pytest.raises(SpecialCaseError, match="lattice-admissible"):
-        laguerre_np_certify(GhlParams(d=4, u=0, alpha=1, n=20, delta=4))
+        laguerre_np_certify(binomial_cache(4, 0, 1, 20, 4))
     with pytest.raises(SpecialCaseError, match="exceptional shape"):
-        laguerre_np_certify(GhlParams(d=3, u=0, alpha=1, n=2, delta=3))
+        laguerre_np_certify(binomial_cache(3, 0, 1, 2, 3))
 
 
 def certified(d, u, alpha, n):
@@ -250,8 +255,10 @@ def test_full_certify_calls_stages_through_module_names(monkeypatch):
 
 
 def test_full_certify_builds_each_polygon_once(monkeypatch):
-    # the 2-adic handler and the polygon stages read one PolygonCache, so
-    # q = -1/3, n = 43 (top factor 2^7) builds each p = 2 polygon once
+    # the 2-adic handler, the own-prime handler and the polygon stages read
+    # one PolygonCache, so q = -1/3, n = 43 (top factor 2^7) builds each
+    # p = 2 polygon once, and q = 2/3, n = 6 builds its p = 3 polygon once
+    # for the own-prime handler and the delta stage
     builds = Counter()
 
     def counted(p, params, seed, _fn=criteria.polygon_from_params):
@@ -263,6 +270,14 @@ def test_full_certify_builds_each_polygon_once(monkeypatch):
     cert = full_certify(params, SeedCoefficients.laguerre(43))
     assert Method.SPECIAL_2ADIC in {rec.method for rec in cert.records}
     assert {key[0] for key in builds} >= {2, 3}
+    assert max(builds.values()) == 1, builds.most_common(3)
+    builds.clear()
+    cert = full_certify(GhlParams(d=3, u=0, alpha=2, n=6, delta=3),
+                        SeedCoefficients.laguerre(6))
+    assert any(note.startswith("own-prime handler: degree 3 stays")
+               for note in cert.notes), cert.notes
+    assert builds[3, GhlParams(d=3, u=0, alpha=2, n=6, delta=3),
+                  SeedCoefficients.laguerre(6).values] == 1
     assert max(builds.values()) == 1, builds.most_common(3)
 
 

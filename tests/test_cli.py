@@ -224,6 +224,32 @@ def test_config_defaults_and_precedence(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_equals_form(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": "1/3", "n": 5}))
+    code, blob = run(capsys, f"--config={cfg}", "build")
+    assert code == 0 and blob["degree"] == 5
+    code, blob = run(capsys, f"--config={cfg}", "build", "--n", "6")
+    assert blob["degree"] == 6               # explicit flag wins
+    assert main([f"--config={tmp_path / 'nope.json'}", "build"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad --config:")
+    with pytest.raises(SystemExit):      # an abbreviation is not read
+        main(["--conf", str(cfg), "build"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--seed-file"])
+def test_certify_batch_rejects_per_instance_flags(tmp_path, capsys, flag):
+    seed = tmp_path / "seed.txt"
+    seed.write_text("1\n1\n1\n")
+    value = {"--n": "2", "--seed-file": str(seed)}[flag]
+    assert main(["certify", "--q", "1/3", "--delta", "3", "--batch-n", "2:2",
+                 flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and "--batch-n" in captured.err
+
+
 def test_elapsed_goes_to_stderr(capsys):
     main(["build", "--hermite", "2"])
     err = capsys.readouterr().err
