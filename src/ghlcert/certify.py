@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
                        candidate_primes, degree_set_stage, delta_stage,
                        margin_stage, window_stage, witness_stage)
+from .jsontext import encode, encode_int, encode_str
 from .newton import admissible_degrees, polygon_from_params, viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
 from .sieve import gpf, prime_factors
@@ -318,6 +319,19 @@ def _runs(degrees):
     return out
 
 
+def _entry_fields(rec: ExclusionRecord):
+    """The method, prime (None if the record names none) and evidence
+    that every entry of rec carries.  The evidence is the record's own
+    detail dict unless the record adds its k, so treat it as read-only."""
+    prime = rec.witness_prime
+    if prime is None:
+        prime = rec.detail.get("prime")
+    evidence = rec.detail
+    if rec.k is not None:
+        evidence = {**evidence, "k": rec.k}
+    return rec.method.value, prime, evidence
+
+
 @dataclass(frozen=True)
 class Certificate:
     params: GhlParams
@@ -332,20 +346,20 @@ class Certificate:
     def total_degree(self) -> int:
         return self.params.delta * self.params.n
 
+    def _params_dict(self) -> dict:
+        p = self.params
+        return {"d": p.d, "u": p.u, "alpha": p.alpha, "n": p.n,
+                "delta": p.delta, "q": str(p.q),
+                "total_degree": self.total_degree}
+
     def to_json_dict(self) -> dict:
         """The certificate as JSON-ready data, one record entry per run of
-        consecutive degrees.  Entries share their record's detail dict as
-        evidence (a copy only where the record adds its k), so treat the
-        result as read-only."""
+        consecutive degrees, entries in order of their low end.  Entries
+        share their record's evidence dict, so treat the result as
+        read-only.  json_text writes this layout without building it."""
         entries = []
         for rec in self.records:
-            method = rec.method.value
-            prime = rec.witness_prime
-            if prime is None:
-                prime = rec.detail.get("prime")
-            evidence = rec.detail
-            if rec.k is not None:
-                evidence = {**evidence, "k": rec.k}
+            method, prime, evidence = _entry_fields(rec)
             for k_range in _runs(rec.degrees):
                 entry = {"k_range": k_range, "method": method,
                          "evidence": evidence}
@@ -355,18 +369,55 @@ class Certificate:
         # the ledger keeps record degree sets disjoint, so no two runs
         # share a low end
         entries.sort(key=lambda e: e["k_range"][0])
-        p = self.params
         return {
             "schema_version": 1,
-            "params": {"d": p.d, "u": p.u, "alpha": p.alpha, "n": p.n,
-                       "delta": p.delta, "q": str(p.q),
-                       "total_degree": self.total_degree},
+            "params": self._params_dict(),
             "seed": {"kind": self.seed_kind, "values": list(self.seed)},
             "records": entries,
             "residual": list(self.residual),
             "verdict": self.verdict.value,
             "notes": list(self.notes),
         }
+
+    def json_text(self, pad: str = "\n") -> str:
+        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) with
+        every newline written as pad (a newline and the indentation the
+        certificate sits at), built straight from the records.  Each
+        record's evidence, method and prime are encoded once; each run of
+        its degrees then fills the fixed entry layout (evidence, k_range,
+        method, prime: sorted-key order)."""
+        i1 = pad + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        i4 = i3 + "  "
+        mid = "," + i4
+        entries = []
+        for rec in self.records:
+            method, prime, evidence = _entry_fields(rec)
+            head = ("{" + i3 + '"evidence": ' + encode(evidence, i3)
+                    + "," + i3 + '"k_range": [' + i4)
+            tail = i3 + "]," + i3 + '"method": ' + encode_str(method)
+            if prime is not None:
+                tail += "," + i3 + '"prime": ' + encode(prime, i3)
+            tail += i2 + "}"
+            for lo, hi in _runs(rec.degrees):
+                entries.append(
+                    (lo, head + encode_int(lo) + mid + encode_int(hi) + tail))
+        # sorted on the low end alone, as to_json_dict sorts
+        entries.sort(key=lambda e: e[0])
+        records = ("[" + i2 + ("," + i2).join(text for _, text in entries)
+                   + i1 + "]") if entries else "[]"
+        members = (
+            '"notes": ' + encode(list(self.notes), i1),
+            '"params": ' + encode(self._params_dict(), i1),
+            '"records": ' + records,
+            '"residual": ' + encode(list(self.residual), i1),
+            '"schema_version": 1',
+            '"seed": ' + encode({"kind": self.seed_kind,
+                                 "values": list(self.seed)}, i1),
+            '"verdict": ' + encode_str(self.verdict.value),
+        )
+        return "{" + i1 + ("," + i1).join(members) + pad + "}"
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -538,18 +589,12 @@ def certify_instance(d: int, u: int, alpha: int, n: int, delta: int,
     return full_certify(params, seed_kind=seed_kind, **kwargs)
 
 
-def _batch_worker(args):
-    d, u, alpha, n, delta, seed_kind = args
-    cert = certify_instance(d, u, alpha, n, delta, seed_kind)
-    return cert.to_json_dict()
-
-
-def batch_certify(tasks, jobs: int = 1) -> list[dict]:
-    """Certify many (d, u, alpha, n, delta, seed_kind) tuples; JSON dicts
+def batch_certify(tasks, jobs: int = 1) -> list[Certificate]:
+    """Certify many (d, u, alpha, n, delta, seed_kind) tuples; certificates
     in input order.  jobs > 1 fans out over processes."""
     tasks = [tuple(t) for t in tasks]
     if jobs <= 1:
-        return [_batch_worker(t) for t in tasks]
+        return [certify_instance(*t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_batch_worker, tasks))
+        return list(pool.map(certify_instance, *zip(*tasks)))

@@ -19,89 +19,21 @@ from fractions import Fraction
 
 from . import certify as certify_mod
 from . import sieve as sieve_mod
+from .jsontext import encode, unlimited_int_digits
 from .newton import build_polygon, polygon_svg, polygon_tsv
 from .polynomials import (GhlParams, InvalidParameters, SeedCoefficients,
                           build_substituted, hermite_polynomial,
                           read_coefficients, write_coefficients)
 
 _ENV_SIEVE_LIMIT = "GHLCERT_SIEVE_LIMIT"
-_str = json.encoder.encode_basestring_ascii
-_int = int.__repr__
-_STR_KEYS = {str}
-
-
-def _encode(obj, pad: str) -> str:
-    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it when it
-    sits after pad, a newline and its indentation.  Plain str, int, bool,
-    None, lists and str-keyed dicts are written here, with the str and int
-    members of a container inline; any other subtree (a float, a tuple, a
-    subclass, a dict with other keys) is written by json.dumps itself,
-    re-indented.  That is exact because json escapes every newline inside
-    a string, so each newline it writes is layout."""
-    t = type(obj)
-    if t is list:
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        parts = []
-        for v in obj:
-            tv = type(v)
-            if tv is int:
-                parts.append(_int(v))
-            elif tv is str:
-                parts.append(_str(v))
-            else:
-                parts.append(_encode(v, inner))
-        return "[" + inner + ("," + inner).join(parts) + pad + "]"
-    if t is dict and set(map(type, obj)) <= _STR_KEYS:
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        parts = []
-        for k in sorted(obj):
-            v = obj[k]
-            tv = type(v)
-            if tv is int:
-                parts.append(_str(k) + ": " + _int(v))
-            elif tv is str:
-                parts.append(_str(k) + ": " + _str(v))
-            else:
-                parts.append(_str(k) + ": " + _encode(v, inner))
-        return "{" + inner + ("," + inner).join(parts) + pad + "}"
-    if t is str:
-        return _str(obj)
-    if t is int:
-        return _int(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def _emit(obj) -> None:
     """Write obj to stdout as json.dumps(obj, sort_keys=True, indent=2) plus
-    a newline.  A top-level list or str-keyed dict goes out one member at a
-    time, so a batch of certificates is never held as one string."""
-    write = sys.stdout.write
-    if type(obj) is list and obj:
-        members = (_encode(v, "\n  ") for v in obj)
-        brackets = "[]"
-    elif type(obj) is dict and obj and set(map(type, obj)) <= _STR_KEYS:
-        members = (_str(k) + ": " + _encode(obj[k], "\n  ")
-                   for k in sorted(obj))
-        brackets = "{}"
-    else:
-        write(_encode(obj, "\n") + "\n")
-        return
-    sep = brackets[0] + "\n  "
-    for member in members:
-        write(sep)
-        write(member)
-        sep = ",\n  "
-    write("\n" + brackets[1] + "\n")
+    a newline.  The whole text is built before any of it is written."""
+    with unlimited_int_digits():
+        text = encode(obj, "\n")
+    sys.stdout.write(text + "\n")
 
 
 def _report_query(report) -> None:
@@ -132,14 +64,19 @@ def _params_from_args(args) -> GhlParams:
         raise InvalidParameters("--n is required")
     delta = args.delta
     if args.q is not None:
-        q = Fraction(args.q)
+        try:
+            q = Fraction(args.q)
+        except ZeroDivisionError:
+            raise InvalidParameters(
+                f"--q {args.q} has a zero denominator") from None
         params = GhlParams.from_q(q, args.n, delta=1)
         d, u, alpha = params.d, params.u, params.alpha
     else:
         if args.d is None or args.u is None or args.alpha is None:
             raise InvalidParameters("give either --q or all of --d/--u/--alpha")
         d, u, alpha = args.d, args.u, args.alpha
-    return GhlParams(d=d, u=u, alpha=alpha, n=args.n, delta=delta or 1)
+    return GhlParams(d=d, u=u, alpha=alpha, n=args.n,
+                     delta=1 if delta is None else delta)
 
 
 def _seed_from_args(args, n: int) -> SeedCoefficients:
@@ -160,7 +97,8 @@ def _cmd_build(args) -> int:
         label = (f"d={params.d} u={params.u} alpha={params.alpha} "
                  f"n={params.n} delta={params.delta}")
     if args.out:
-        write_coefficients(args.out, poly, header=label)
+        with unlimited_int_digits():
+            write_coefficients(args.out, poly, header=label)
     else:
         _emit({"degree": poly.degree, "coefficients": list(poly.coeffs),
                "description": label})
@@ -229,15 +167,27 @@ def _cmd_certify(args) -> int:
         kind = args.seed or "laguerre"
         tasks = [(base.d, base.u, base.alpha, n, base.delta, kind)
                  for n in range(lo, hi + 1)]
-        dicts = certify_mod.batch_certify(tasks, jobs=jobs)
-        _emit(dicts)
-        bad = sum(1 for c in dicts if c["residual"])
-        return 1 if bad else 0
-    params = _params_from_args(args)
-    seed = _seed_from_args(args, params.n)
-    cert = certify_mod.full_certify(params, seed)
-    _emit(cert.to_json_dict())
-    return 0 if not cert.residual else 1
+        certs = certify_mod.batch_certify(tasks, jobs=jobs)
+    else:
+        params = _params_from_args(args)
+        seed = _seed_from_args(args, params.n)
+        certs = [certify_mod.full_certify(params, seed)]
+    _write_certificates(certs, batch=bool(args.batch_n))
+    return 1 if any(cert.residual for cert in certs) else 0
+
+
+def _write_certificates(certs, batch: bool) -> None:
+    """Write the certificates to stdout as json.dumps(..., sort_keys=True,
+    indent=2) writes the list of their to_json_dict forms (batch) or the
+    one form alone, plus a newline.  Each certificate's text is built
+    whole before any of it is written."""
+    write = sys.stdout.write
+    pad, sep = ("\n  ", "[\n  ") if batch else ("\n", "")
+    with unlimited_int_digits():
+        for cert in certs:
+            write(sep + cert.json_text(pad))
+            sep = ",\n  "
+    write("\n]\n" if batch else "\n")
 
 
 def _sieve_limit(args) -> int:
@@ -295,8 +245,10 @@ def _cmd_sieve(args) -> int:
             args.k, args.l, printed_inner_pi=bool(args.printed_inner_pi))
         bound = sieve_mod.smoothness_bound(
             args.k, args.l, printed_inner_pi=bool(args.printed_inner_pi))
+        with unlimited_int_digits():
+            n_digits = len(str(n_exact))
         _emit({"query": "smoothness", "k": args.k, "l": args.l,
-               "T": t, "bound": bound, "N_digits": len(str(n_exact))})
+               "T": t, "bound": bound, "N_digits": n_digits})
         return 0
     if query == "rset-mismatch":
         if args.k_range:

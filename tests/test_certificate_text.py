@@ -1,0 +1,153 @@
+"""The certificate writer against its reference view: Certificate.json_text
+(pad) must equal json.dumps(cert.to_json_dict(), sort_keys=True, indent=2)
+with every newline written as pad, for every record shape the stages
+produce, every seed kind, notes, residuals and any indentation."""
+
+import dataclasses
+import json
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, reject, seed, settings
+from hypothesis import strategies as st
+
+from ghlcert.certify import (Certificate, HypothesisViolation, Verdict,
+                             batch_certify, certify_instance, classify_seed,
+                             full_certify)
+from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
+                              candidate_primes, delta_stage, margin_stage,
+                              window_stage)
+from ghlcert.jsontext import unlimited_int_digits
+from ghlcert.polynomials import GhlParams, SeedCoefficients
+
+W1_FAMILIES = ("1/3", "-1/3", "2/3", "-2/3", "1/4", "-1/4", "3/4", "-3/4")
+
+
+def assert_text_matches(cert, pads=("\n", "\n  ")):
+    reference = json.dumps(cert.to_json_dict(), sort_keys=True, indent=2)
+    for pad in pads:
+        assert cert.json_text(pad) == reference.replace("\n", pad), pad
+
+
+def stage_alone(stage, params, seed, notes=()):
+    """A certificate of what one polygon stage claims on a fresh ledger:
+    the window and margin stages claim nothing on the grids the full
+    pipeline runs, because the stages before them leave them no degree."""
+    ledger = DegreeLedger(params.delta * params.n)
+    stage(PolygonCache(params, seed), ledger, candidate_primes(params))
+    return Certificate(params=params, seed_kind=classify_seed(seed),
+                       seed=tuple(seed.values), records=tuple(ledger.records),
+                       residual=tuple(sorted(ledger.remaining)),
+                       verdict=Verdict.EXCLUSIONS_ONLY, notes=tuple(notes))
+
+
+def w1_certificates():
+    for q in W1_FAMILIES:
+        base = GhlParams.from_q(Fraction(q), 2, delta=1)
+        yield from batch_certify(
+            [(base.d, base.u, base.alpha, n, base.d, "laguerre")
+             for n in range(2, 101)])
+
+
+def test_json_text_matches_stdlib_on_the_w1_grid():
+    count = 0
+    for cert in w1_certificates():
+        assert_text_matches(cert)
+        count += 1
+    assert count == 792
+
+
+def test_json_text_covers_every_method():
+    params = GhlParams(d=3, u=0, alpha=1, n=2, delta=3)
+    laguerre = SeedCoefficients.laguerre(2)
+    certs = [
+        certify_instance(3, 0, 1, 5, 3),        # witness, 2-adic, own prime
+        certify_instance(4, -1, 1, 3, 1, "ones"),   # 3-adic handler
+        certify_instance(3, -1, 1, 3, 3, "ones"),   # delta
+        certify_instance(3, 0, 2, 2, 3, degree_sets=True),
+        stage_alone(window_stage, params, laguerre),
+        stage_alone(margin_stage, params, laguerre),
+    ]
+    seen = {rec.method for cert in certs for rec in cert.records}
+    assert seen == set(Method)
+    for cert in certs:
+        assert_text_matches(cert)
+
+
+def test_json_text_on_seed_kinds_notes_residuals_and_split_runs():
+    ones = certify_instance(3, -1, 1, 3, 3, "ones")
+    custom = full_certify(GhlParams(d=4, u=0, alpha=3, n=5, delta=4),
+                          SeedCoefficients((3, -7, 0, 11, 5, 2)))
+    residual = certify_instance(4, 0, 1, 2, 4)      # (x^4-3)(x^4-15)
+    noted = certify_instance(3, 0, 2, 16, 3)        # handler note, residual
+    assert (ones.seed_kind, custom.seed_kind) == ("ones", "custom")
+    assert residual.residual and noted.residual and noted.notes
+    # a witness record covers a window and its mirror: two entries
+    assert len(custom.to_json_dict()["records"]) > len(custom.records)
+    for cert in (ones, custom, residual, noted):
+        assert_text_matches(cert)
+
+
+def test_json_text_edge_shapes():
+    cert = certify_instance(3, 0, 1, 5, 3)
+    odd = dataclasses.replace(
+        cert.records[0],
+        detail={"float": 0.5, "inf": float("inf"), "tuple": (1, [2, "x"]),
+                "int_keys": {3: "a", 1: [None, True]}, "text": "é\n\"\\",
+                "empty": [], "none": {}})
+    shapes = [
+        dataclasses.replace(cert, records=(), residual=tuple(range(1, 15))),
+        dataclasses.replace(cert, records=(odd,) + cert.records[1:],
+                            notes=("a: line\nbreak", "b: € \U0001f600")),
+    ]
+    for shape in shapes:
+        assert_text_matches(shape, pads=("\n", "\n  ", "\n" + " " * 7))
+
+
+def test_json_text_writes_integers_past_the_str_digit_cap():
+    cert = certify_instance(3, 0, 1, 5, 3)
+    big = dataclasses.replace(cert, seed=(10 ** 5000 + 1, -(7 ** 6000)))
+    with unlimited_int_digits():
+        assert_text_matches(big)
+
+
+@st.composite
+def instances(draw):
+    d = draw(st.sampled_from((2, 3, 4, 5)))
+    alpha = draw(st.sampled_from([a for a in range(1, d) if gcd(a, d) == 1]))
+    params = GhlParams(d=d, u=draw(st.sampled_from((-1, 0))), alpha=alpha,
+                       n=draw(st.integers(1, 8)),
+                       delta=draw(st.sampled_from((1, d))))
+    kind = draw(st.sampled_from(("ones", "laguerre", "custom")))
+    if kind == "custom":
+        ends = st.sampled_from((1, -1, 2, -2, 3, -3))
+        values = ([draw(ends)]
+                  + draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                  min_size=params.n - 1,
+                                  max_size=params.n - 1))
+                  + [draw(ends)])
+        seed_coeffs = SeedCoefficients(tuple(values))
+    else:
+        seed_coeffs = SeedCoefficients.of_kind(params.n, kind)
+    return params, seed_coeffs
+
+
+@seed(9)
+@settings(max_examples=80, deadline=None, database=None)
+@given(instances(),
+       st.sampled_from(("full", "degree sets", "delta", "window", "margin")),
+       st.lists(st.text(max_size=6), max_size=2), st.integers(0, 9))
+def test_json_text_matches_stdlib_encoder(instance, how, notes, indent):
+    params, seed_coeffs = instance
+    if how in ("full", "degree sets"):
+        try:
+            cert = full_certify(params, seed_coeffs,
+                                degree_sets=how == "degree sets")
+        except HypothesisViolation:
+            reject()
+        cert = dataclasses.replace(cert, notes=cert.notes + tuple(notes))
+    else:
+        stage = {"delta": delta_stage, "window": window_stage,
+                 "margin": margin_stage}[how]
+        cert = stage_alone(stage, params, seed_coeffs, notes)
+    assert_text_matches(cert, pads=("\n", "\n" + " " * indent))

@@ -414,7 +414,9 @@ def test_batch_certify_matches_serial():
     serial = batch_certify(tasks, jobs=1)
     parallel = batch_certify(tasks, jobs=2)
     assert serial == parallel
-    assert [blob["params"]["n"] for blob in serial] == list(range(2, 7))
+    assert [cert.params.n for cert in serial] == list(range(2, 7))
+    assert ([cert.json_text() for cert in serial]
+            == [cert.json_text() for cert in parallel])
 
 
 def test_exclusions_are_sound_for_small_degrees():

@@ -1,9 +1,16 @@
+import dataclasses
 import json
 import os
+import sys
+from fractions import Fraction
 
 import pytest
 
-from ghlcert.cli import _job_count, main
+from ghlcert.certify import certify_instance
+from ghlcert.cli import _job_count, _write_certificates, main
+from ghlcert.jsontext import unlimited_int_digits
+from ghlcert.polynomials import GhlParams, SeedCoefficients, build_substituted
+from ghlcert.sieve import smoothness_bound_exact
 
 
 def run(capsys, *argv):
@@ -53,6 +60,73 @@ def test_build_out_file(tmp_path, capsys):
 def test_build_missing_n_is_usage_error(capsys):
     assert main(["build", "--q", "1/3"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _digit_cap():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.fixture
+def default_digit_cap():
+    """CPython's default cap of 4,300 digits on int-to-str conversion, set
+    for the test and restored after it (None where there is no cap)."""
+    old = _digit_cap()
+    if old is None:
+        yield None
+        return
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_build_writes_integers_past_the_str_digit_cap(capsys,
+                                                      default_digit_cap):
+    # the q = 1/3, n = 1500 coefficients pass the cap; the CLI lifts it
+    # only while writing
+    code = main(["build", "--q", "1/3", "--n", "1500"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _digit_cap() == default_digit_cap
+    with unlimited_int_digits():
+        blob = json.loads(out)
+    params = GhlParams.from_q(Fraction(1, 3), 1500, delta=1)
+    poly = build_substituted(params, SeedCoefficients.laguerre(1500))
+    assert any(abs(c) >= 10 ** 4300 for c in blob["coefficients"])
+    assert blob["coefficients"] == list(poly.coeffs)
+
+
+def test_certificates_write_integers_past_the_str_digit_cap(
+        capsys, default_digit_cap):
+    # a binomial seed passes the cap from n = 14,300 on; a forged seed
+    # value takes the same path in a fraction of the time
+    cert = certify_instance(3, 0, 1, 5, 3)
+    big = dataclasses.replace(cert, seed=(10 ** 5000,) + cert.seed[1:])
+    _write_certificates([big, cert], batch=True)
+    out = capsys.readouterr().out
+    assert _digit_cap() == default_digit_cap
+    with unlimited_int_digits():
+        blobs = json.loads(out)
+    assert blobs[0]["seed"]["values"] == list(big.seed)
+    assert blobs[1] == json.loads(json.dumps(cert.to_json_dict()))
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--q", "1/3", "--n", "5"],
+    ["polygon", "--q", "1/3", "--n", "5", "--prime", "2"],
+    ["certify", "--q", "1/3", "--n", "5"],
+])
+def test_delta_zero_is_usage_error(capsys, argv):
+    # --delta 0 is refused like --delta 2, not read as the default 1
+    assert main(argv + ["--delta", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "delta" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["build", "certify"])
+def test_q_with_zero_denominator_is_usage_error(capsys, command):
+    assert main([command, "--q", "1/0", "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "zero denominator" in captured.err and captured.out == ""
 
 
 def test_polygon_json(capsys):
@@ -180,6 +254,17 @@ def test_sieve_smoothness(capsys):
     assert round(blob["bound"], 2) == 106866.68
     code, blob = run(capsys, "sieve", "smoothness", "--k", "401", "--pow2")
     assert code == 0 and blob["variant"] == "pow2"
+
+
+def test_sieve_smoothness_counts_digits_past_the_str_digit_cap(
+        capsys, default_digit_cap):
+    # N = 1999! times small-prime corrections has more than 4,300 digits
+    code, blob = run(capsys, "sieve", "smoothness", "--k", "2000", "--l", "3")
+    assert code == 0
+    assert _digit_cap() == default_digit_cap
+    n_exact, t = smoothness_bound_exact(2000, 3)
+    assert blob["T"] == t
+    assert 10 ** (blob["N_digits"] - 1) <= n_exact < 10 ** blob["N_digits"]
 
 
 @pytest.mark.parametrize("k, bound", [
