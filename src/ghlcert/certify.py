@@ -1,12 +1,13 @@
 """End-to-end factor-degree certification.
 
 full_certify validates the seed and parameter hypotheses, then runs the
-stage table _STAGES in order: the generic stages of the criteria module
-and the special handlers defined here for the exceptional shapes (2-adic
-break polygons, the 3-adic window, the own-prime polygon).  Whatever
-degrees survive become the residual, and the verdict says whether the
-instance is fully certified, lands in a known exceptional family, or
-simply was not closed.
+stages that _stages yields, in order: the generic stages of the criteria
+module and the special handlers defined here for the exceptional shapes
+(2-adic break polygons, the 3-adic window, the own-prime polygon).
+Every stage is stage(cache, ledger) -> note | None over the run's
+PolygonCache.  Whatever degrees survive become the residual, and the
+verdict says whether the instance is fully certified, lands in a known
+exceptional family, or simply was not closed.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import enum
 from dataclasses import dataclass
 
 from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
-                       candidate_primes, degree_set_stage, delta_stage,
-                       margin_stage, window_stage, witness_stage)
+                       degree_set_stage, delta_stage, margin_stage,
+                       window_stage, witness_stage)
 from .jsontext import encode, encode_int, encode_str
 from .newton import admissible_degrees, polygon_from_params, viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
@@ -148,13 +149,13 @@ def verify_break_valuations(bs: BreakSequence) -> bool:
     return True
 
 
-def special_2adic_certify(cache: PolygonCache) -> ExclusionRecord:
+def special_2adic_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Low-degree exclusions from the 2-adic polygon when the top linear
     factor is a power of two (witness primes are structurally unavailable
     there).  The p = 2 polygons and admissible degrees come from the run's
-    cache.  Returns a record covering the degrees it could certify, which
-    may be a proper subset of [1, delta]; raises SpecialCaseError when the
-    instance is outside the family or nothing at all is certified."""
+    cache.  Claims the degrees it could certify, which may be a proper
+    subset of [1, delta]; raises SpecialCaseError when the instance is
+    outside the family or nothing at all is certified."""
     params, seed = cache.params, cache.seed
     if params.d != 3:
         raise SpecialCaseError(f"2-adic handler needs d=3, got d={params.d}")
@@ -177,7 +178,6 @@ def special_2adic_certify(cache: PolygonCache) -> ExclusionRecord:
             f"2-adic vertex sequence {realized} does not match any expected "
             f"break pattern {sorted(accepted)}")
     seeded_admissible = cache.admissible(2, "self")
-    m = delta * n
     degrees: set[int] = set()
     margins: dict[int, int] = {}
     for K in range(1, delta + 1):
@@ -189,16 +189,13 @@ def special_2adic_certify(cache: PolygonCache) -> ExclusionRecord:
             degrees.add(K)
     if not degrees:
         raise SpecialCaseError("2-adic polygon excluded no low degree")
-    mirrored = {x for K in degrees for x in (K, m - K)}
-    detail = {
+    ledger.claim(Method.SPECIAL_2ADIC, degrees, 2, {
         "prime": 2, "eta": bs.eta, "s": bs.s, "a": bs.a,
         "vertices": list(realized),
         "margins": {str(K): r for K, r in sorted(margins.items())},
         "min_slope": str(carrier_poly.min_slope),
         "max_slope": str(carrier_poly.max_slope),
-    }
-    return ExclusionRecord(method=Method.SPECIAL_2ADIC,
-                           degrees=tuple(sorted(mirrored)), detail=detail)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +236,7 @@ def special_3adic_check(params: GhlParams) -> bool:
 # Own-prime polygon handler for binomial-seeded exceptional instances
 # ---------------------------------------------------------------------------
 
-def laguerre_np_certify(cache: PolygonCache) -> ExclusionRecord:
+def laguerre_np_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """For a binomial-seeded instance whose top factor has exceptional
     shape, take the polygon of G(x^d) at the largest prime divisor of n
     that avoids the top factor and the three lowest linear factors, check
@@ -247,7 +244,7 @@ def laguerre_np_certify(cache: PolygonCache) -> ExclusionRecord:
     lattice-admissible set.  With delta == d that polygon is the instance's
     own and comes from the run's cache; with delta == 1 it is built here.
 
-    The record is stated in the degrees of the instance itself: when
+    The claim is stated in the degrees of the instance itself: when
     delta == 1 a degree-k factor of the base polynomial would lift to a
     degree d*k factor of the substituted one, so exclusions transfer down.
     """
@@ -297,11 +294,10 @@ def laguerre_np_certify(cache: PolygonCache) -> ExclusionRecord:
         degrees = [k for k in range(1, n) if d * k not in admissible]
     if not degrees:
         raise SpecialCaseError(f"polygon at p={p} excluded nothing")
-    detail = {"prime": p, "vertices": xs,
-              "min_slope": str(poly.min_slope),
-              "max_slope": str(poly.max_slope)}
-    return ExclusionRecord(method=Method.LAGUERRE_NP,
-                           degrees=tuple(sorted(degrees)), detail=detail)
+    ledger.claim(Method.LAGUERRE_NP, degrees, p,
+                 {"prime": p, "vertices": xs,
+                  "min_slope": str(poly.min_slope),
+                  "max_slope": str(poly.max_slope)})
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +313,6 @@ def _runs(degrees):
         else:
             out.append([k, k])
     return out
-
-
-def _entry_fields(rec: ExclusionRecord):
-    """The method, prime (None if the record names none) and evidence
-    that every entry of rec carries.  The evidence is the record's own
-    detail dict unless the record adds its k, so treat it as read-only."""
-    prime = rec.witness_prime
-    if prime is None:
-        prime = rec.detail.get("prime")
-    evidence = rec.detail
-    if rec.k is not None:
-        evidence = {**evidence, "k": rec.k}
-    return rec.method.value, prime, evidence
 
 
 @dataclass(frozen=True)
@@ -357,15 +340,9 @@ class Certificate:
         consecutive degrees, entries in order of their low end.  Entries
         share their record's evidence dict, so treat the result as
         read-only.  json_text writes this layout without building it."""
-        entries = []
-        for rec in self.records:
-            method, prime, evidence = _entry_fields(rec)
-            for k_range in _runs(rec.degrees):
-                entry = {"k_range": k_range, "method": method,
-                         "evidence": evidence}
-                if prime is not None:
-                    entry["prime"] = prime
-                entries.append(entry)
+        entries = [{"k_range": k_range, "method": rec.method.value,
+                    "prime": rec.prime, "evidence": rec.evidence}
+                   for rec in self.records for k_range in _runs(rec.degrees)]
         # the ledger keeps record degree sets disjoint, so no two runs
         # share a low end
         entries.sort(key=lambda e: e["k_range"][0])
@@ -393,13 +370,11 @@ class Certificate:
         mid = "," + i4
         entries = []
         for rec in self.records:
-            method, prime, evidence = _entry_fields(rec)
-            head = ("{" + i3 + '"evidence": ' + encode(evidence, i3)
+            head = ("{" + i3 + '"evidence": ' + encode(rec.evidence, i3)
                     + "," + i3 + '"k_range": [' + i4)
-            tail = i3 + "]," + i3 + '"method": ' + encode_str(method)
-            if prime is not None:
-                tail += "," + i3 + '"prime": ' + encode(prime, i3)
-            tail += i2 + "}"
+            tail = (i3 + "]," + i3 + '"method": '
+                    + encode_str(rec.method.value) + "," + i3 + '"prime": '
+                    + encode_int(rec.prime) + i2 + "}")
             for lo, hi in _runs(rec.degrees):
                 entries.append(
                     (lo, head + encode_int(lo) + mid + encode_int(hi) + tail))
@@ -469,30 +444,14 @@ def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
                 "is a power of three")
 
 
-@dataclass
-class _Run:
-    """What the stages of one full_certify call share."""
-
-    params: GhlParams
-    seed: SeedCoefficients
-    seed_kind: str
-    degree_sets: bool
-    ledger: DegreeLedger
-    primes: list[int]
-    cache: PolygonCache
-
-
-def _claim_record(run: _Run, rec: ExclusionRecord) -> None:
-    run.ledger.claim(rec.method, rec.degrees, mirror=False, detail=rec.detail)
-
-
-def _three_adic_stage(run: _Run) -> str | None:
+def _three_adic_stage(cache: PolygonCache,
+                      ledger: DegreeLedger) -> str | None:
     """Once the family inequality holds, record the widest flat-tail window
     at p=3 as a SPECIAL_3ADIC claim."""
-    if not special_3adic_check(run.params):
+    if not special_3adic_check(cache.params):
         return "family inequalities failed"
     best = None
-    for carrier, poly in run.cache.carriers(3):
+    for carrier, poly in cache.carriers(3):
         if poly.ordinates[poly.degree] == 0:
             continue
         k = widest_window(poly, 0)
@@ -500,77 +459,68 @@ def _three_adic_stage(run: _Run) -> str | None:
             best = (k, carrier, poly)
     if best is not None:
         k, carrier, poly = best
-        if run.ledger.claim(
-                Method.SPECIAL_3ADIC, range(1, k + 1),
-                detail={"prime": 3, "carrier": carrier, "k": k,
-                        "max_slope": str(poly.max_slope)}) is not None:
+        if ledger.claim(
+                Method.SPECIAL_3ADIC, range(1, k + 1), 3,
+                {"prime": 3, "carrier": carrier, "k": k,
+                 "max_slope": str(poly.max_slope)}) is not None:
             return None
     return "window at p=3 excluded nothing new"
 
 
-def _always(run: _Run) -> bool:
-    return True
+def _degree_set_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
+    """The degree-set stage on the instance's substituted polynomial,
+    built only while degrees remain open."""
+    if ledger.remaining:
+        degree_set_stage(build_substituted(cache.params, cache.seed),
+                         ledger, cache.primes)
 
 
-# The certification pipeline: (name, applies, run) in the order
-# full_certify runs them.  A run returns None or a note, and a
-# SpecialCaseError it raises becomes a note; either note is headed by the
-# stage name.  Each run reaches its stage function through this module's
-# global name at call time, so rebinding that name (a tracer, a test
-# double) sees the call.
-_STAGES = (
-    ("witness", _always,
-     lambda r: witness_stage(r.params, r.seed, r.ledger)),
-    ("2-adic handler",
-     lambda r: r.params.d == 3 and _is_power_of(r.params.top_term, 2),
-     lambda r: _claim_record(r, special_2adic_certify(r.cache))),
-    ("3-adic handler",
-     lambda r: (r.params.d == 4
-                and (r.params.u, r.params.alpha) in _THREE_ADIC_FAMILIES
-                and r.params.top_term % 3 == 0),
-     _three_adic_stage),
-    ("own-prime handler",
-     lambda r: (r.seed_kind == "laguerre"
-                and exception_family(r.params) is not None),
-     lambda r: _claim_record(r, laguerre_np_certify(r.cache))),
-    ("delta", _always, lambda r: delta_stage(r.cache, r.ledger, r.primes)),
-    ("window", _always, lambda r: window_stage(r.cache, r.ledger, r.primes)),
-    ("margin", _always, lambda r: margin_stage(r.cache, r.ledger, r.primes)),
-    ("degree-set", lambda r: r.degree_sets and bool(r.ledger.remaining),
-     lambda r: degree_set_stage(build_substituted(r.params, r.seed),
-                                r.ledger, r.primes)),
-)
+def _stages(params: GhlParams, seed_kind: str, degree_sets: bool):
+    """Yield (name, stage) for each stage that applies to the instance, in
+    the order full_certify runs them.  Each stage is read from this
+    module's global name when the generator reaches it, so rebinding that
+    name (a tracer, a test double) sees the call."""
+    d, top = params.d, params.top_term
+    yield "witness", witness_stage
+    if d == 3 and _is_power_of(top, 2):
+        yield "2-adic handler", special_2adic_certify
+    if (d == 4 and (params.u, params.alpha) in _THREE_ADIC_FAMILIES
+            and top % 3 == 0):
+        yield "3-adic handler", _three_adic_stage
+    if seed_kind == "laguerre" and exception_family(params) is not None:
+        yield "own-prime handler", laguerre_np_certify
+    yield "delta", delta_stage
+    yield "window", window_stage
+    yield "margin", margin_stage
+    if degree_sets:
+        yield "degree-set", _degree_set_stage
 
 
 def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
                  seed_kind: str | None = None,
                  degree_sets: bool = False) -> Certificate:
-    """Run every applicable stage of _STAGES, in order, and assemble a
-    certificate.  The degree-set stage runs only with degree_sets=True and
-    while degrees remain open; it is off by default, and batch_certify,
-    which the CLI calls, leaves it off."""
+    """Run every stage that _stages yields, in order, on one PolygonCache
+    and one DegreeLedger, and assemble a certificate.  A stage's note, or
+    the message of a SpecialCaseError it raises, becomes a certificate
+    note headed by the stage name.  The degree-set stage runs only with
+    degree_sets=True and while degrees remain open; it is off by default,
+    and batch_certify, which the CLI calls, leaves it off."""
     if seed is None:
         seed = SeedCoefficients.of_kind(params.n, seed_kind or "ones")
     if seed_kind is None:
         seed_kind = classify_seed(seed)
     _check_hypotheses(params, seed)
-    run = _Run(params=params, seed=seed, seed_kind=seed_kind,
-               degree_sets=degree_sets,
-               ledger=DegreeLedger(params.delta * params.n),
-               primes=candidate_primes(params),
-               cache=PolygonCache(params, seed))
+    cache = PolygonCache(params, seed)
+    ledger = DegreeLedger(params.delta * params.n)
     notes: list[str] = []
-    for name, applies, stage in _STAGES:
-        if not applies(run):
-            continue
+    for name, stage in _stages(params, seed_kind, degree_sets):
         try:
-            note = stage(run)
+            note = stage(cache, ledger)
         except SpecialCaseError as exc:
             note = str(exc)
         if note:
             notes.append(f"{name}: {note}")
 
-    ledger = run.ledger
     residual = tuple(sorted(ledger.remaining))
     if not residual:
         verdict = Verdict.IRREDUCIBLE_CERTIFIED

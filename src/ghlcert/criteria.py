@@ -14,15 +14,16 @@ A factor-degree exclusion for the substituted polynomial comes from one of:
 
 Every exclusion of degree K is also an exclusion of degree (total - K):
 the statements all rule out one side of a two-way split f = g1 * g2 where
-neither part is required to be irreducible.  The ledger below trims each
-claim to the still-open degrees so that record degree sets stay disjoint.
+neither part is required to be irreducible.  The ledger below adds the
+mirror of every claimed degree and trims each claim to the still-open
+degrees, so that record degree sets stay disjoint.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gfp
 from .newton import (NewtonPolygon, admissible_degrees, polygon_from_params,
@@ -45,18 +46,14 @@ class Method(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ExclusionRecord:
-    """One certified exclusion: these factor degrees are impossible."""
+    """One certified exclusion: these factor degrees are impossible, by
+    this method at this prime; evidence is what the method read there.
+    The four fields are what each certificate entry of the record shows."""
 
     method: Method
     degrees: tuple[int, ...]
-    k: int | None = None
-    witness_prime: int | None = None
-    detail: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.witness_prime is not None) != (self.method is Method.WITNESS_PRIME):
-            raise ValueError(
-                "witness_prime must be present exactly for WITNESS_PRIME records")
+    prime: int
+    evidence: dict
 
 
 class DegreeLedger:
@@ -68,25 +65,18 @@ class DegreeLedger:
         self.remaining = set(range(1, total))
         self.records: list[ExclusionRecord] = []
 
-    def mirrored(self, degrees) -> set[int]:
-        out = set()
-        for k in degrees:
-            if 1 <= k <= self.total - 1:
-                out.add(k)
-                out.add(self.total - k)
-        return out
-
-    def claim(self, method: Method, degrees, *, mirror: bool = True,
-              k: int | None = None, witness_prime: int | None = None,
-              detail: dict | None = None) -> ExclusionRecord | None:
-        claimed = self.mirrored(degrees) if mirror else set(degrees)
-        effective = claimed & self.remaining
+    def claim(self, method: Method, degrees, prime: int,
+              evidence: dict) -> ExclusionRecord | None:
+        """Exclude degrees and their mirrors total - K, as far as they are
+        still open; the record of what that excluded, or None."""
+        total = self.total
+        effective = {x for K in degrees if 1 <= K < total
+                     for x in (K, total - K)} & self.remaining
         if not effective:
             return None
         self.remaining -= effective
-        rec = ExclusionRecord(
-            method=method, degrees=tuple(sorted(effective)), k=k,
-            witness_prime=witness_prime, detail=detail or {})
+        rec = ExclusionRecord(method, tuple(sorted(effective)), prime,
+                              evidence)
         self.records.append(rec)
         return rec
 
@@ -152,12 +142,15 @@ def candidate_primes(params: GhlParams) -> list[int]:
 
 
 class PolygonCache:
-    """Lazily built polygons of the substituted polynomial per prime, both
-    for the actual seed and for the all-ones carrier."""
+    """What the stages of one certification run share: the instance, its
+    candidate primes, and lazily built polygons of the substituted
+    polynomial per prime, both for the actual seed and for the all-ones
+    carrier."""
 
     def __init__(self, params: GhlParams, seed: SeedCoefficients):
         self.params = params
         self.seed = seed
+        self.primes = candidate_primes(params)
         self.ones = SeedCoefficients.ones(params.n)
         self._cache: dict[tuple[int, str], NewtonPolygon] = {}
         self._admissible: dict[tuple[int, str], frozenset] = {}
@@ -194,26 +187,28 @@ class PolygonCache:
         return self._admissible[key]
 
 
-def witness_stage(params: GhlParams, seed: SeedCoefficients,
-                  ledger: DegreeLedger) -> None:
+# Every stage below, and every special handler of the certify module, is
+# stage(cache, ledger): it reads the instance, its primes and its polygons
+# from the run's cache, claims into the ledger, and returns None or a note.
+
+def witness_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Witness-prime exclusions for k = 1..n//2, each covering the degree
     window [delta*k-delta+1, delta*k].  The primes come from one pass of
     witness_primes, so each linear factor is factorised once."""
-    delta = params.delta
-    for k, p in witness_primes(params, seed):
+    delta = cache.params.delta
+    for k, p in witness_primes(cache.params, cache.seed):
         if p is None:
             continue
-        window = range(delta * k - delta + 1, delta * k + 1)
-        ledger.claim(Method.WITNESS_PRIME, window, k=k, witness_prime=p,
-                     detail={"window": [delta * k - delta + 1, delta * k]})
+        lo, hi = delta * k - delta + 1, delta * k
+        ledger.claim(Method.WITNESS_PRIME, range(lo, hi + 1), p,
+                     {"window": [lo, hi], "k": k})
 
 
-def delta_stage(cache: PolygonCache, ledger: DegreeLedger,
-                primes) -> None:
+def delta_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Admissible-degree complements of the seeded polynomial's polygons.
     Sound for the instance itself at any prime: a factor degree must be a
     subset sum of lattice-segment widths."""
-    for p in primes:
+    for p in cache.primes:
         if not ledger.remaining:
             return
         admissible = cache.admissible(p, "self")
@@ -221,19 +216,18 @@ def delta_stage(cache: PolygonCache, ledger: DegreeLedger,
         if excluded:
             poly = cache.polygon(p, "self")
             ledger.claim(
-                Method.DELTA_DIVISIBILITY, excluded, mirror=False,
-                detail={"prime": p, "vertices": list(poly.vertex_xs()),
-                        "segment_widths": sorted(
-                            {e.segment_width for e in poly.edges})})
+                Method.DELTA_DIVISIBILITY, excluded, p,
+                {"prime": p, "vertices": list(poly.vertex_xs()),
+                 "segment_widths": sorted(
+                     {e.segment_width for e in poly.edges})})
 
 
-def window_stage(cache: PolygonCache, ledger: DegreeLedger,
-                 primes) -> None:
+def window_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Flat-tail slope windows: if p divides every coefficient below the
     top block and the rightmost slope is below 1/k, degrees [l+1, k] are
     impossible."""
     m = ledger.total
-    for p in primes:
+    for p in cache.primes:
         if not ledger.remaining:
             return
         for carrier, poly in cache.carriers(p):
@@ -246,13 +240,12 @@ def window_stage(cache: PolygonCache, ledger: DegreeLedger,
             if k_max is None or k_max <= l_min:
                 continue
             ledger.claim(
-                Method.SLOPE_WINDOW, range(l_min + 1, k_max + 1),
-                detail={"prime": p, "carrier": carrier, "l": l_min,
-                        "k": k_max, "max_slope": str(poly.max_slope)})
+                Method.SLOPE_WINDOW, range(l_min + 1, k_max + 1), p,
+                {"prime": p, "carrier": carrier, "l": l_min, "k": k_max,
+                 "max_slope": str(poly.max_slope)})
 
 
-def margin_stage(cache: PolygonCache, ledger: DegreeLedger,
-                 primes) -> None:
+def margin_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Per-degree two-sided margins.  For each still-open degree K (taken
     on the small side of the mirror symmetry), search the prime list and
     both carriers for an integer r with g(K) > r and g(m) - g(m-K) < r+1."""
@@ -264,14 +257,14 @@ def margin_stage(cache: PolygonCache, ledger: DegreeLedger,
         if kk == 0 or m < 2 * kk:
             continue
         hit = False
-        for p in primes:
+        for p in cache.primes:
             for carrier, poly in cache.carriers(p):
                 r = viable_margin(poly, kk)
                 if r is not None:
                     ledger.claim(
-                        Method.NEWTON_MARGIN, [kk], k=None,
-                        detail={"prime": p, "carrier": carrier, "r": r,
-                                "degree": kk})
+                        Method.NEWTON_MARGIN, [kk], p,
+                        {"prime": p, "carrier": carrier, "r": r,
+                         "degree": kk})
                     hit = True
                     break
             if hit:
@@ -296,7 +289,6 @@ def degree_set_stage(poly: IntegerPolynomial, ledger: DegreeLedger,
             continue
         counts = gfp.factor_degree_counts(f, p)
         ledger.claim(
-            Method.DEGREE_SET, ledger.remaining - gfp.subset_sums(counts),
-            mirror=False,
-            detail={"prime": p, "factor_degrees": {
+            Method.DEGREE_SET, ledger.remaining - gfp.subset_sums(counts), p,
+            {"prime": p, "factor_degrees": {
                 str(i): c for i, c in sorted(counts.items())}})

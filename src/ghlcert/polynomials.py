@@ -220,8 +220,9 @@ def read_coefficients(path) -> IntegerPolynomial:
             try:
                 coeffs.append(int(line))
             except ValueError:
+                shown = repr(line[:40]) + ("..." if len(line) > 40 else "")
                 raise InvalidParameters(
-                    f"{path}:{lineno}: not an integer coefficient: {line!r}")
+                    f"{path}:{lineno}: not an integer coefficient: {shown}")
     if not coeffs:
         raise InvalidParameters(f"{path}: no coefficients found")
     return IntegerPolynomial(tuple(coeffs))

@@ -15,8 +15,7 @@ from ghlcert.certify import (Certificate, HypothesisViolation, Verdict,
                              batch_certify, certify_instance, classify_seed,
                              full_certify)
 from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
-                              candidate_primes, delta_stage, margin_stage,
-                              window_stage)
+                              delta_stage, margin_stage, window_stage)
 from ghlcert.jsontext import unlimited_int_digits
 from ghlcert.polynomials import GhlParams, SeedCoefficients
 
@@ -34,7 +33,7 @@ def stage_alone(stage, params, seed, notes=()):
     the window and margin stages claim nothing on the grids the full
     pipeline runs, because the stages before them leave them no degree."""
     ledger = DegreeLedger(params.delta * params.n)
-    stage(PolygonCache(params, seed), ledger, candidate_primes(params))
+    stage(PolygonCache(params, seed), ledger)
     return Certificate(params=params, seed_kind=classify_seed(seed),
                        seed=tuple(seed.values), records=tuple(ledger.records),
                        residual=tuple(sorted(ledger.remaining)),
@@ -92,9 +91,9 @@ def test_json_text_edge_shapes():
     cert = certify_instance(3, 0, 1, 5, 3)
     odd = dataclasses.replace(
         cert.records[0],
-        detail={"float": 0.5, "inf": float("inf"), "tuple": (1, [2, "x"]),
-                "int_keys": {3: "a", 1: [None, True]}, "text": "é\n\"\\",
-                "empty": [], "none": {}})
+        evidence={"float": 0.5, "inf": float("inf"),
+                  "tuple": (1, [2, "x"]), "int_keys": {3: "a", 1: [None, True]},
+                  "text": "é\n\"\\", "empty": [], "none": {}})
     shapes = [
         dataclasses.replace(cert, records=(), residual=tuple(range(1, 15))),
         dataclasses.replace(cert, records=(odd,) + cert.records[1:],
@@ -151,3 +150,37 @@ def test_json_text_matches_stdlib_encoder(instance, how, notes, indent):
                  "margin": margin_stage}[how]
         cert = stage_alone(stage, params, seed_coeffs, notes)
     assert_text_matches(cert, pads=("\n", "\n" + " " * indent))
+
+
+def assert_mirror_closed(cert):
+    """Every record's degrees are closed under K -> m-K, and every entry
+    names the prime its record used."""
+    m = cert.total_degree
+    for rec in cert.records:
+        assert {m - K for K in rec.degrees} == set(rec.degrees), rec
+    assert all(type(entry["prime"]) is int
+               for entry in cert.to_json_dict()["records"])
+
+
+def test_records_are_mirror_closed_on_the_w1_grid():
+    count = 0
+    for q in W1_FAMILIES:
+        base = GhlParams.from_q(Fraction(q), 2, delta=1)
+        for n in range(2, 101):
+            assert_mirror_closed(certify_instance(
+                base.d, base.u, base.alpha, n, base.d, degree_sets=True))
+            count += 1
+    assert count == 792
+
+
+@seed(10)
+@settings(max_examples=80, deadline=None, database=None)
+@given(instances(), st.booleans())
+def test_records_are_mirror_closed_on_generated_instances(instance,
+                                                          degree_sets):
+    params, seed_coeffs = instance
+    try:
+        cert = full_certify(params, seed_coeffs, degree_sets=degree_sets)
+    except HypothesisViolation:
+        reject()
+    assert_mirror_closed(cert)

@@ -22,7 +22,7 @@ from ghlcert.certify import (
     verify_break_valuations,
     verify_certificate,
 )
-from ghlcert.criteria import Method, PolygonCache
+from ghlcert.criteria import DegreeLedger, Method, PolygonCache
 from ghlcert.gfp import subset_sums
 from ghlcert.polynomials import (
     GhlParams,
@@ -106,16 +106,25 @@ def test_break_valuation_unit_correction():
     assert ord_factorial(2, 4) == 3
 
 
+def run_alone(handler, cache):
+    """Run handler(cache, ledger) on a fresh ledger; the ledger's records."""
+    ledger = DegreeLedger(cache.params.delta * cache.params.n)
+    handler(cache, ledger)
+    return ledger.records
+
+
 def test_special_2adic_record():
     params = GhlParams(d=3, u=-1, alpha=2, n=43, delta=3)
-    rec = special_2adic_certify(
-        PolygonCache(params, SeedCoefficients.laguerre(43)))
+    [rec] = run_alone(special_2adic_certify,
+                      PolygonCache(params, SeedCoefficients.laguerre(43)))
     assert rec.method == Method.SPECIAL_2ADIC
     assert sorted(rec.degrees) == [1, 2, 3, 126, 127, 128]
-    assert rec.detail["vertices"] == [0, 96, 120, 129]
-    assert rec.detail["margins"] == {"1": 0, "2": 0, "3": 1}
-    assert (rec.detail["min_slope"], rec.detail["max_slope"]) == ("11/32", "4/9")
-    flat = special_2adic_certify(
+    assert rec.evidence["vertices"] == [0, 96, 120, 129]
+    assert rec.evidence["margins"] == {"1": 0, "2": 0, "3": 1}
+    assert (rec.evidence["min_slope"],
+            rec.evidence["max_slope"]) == ("11/32", "4/9")
+    [flat] = run_alone(
+        special_2adic_certify,
         PolygonCache(GhlParams(d=3, u=-1, alpha=2, n=43, delta=1),
                      SeedCoefficients.laguerre(43)))
     assert sorted(flat.degrees) == [1, 42]
@@ -123,17 +132,18 @@ def test_special_2adic_record():
 
 def test_special_2adic_rejections():
     with pytest.raises(SpecialCaseError):
-        special_2adic_certify(      # top 7 not a 2-power
-            PolygonCache(GhlParams(d=3, u=0, alpha=1, n=2, delta=3),
-                         SeedCoefficients.laguerre(2)))
+        run_alone(special_2adic_certify,      # top 7 not a 2-power
+                  PolygonCache(GhlParams(d=3, u=0, alpha=1, n=2, delta=3),
+                               SeedCoefficients.laguerre(2)))
     with pytest.raises(SpecialCaseError):
-        special_2adic_certify(
-            PolygonCache(GhlParams(d=4, u=0, alpha=1, n=2, delta=4),
-                         SeedCoefficients.laguerre(2)))
+        run_alone(special_2adic_certify,
+                  PolygonCache(GhlParams(d=4, u=0, alpha=1, n=2, delta=4),
+                               SeedCoefficients.laguerre(2)))
     even = SeedCoefficients((2,) + (1,) * 42 + (2,))
     with pytest.raises(SpecialCaseError):
-        special_2adic_certify(
-            PolygonCache(GhlParams(d=3, u=-1, alpha=2, n=43, delta=3), even))
+        run_alone(special_2adic_certify,
+                  PolygonCache(GhlParams(d=3, u=-1, alpha=2, n=43, delta=3),
+                               even))
 
 
 def test_special_3adic_check():
@@ -164,30 +174,30 @@ def binomial_cache(d, u, alpha, n, delta):
 
 
 def test_laguerre_np_records():
-    rec = laguerre_np_certify(binomial_cache(3, 0, 1, 5, 3))
+    [rec] = run_alone(laguerre_np_certify, binomial_cache(3, 0, 1, 5, 3))
     assert rec.method == Method.LAGUERRE_NP
-    assert rec.detail["prime"] == 5
+    assert rec.evidence["prime"] == 5
     assert sorted(rec.degrees) == list(range(1, 15))
-    rec = laguerre_np_certify(binomial_cache(3, 0, 2, 26, 3))
-    assert rec.detail["prime"] == 13
+    [rec] = run_alone(laguerre_np_certify, binomial_cache(3, 0, 2, 26, 3))
+    assert rec.evidence["prime"] == 13
     assert len(rec.degrees) == 76
     assert 39 not in rec.degrees and 3 in rec.degrees
-    rec = laguerre_np_certify(binomial_cache(4, -1, 3, 7, 4))
-    assert rec.detail["prime"] == 7
+    [rec] = run_alone(laguerre_np_certify, binomial_cache(4, -1, 3, 7, 4))
+    assert rec.evidence["prime"] == 7
     assert sorted(rec.degrees) == list(range(1, 28))
-    rec = laguerre_np_certify(binomial_cache(3, 0, 1, 5, 1))
+    [rec] = run_alone(laguerre_np_certify, binomial_cache(3, 0, 1, 5, 1))
     assert sorted(rec.degrees) == [1, 2, 3, 4]
 
 
 def test_laguerre_np_rejections():
     with pytest.raises(SpecialCaseError, match="no prime divisor"):
-        laguerre_np_certify(binomial_cache(3, 0, 2, 16, 3))
+        run_alone(laguerre_np_certify, binomial_cache(3, 0, 2, 16, 3))
     with pytest.raises(SpecialCaseError, match="lattice-admissible"):
-        laguerre_np_certify(binomial_cache(3, 0, 2, 6, 3))
+        run_alone(laguerre_np_certify, binomial_cache(3, 0, 2, 6, 3))
     with pytest.raises(SpecialCaseError, match="lattice-admissible"):
-        laguerre_np_certify(binomial_cache(4, 0, 1, 20, 4))
+        run_alone(laguerre_np_certify, binomial_cache(4, 0, 1, 20, 4))
     with pytest.raises(SpecialCaseError, match="exceptional shape"):
-        laguerre_np_certify(binomial_cache(3, 0, 1, 2, 3))
+        run_alone(laguerre_np_certify, binomial_cache(3, 0, 1, 2, 3))
 
 
 def certified(d, u, alpha, n):
@@ -217,7 +227,8 @@ def test_full_certify_witness_only_instance():
                         SeedCoefficients.laguerre(20))
     assert cert.residual == ()
     assert {rec.method for rec in cert.records} == {Method.WITNESS_PRIME}
-    assert sorted(rec.k for rec in cert.records) == list(range(1, 11))
+    assert sorted(rec.evidence["k"] for rec in cert.records) == list(
+        range(1, 11))
 
 
 _STAGE_FUNCTIONS = ("witness_stage", "special_2adic_certify",
@@ -311,12 +322,12 @@ def test_degree_sets_close_the_irreducible_residuals():
         assert verify_certificate(cert)
         records = [rec for rec in cert.records
                    if rec.method == Method.DEGREE_SET]
-        assert [rec.detail["prime"] for rec in records] == [prime]
+        assert [rec.evidence["prime"] for rec in records] == [prime]
         earlier: set[int] = set()
         for rec in cert.records:
             if rec.method == Method.DEGREE_SET:
                 counts = {int(i): c
-                          for i, c in rec.detail["factor_degrees"].items()}
+                          for i, c in rec.evidence["factor_degrees"].items()}
                 assert sum(i * c for i, c in counts.items()) == d * n
                 impossible = set(range(1, d * n)) - subset_sums(counts)
                 assert set(rec.degrees) == impossible - earlier

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import sys
@@ -6,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ghlcert.certify import certify_instance
-from ghlcert.cli import _job_count, _write_certificates, main
+from ghlcert.certify import full_certify
+from ghlcert.cli import _job_count, main
 from ghlcert.jsontext import unlimited_int_digits
 from ghlcert.polynomials import GhlParams, SeedCoefficients, build_substituted
 from ghlcert.sieve import smoothness_bound_exact
@@ -96,18 +95,50 @@ def test_build_writes_integers_past_the_str_digit_cap(capsys,
 
 
 def test_certificates_write_integers_past_the_str_digit_cap(
-        capsys, default_digit_cap):
-    # a binomial seed passes the cap from n = 14,300 on; a forged seed
-    # value takes the same path in a fraction of the time
-    cert = certify_instance(3, 0, 1, 5, 3)
-    big = dataclasses.replace(cert, seed=(10 ** 5000,) + cert.seed[1:])
-    _write_certificates([big, cert], batch=True)
+        tmp_path, capsys, default_digit_cap):
+    # a binomial seed passes the cap from n = 14,300 on; a seed file with
+    # one such value takes the same path, read and written, in a fraction
+    # of the time
+    seed = SeedCoefficients((1, 10 ** 5000 + 1, 1, 1, 1, 1))
+    path = tmp_path / "seed.txt"
+    with unlimited_int_digits():
+        path.write_text("".join(f"{c}\n" for c in seed.values))
+    code = main(["certify", "--q", "1/3", "--n", "5", "--delta", "3",
+                 "--seed-file", str(path)])
     out = capsys.readouterr().out
     assert _digit_cap() == default_digit_cap
+    cert = full_certify(GhlParams.from_q(Fraction(1, 3), 5, delta=3), seed)
+    assert code == (1 if cert.residual else 0)
     with unlimited_int_digits():
-        blobs = json.loads(out)
-    assert blobs[0]["seed"]["values"] == list(big.seed)
-    assert blobs[1] == json.loads(json.dumps(cert.to_json_dict()))
+        blob = json.loads(out)
+        assert blob == json.loads(json.dumps(cert.to_json_dict()))
+    assert blob["seed"]["values"] == list(seed.values)
+
+
+def test_coefficient_files_past_the_str_digit_cap_read_back(
+        tmp_path, capsys, default_digit_cap):
+    # build --out writes coefficients of more than 4,300 digits, and
+    # polygon --coeff-file reads them back (the certify test above reads
+    # such a value through --seed-file)
+    path = tmp_path / "big.txt"
+    assert main(["build", "--q", "1/3", "--n", "1500", "--out",
+                 str(path)]) == 0
+    code, from_file = run(capsys, "polygon", "--coeff-file", str(path),
+                          "--prime", "2")
+    assert code == 0
+    assert _digit_cap() == default_digit_cap
+    _, direct = run(capsys, "polygon", "--q", "1/3", "--n", "1500",
+                    "--prime", "2")
+    assert from_file == direct
+
+
+def test_bad_coefficient_line_is_quoted_short(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("1\n" + "7" * 5000 + "x\n")
+    assert main(["polygon", "--coeff-file", str(path), "--prime", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: not an integer coefficient: '{'7' * 40}'..." in err
+    assert len(err) < len(str(path)) + 100
 
 
 @pytest.mark.parametrize("argv", [

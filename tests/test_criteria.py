@@ -5,7 +5,6 @@ import pytest
 
 from ghlcert.criteria import (
     DegreeLedger,
-    ExclusionRecord,
     Method,
     PolygonCache,
     candidate_primes,
@@ -101,34 +100,20 @@ def test_candidate_primes():
     assert 43 in candidate_primes(big)
 
 
-def test_exclusion_record_validation():
-    ExclusionRecord(method=Method.WITNESS_PRIME, degrees=(1, 2),
-                    k=1, witness_prime=7)
-    with pytest.raises(ValueError):
-        ExclusionRecord(method=Method.WITNESS_PRIME, degrees=(1,), k=1)
-    with pytest.raises(ValueError):
-        ExclusionRecord(method=Method.NEWTON_MARGIN, degrees=(1,), k=1,
-                        witness_prime=7)
-
-
 def test_degree_ledger_claims_and_mirrors():
     ledger = DegreeLedger(10)
     assert ledger.remaining == set(range(1, 10))
-    rec = ledger.claim(Method.NEWTON_MARGIN, [2], k=2)
+    rec = ledger.claim(Method.NEWTON_MARGIN, [2], 3, {"degree": 2})
     assert rec is not None and set(rec.degrees) == {2, 8}
     assert 2 not in ledger.remaining and 8 not in ledger.remaining
     # a second claim on the same degrees is a no-op
-    assert ledger.claim(Method.NEWTON_MARGIN, [2], k=2) is None
-    # unmirrored claim touches only the stated degrees
-    rec = ledger.claim(Method.SLOPE_WINDOW, [3], mirror=False, k=3)
-    assert set(rec.degrees) == {3}
-    assert 7 in ledger.remaining
+    assert ledger.claim(Method.NEWTON_MARGIN, [2], 3, {"degree": 2}) is None
 
 
 def test_degree_ledger_records_partition():
     ledger = DegreeLedger(12)
-    ledger.claim(Method.NEWTON_MARGIN, [1, 2, 3], k=1)
-    ledger.claim(Method.SLOPE_WINDOW, range(1, 6), k=5)
+    ledger.claim(Method.NEWTON_MARGIN, [1, 2, 3], 3, {"degree": 1})
+    ledger.claim(Method.SLOPE_WINDOW, range(1, 6), 5, {"k": 5})
     seen = []
     for rec in ledger.records:
         seen.extend(rec.degrees)
@@ -166,7 +151,7 @@ def test_degree_set_stage_never_excludes_a_real_factor_degree():
         assert {da, db} <= ledger.remaining, (a, b, ledger.records)
         for rec in ledger.records:
             assert rec.method == Method.DEGREE_SET
-            assert prod.leading % rec.detail["prime"] != 0
+            assert prod.leading % rec.evidence["prime"] != 0
             excluded += len(rec.degrees)
     assert excluded > 0          # the stage is not vacuous on this sample
 
@@ -178,5 +163,5 @@ def test_degree_set_stage_closes_an_irreducible_sextic():
                      [2, 3, 5, 7])
     assert ledger.remaining == set()
     [rec] = ledger.records
-    assert rec.detail == {"prime": 5, "factor_degrees": {"6": 1}}
+    assert rec.evidence == {"prime": 5, "factor_degrees": {"6": 1}}
     assert rec.degrees == (1, 2, 3, 4, 5)
