@@ -21,8 +21,7 @@ from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
 from .jsontext import encode, encode_int, encode_str
 from .newton import admissible_degrees, polygon_from_params, viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
-from .sieve import gpf, prime_factors
-from .valuation import nu, ord_factorial
+from .valuation import nu, ord_factorial, prime_factors
 
 
 class Verdict(str, enum.Enum):
@@ -44,12 +43,15 @@ class CertificationInternalError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not an input."""
 
 
+def _cofactor(m: int, primes) -> int:
+    """|m| with every factor of the given primes divided out (m != 0)."""
+    for p in primes:
+        m //= p ** nu(p, m)
+    return abs(m)
+
+
 def _is_power_of(m: int, p: int) -> bool:
-    if m < p:
-        return False
-    while m % p == 0:
-        m //= p
-    return m == 1
+    return m >= p and _cofactor(m, (p,)) == 1
 
 
 def exception_family(params: GhlParams):
@@ -59,23 +61,14 @@ def exception_family(params: GhlParams):
     d, u, alpha, top = params.d, params.u, params.alpha, params.top_term
     if d == 3 and (u, alpha) == (0, 1) and _is_power_of(top, 2):
         return "d3:1+3n=2^a"
-    if d == 3 and (u, alpha) == (0, 2):
-        reduced = top
-        fives = 0
-        while reduced % 5 == 0:
-            reduced //= 5
-            fives += 1
-        if fives > 0 and (reduced == 1 or _is_power_of(reduced, 2)):
-            return "d3:2+3n=2^b*5^c"
+    if (d == 3 and (u, alpha) == (0, 2) and top % 5 == 0
+            and _cofactor(top, (2, 5)) == 1):
+        return "d3:2+3n=2^b*5^c"
     if d == 4 and (u, alpha) == (-1, 3) and _is_power_of(top, 3):
         return "d4:4n-1=3^a"
-    if d == 4 and (u, alpha) == (0, 1):
-        reduced = top
-        for p in (3, 5):
-            while reduced % p == 0:
-                reduced //= p
-        if reduced == 1 and top > 1:
-            return "d4:1+4n=3^b*5^c"
+    if (d == 4 and (u, alpha) == (0, 1) and top > 1
+            and _cofactor(top, (3, 5)) == 1):
+        return "d4:1+4n=3^b*5^c"
     if d == 4 and (u, alpha) == (0, 3) and _is_power_of(top, 7):
         return "d4:3+4n=7^y"
     return None
@@ -424,24 +417,18 @@ def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
     if len(seed.values) != params.n + 1:
         raise HypothesisViolation(
             f"seed length {len(seed.values)} does not match n={params.n}")
-    endpoints = seed[0] * seed[params.n]
-    top = params.top_term
-    if params.d == 3:
-        if gpf(endpoints) > 3:
-            raise HypothesisViolation(
-                f"seed endpoint product {endpoints} has a prime factor > 3")
-        if _is_power_of(top, 2) and endpoints % 2 == 0:
-            raise HypothesisViolation(
-                "seed endpoints must be odd when the top factor is a power "
-                "of two")
-    elif params.d == 4:
-        if gpf(endpoints) > 3:
-            raise HypothesisViolation(
-                f"seed endpoint product {endpoints} has a prime factor > 3")
-        if _is_power_of(top, 3) and gpf(endpoints) > 2:
-            raise HypothesisViolation(
-                "seed endpoints must avoid the prime 3 when the top factor "
-                "is a power of three")
+    endpoints, top = seed[0] * seed[params.n], params.top_term
+    if params.d in (3, 4) and _cofactor(endpoints, (2, 3)) != 1:
+        raise HypothesisViolation(
+            f"seed endpoint product {endpoints} has a prime factor > 3")
+    if params.d == 3 and _is_power_of(top, 2) and endpoints % 2 == 0:
+        raise HypothesisViolation(
+            "seed endpoints must be odd when the top factor is a power "
+            "of two")
+    if params.d == 4 and _is_power_of(top, 3) and endpoints % 3 == 0:
+        raise HypothesisViolation(
+            "seed endpoints must avoid the prime 3 when the top factor "
+            "is a power of three")
 
 
 def _three_adic_stage(cache: PolygonCache,

@@ -18,14 +18,18 @@ import time
 from fractions import Fraction
 
 from . import certify as certify_mod
-from . import sieve as sieve_mod
 from .jsontext import encode, unlimited_int_digits
-from .newton import build_polygon, polygon_svg, polygon_tsv
+from .newton import (admissible_degrees, build_polygon, polygon_from_params,
+                     polygon_svg, polygon_tsv)
 from .polynomials import (GhlParams, InvalidParameters, SeedCoefficients,
                           build_substituted, hermite_polynomial,
                           read_coefficients, write_coefficients)
 
 _ENV_SIEVE_LIMIT = "GHLCERT_SIEVE_LIMIT"
+# Larger input is refused before anything is built: memory grows as n^2
+# (certify --q 1/3 --n 20000 peaks at 433 MiB), so a huge n would not stop.
+MAX_DEGREE = 25_000          # delta * n of one instance; --hermite's degree
+MAX_BATCH_DEGREE = 250_000   # delta * n summed over a --batch-n range
 
 
 def _emit(obj) -> None:
@@ -57,6 +61,11 @@ def _add_param_options(sub: argparse.ArgumentParser) -> None:
                      help="custom seed: one integer per line, lowest first")
 
 
+def _refuse_above(cap: int, size: int, what: str) -> None:
+    if size > cap:
+        raise InvalidParameters(f"{what} is {size:,}, above the cap {cap:,}")
+
+
 def _params_from_args(args) -> GhlParams:
     if args.n is None:
         raise InvalidParameters("--n is required")
@@ -73,8 +82,10 @@ def _params_from_args(args) -> GhlParams:
         if args.d is None or args.u is None or args.alpha is None:
             raise InvalidParameters("give either --q or all of --d/--u/--alpha")
         d, u, alpha = args.d, args.u, args.alpha
-    return GhlParams(d=d, u=u, alpha=alpha, n=args.n,
-                     delta=1 if delta is None else delta)
+    params = GhlParams(d=d, u=u, alpha=alpha, n=args.n,
+                       delta=1 if delta is None else delta)
+    _refuse_above(MAX_DEGREE, params.delta * params.n, "degree delta*n")
+    return params
 
 
 def _seed_from_args(args, n: int) -> SeedCoefficients:
@@ -86,6 +97,7 @@ def _seed_from_args(args, n: int) -> SeedCoefficients:
 
 def _cmd_build(args) -> int:
     if args.hermite is not None:
+        _refuse_above(MAX_DEGREE, args.hermite, "--hermite")
         poly = hermite_polynomial(args.hermite)
         label = f"hermite degree {args.hermite}"
     else:
@@ -104,12 +116,11 @@ def _cmd_build(args) -> int:
 
 def _cmd_polygon(args) -> int:
     if args.coeff_file:
-        poly = read_coefficients(args.coeff_file)
+        polygon = build_polygon(read_coefficients(args.coeff_file), args.prime)
     else:
         params = _params_from_args(args)
-        seed = _seed_from_args(args, params.n)
-        poly = build_substituted(params, seed)
-    polygon = build_polygon(poly, args.prime)
+        polygon = polygon_from_params(args.prime, params,
+                                      _seed_from_args(args, params.n))
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(polygon_svg(polygon))
@@ -120,7 +131,6 @@ def _cmd_polygon(args) -> int:
         with open(args.tsv, "w") as fh:
             fh.write(polygon_tsv(polygon))
         return 0
-    from .newton import admissible_degrees
     _emit({
         "prime": args.prime,
         "degree": polygon.degree,
@@ -161,6 +171,10 @@ def _cmd_certify(args) -> int:
         base = _params_from_args(argparse.Namespace(
             d=args.d, u=args.u, alpha=args.alpha, q=args.q, n=lo,
             delta=args.delta))
+        _refuse_above(MAX_DEGREE, base.delta * hi, "--batch-n top degree")
+        _refuse_above(MAX_BATCH_DEGREE,
+                      base.delta * (lo + hi) * (hi - lo + 1) // 2,
+                      "--batch-n summed degree")
         kind = args.seed or "laguerre"
         tasks = [(base.d, base.u, base.alpha, n, base.delta, kind)
                  for n in range(lo, hi + 1)]
@@ -197,6 +211,7 @@ def _sieve_limit(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
+    from . import sieve as sieve_mod  # numpy: loaded for this command only
     jobs = _job_count(args.jobs)
     query = args.query
     if query == "gpf-bound":

@@ -25,12 +25,10 @@ import enum
 import heapq
 from dataclasses import dataclass
 
-from . import gfp
 from .newton import (NewtonPolygon, admissible_degrees, polygon_from_params,
                      viable_margin, widest_window)
 from .polynomials import GhlParams, IntegerPolynomial, SeedCoefficients
-from .sieve import prime_factors, primes_up_to
-from .valuation import INFINITY
+from .valuation import INFINITY, is_prime, prime_factors
 
 
 class Method(str, enum.Enum):
@@ -130,12 +128,13 @@ def find_exclusion_prime(params: GhlParams, k: int, seed: SeedCoefficients):
 
 
 SMALL_PRIME_LIMIT = 50
+_SMALL_PRIMES = tuple(p for p in range(SMALL_PRIME_LIMIT + 1) if is_prime(p))
 
 
 def candidate_primes(params: GhlParams) -> list[int]:
     """Primes worth building polygons at: the primes up to
     SMALL_PRIME_LIMIT plus every divisor of the top linear factor and of n."""
-    out = {int(p) for p in primes_up_to(SMALL_PRIME_LIMIT)}
+    out = set(_SMALL_PRIMES)
     out.update(prime_factors(params.top_term))
     out.update(prime_factors(params.n))
     return sorted(out)
@@ -279,6 +278,7 @@ def degree_set_stage(poly: IntegerPolynomial, ledger: DegreeLedger,
     is a subset sum of the degrees in the distinct-degree factorisation of
     poly mod p.  Open degrees that are no such sum are excluded; the record
     keeps the number of factors of each degree at that prime."""
+    from . import gfp  # numpy, loaded only when this opt-in stage runs
     for p in primes:
         if not ledger.remaining:
             return

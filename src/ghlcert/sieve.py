@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .valuation import ord_factorial
+from .valuation import ord_factorial, prime_factors
 
 DEFAULT_SEGMENT = 1 << 20
 # ap_prime_gaps sieves at most this far past its limit before giving up.
@@ -103,43 +103,6 @@ def _shared_flags(limit: int) -> np.ndarray:
     if _shared_prime_flags is None or len(_shared_prime_flags) <= limit:
         _shared_prime_flags = prime_flags(limit)
     return _shared_prime_flags
-
-
-def factorize(m: int) -> dict:
-    """Prime factorization of |m| >= 1 by trial division."""
-    if m == 0:
-        raise ValueError("0 has no prime factorization")
-    m = abs(m)
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-    f = 5
-    while f * f <= m:
-        for p in (f, f + 2):
-            while m % p == 0:
-                out[p] = out.get(p, 0) + 1
-                m //= p
-        f += 6
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
-def prime_factors(m: int) -> list[int]:
-    """Sorted distinct prime divisors of |m|; empty for m = +-1."""
-    return sorted(factorize(m)) if abs(m) != 1 else []
-
-
-def gpf(m: int) -> int:
-    """Greatest prime factor; P(+-1) = 1 by convention."""
-    if m == 0:
-        raise ValueError("P(0) is undefined")
-    m = abs(m)
-    if m == 1:
-        return 1
-    return max(factorize(m))
 
 
 def gpf_array(limit: int, jobs: int = 1) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Exact p-adic valuations.
+"""Exact p-adic valuations and the pure-Python integer arithmetic under them.
 
-Provides the valuation nu(p, r) with nu(p, 0) = INFINITY, base-p digit sums,
-the digit-sum form of the factorial valuation, and valuations of the factored
+Provides the valuation nu(p, r) with nu(p, 0) = INFINITY, primality and
+trial-division factorisation of single integers, base-p digit sums, the
+digit-sum form of the factorial valuation, and valuations of the factored
 coefficient products of the generalized polynomials.  Valuations of huge
 coefficients are always computed from the factored form (sums over the small
 linear factors), never by dividing the assembled big integer.
@@ -93,15 +94,49 @@ def nu(p: int, r: int):
 
 
 def _nu(p: int, r: int):
-    """nu without the primality check, for callers that checked p once."""
+    """nu without the primality check, for callers that checked p once.
+    Halves the valuation at each level, nu_p(r) = 2 nu_{p^2}(r) + 0 or 1,
+    so a big r costs O(log nu) divisions, not nu of them."""
     if r == 0:
         return INFINITY
-    r = abs(r)
-    v = 0
-    while r % p == 0:
-        r //= p
-        v += 1
-    return v
+    if r % p:
+        return 0  # almost every call of the certify path ends here
+    w = _nu(p * p, r)
+    return 2 * w + (r // (p * p) ** w % p == 0)
+
+
+def factorize(m: int) -> dict:
+    """Prime factorization of |m| >= 1 by trial division."""
+    if m == 0:
+        raise ValueError("0 has no prime factorization")
+    m = abs(m)
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    f = 5
+    while f * f <= m:
+        for p in (f, f + 2):
+            while m % p == 0:
+                out[p] = out.get(p, 0) + 1
+                m //= p
+        f += 6
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def prime_factors(m: int) -> list[int]:
+    """Sorted distinct prime divisors of |m|; empty for m = +-1."""
+    return sorted(factorize(m))
+
+
+def gpf(m: int) -> int:
+    """Greatest prime factor; P(+-1) = 1 by convention."""
+    if m == 0:
+        raise ValueError("P(0) is undefined")
+    return max(factorize(m), default=1)
 
 
 def digit_sum(p: int, m: int) -> int:

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ghlcert import cli
 from ghlcert.certify import full_certify
 from ghlcert.cli import _job_count, main
 from ghlcert.jsontext import unlimited_int_digits
@@ -207,6 +210,78 @@ def test_certify_hypothesis_violation(capsys):
     code = main(["certify", "--d", "3", "--u", "1", "--alpha", "1", "--n", "4"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(code: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports ghlcert from this tree."""
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); " + code, str(_SRC)],
+        capture_output=True, text=True, timeout=timeout)
+
+
+def test_large_seed_endpoints_fail_fast(tmp_path):
+    # the {2, 3}-smoothness hypothesis on the endpoint product is checked by
+    # dividing out 2 and 3, not by trial division up to its square root
+    path = tmp_path / "seed.txt"
+    path.write_text(f"{10 ** 30 + 57}\n1\n1\n{10 ** 30 + 57}\n")
+    argv = ["certify", "--q", "1/3", "--n", "3", "--delta", "3",
+            "--seed-file", str(path)]
+    done = _python(f"from ghlcert.cli import main; sys.exit(main({argv!r}))",
+                   timeout=2)
+    assert done.returncode == 2
+    assert "has a prime factor > 3" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--q", "1/3", "--n", "100000000000", "--delta", "3"],
+    ["polygon", "--q", "1/3", "--n", "100000000000", "--prime", "2"],
+    ["build", "--q", "1/3", "--n", "25001"],
+    ["build", "--hermite", "100000000000"],
+    ["certify", "--q", "1/3", "--batch-n", "2:8334", "--delta", "3"],
+    ["certify", "--q", "1/3", "--batch-n", "2:1000"],
+])
+def test_oversized_input_is_refused_before_building(capsys, monkeypatch,
+                                                     argv):
+    def built(*args, **kwargs):
+        raise AssertionError("built an instance above the cap")
+
+    for module, name in ((cli, "_seed_from_args"),
+                         (cli, "hermite_polynomial"),
+                         (cli.certify_mod, "batch_certify")):
+        monkeypatch.setattr(module, name, built)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above the cap" in captured.err
+
+
+def test_largest_degree_under_the_cap_is_accepted(capsys):
+    code, blob = run(capsys, "polygon", "--q", "1/3", "--n", "8333",
+                     "--delta", "3", "--seed", "ones", "--prime", "2")
+    assert code == 0 and blob["degree"] == 3 * 8333 <= cli.MAX_DEGREE
+
+
+def test_certify_and_polygon_leave_numpy_unloaded():
+    done = _python(
+        "from ghlcert.cli import main; "
+        "codes = [main(['certify', '--q', '1/3', '--n', '40', '--delta', '3']),"
+        " main(['polygon', '--q', '1/3', '--n', '40', '--prime', '2'])]; "
+        "assert codes == [0, 0], codes; "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    assert done.returncode == 0, done.stderr
+
+
+def test_sieve_loads_numpy_when_it_runs(capsys):
+    done = _python("from ghlcert.cli import main; "
+                   "assert 'numpy' not in sys.modules; "
+                   "sys.exit(main(['sieve', 'p5-pairs', '--limit', '1000']))")
+    assert done.returncode == 0, done.stderr
+    _, in_process = run(capsys, "sieve", "p5-pairs", "--limit", "1000")
+    assert json.loads(done.stdout) == in_process
 
 
 def test_certify_batch(capsys):

@@ -10,11 +10,8 @@ from ghlcert.sieve import (
     SpfTable,
     ap_prime_gaps,
     exact_p5_pairs,
-    factorize,
-    gpf,
     gpf_array,
     prime_count,
-    prime_factors,
     primes_up_to,
     progression_prime_set,
     progression_prime_set_mismatches,
@@ -24,6 +21,7 @@ from ghlcert.sieve import (
     smoothness_bound_exact,
     verify_gpf_bound,
 )
+from ghlcert.valuation import factorize, gpf, prime_factors
 
 
 def brute_factorize(m):

@@ -44,6 +44,16 @@ def test_nu_brute_force(rng):
         nu(6, 10)
 
 
+def test_nu_of_high_prime_powers(rng):
+    # the squaring ladder against valuations far past the small ones above
+    for _ in range(200):
+        p = rng.choice(SMALL_PRIMES)
+        e = rng.randrange(3000)
+        unit = rng.randrange(1, 10 ** 40)
+        unit += unit % p == 0  # a multiple of p plus one is not
+        assert nu(p, -unit * p ** e if e % 2 else unit * p ** e) == e
+
+
 def test_digit_sum():
     for p in (2, 3, 5, 7):
         for m in (0, 1, 9, 42, 1000, 123456):
