@@ -1,12 +1,13 @@
 """Exact range-verification engine for prime-factor statements.
 
-Backs every bulk query with a boolean prime sieve or a segmented
-smoothness sieve, which divides the primes up to the bound out of one
-fixed-size block at a time and so needs memory for one block only.  It
+Backs every bulk query with one boolean prime sieve per query, or with a
+segmented smoothness sieve, which divides the primes up to the bound out of
+one fixed-size block at a time and so needs memory for one block only.  It
 answers greatest-prime-factor questions over arithmetic progressions,
-smooth-pair enumerations, prime gaps in residue classes, and the
-closed-form bound evaluations, all in exact integer arithmetic (floats only
-at the final root/log step where a real number is the answer).  The
+smooth-pair enumerations, prime gaps in residue classes (sieved to the
+limit, with each class's successor above it found by a primality test), and
+the closed-form bound evaluations, all in exact integer arithmetic (floats
+only at the final root/log step where a real number is the answer).  The
 smallest-prime-factor table and the full greatest-prime-factor array are
 the reference the tests check the smoothness sieve against.
 """
@@ -14,22 +15,25 @@ the reference the tests check the smoothness sieve against.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .valuation import ord_factorial, prime_factors
+from .valuation import is_prime, ord_factorial, prime_factors
 
 DEFAULT_SEGMENT = 1 << 20
-# ap_prime_gaps sieves at most this far past its limit before giving up.
-MAX_GAP_SLACK = 1 << 24
+# prime_flags refuses a longer sieve; ap-gaps at this limit peaks at about
+# 710 MiB of RSS.
+MAX_SIEVE_LIMIT = 5 * 10 ** 8
 
 
 def prime_flags(limit: int) -> np.ndarray:
     """Boolean array of length limit+1; entry m is True iff m is prime."""
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(
+            f"sieve limit {limit:,} is above the cap {MAX_SIEVE_LIMIT:,}")
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -51,64 +55,37 @@ def prime_count(x) -> int:
 
 
 class SpfTable:
-    """Smallest-prime-factor table over [0, limit], built by a segmented
-    sieve.  Segments write disjoint slices, so they can run on a thread
-    pool; the result is identical either way."""
+    """Smallest-prime-factor table over [0, limit]."""
 
-    def __init__(self, limit: int, segment: int = DEFAULT_SEGMENT, jobs: int = 1):
+    def __init__(self, limit: int):
         if limit < 1:
             raise ValueError(f"limit must be positive, got {limit}")
         self.limit = limit
         dtype = np.int32 if limit < 2 ** 31 else np.int64
         spf = np.zeros(limit + 1, dtype=dtype)
-        base = primes_up_to(math.isqrt(limit))
-        bounds = list(range(2, limit + 1, segment)) + [limit + 1]
-        ranges = list(zip(bounds, bounds[1:]))
-
-        def fill(lo, hi):
-            sl = spf[lo:hi]
-            for p in base:
-                p = int(p)
-                if p * p >= hi:
-                    break
-                start = max(p * p, ((lo + p - 1) // p) * p)
-                view = sl[start - lo::p]
-                view[view == 0] = p
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(lambda r: fill(*r), ranges))
-        else:
-            for lo, hi in ranges:
-                fill(lo, hi)
+        for p in primes_up_to(math.isqrt(limit)).tolist():
+            view = spf[p * p::p]
+            view[view == 0] = p
         rest = np.flatnonzero(spf == 0)
         spf[rest] = rest  # untouched entries are primes (or 0, 1)
         self.spf = spf
 
 
 _shared_spf: SpfTable | None = None
-_shared_prime_flags: np.ndarray | None = None
 
 
-def shared_table(limit: int, jobs: int = 1) -> SpfTable:
+def shared_table(limit: int) -> SpfTable:
     """Process-wide smallest-prime-factor table, grown on demand."""
     global _shared_spf
     if _shared_spf is None or _shared_spf.limit < limit:
-        _shared_spf = SpfTable(limit, jobs=jobs)
+        _shared_spf = SpfTable(limit)
     return _shared_spf
 
 
-def _shared_flags(limit: int) -> np.ndarray:
-    global _shared_prime_flags
-    if _shared_prime_flags is None or len(_shared_prime_flags) <= limit:
-        _shared_prime_flags = prime_flags(limit)
-    return _shared_prime_flags
-
-
-def gpf_array(limit: int, jobs: int = 1) -> np.ndarray:
+def gpf_array(limit: int) -> np.ndarray:
     """Greatest prime factor of every m in [0, limit]; entries 0, 1 map to
     0, 1.  Peels smallest factors off the whole range at once."""
-    table = shared_table(limit, jobs=jobs)
+    table = shared_table(limit)
     spf = table.spf[:limit + 1]
     cur = np.arange(limit + 1, dtype=spf.dtype)
     out = np.ones(limit + 1, dtype=spf.dtype)
@@ -215,6 +192,7 @@ def _smooth_sweep(limit: int, halo: int, bound: int, select, jobs: int = 1) -> l
 
     starts = range(0, limit + 1, DEFAULT_SEGMENT)
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(block, starts))
     else:
@@ -275,9 +253,9 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
                   gap_bound: int) -> SieveReport:
     """Consecutive primes within each residue class; reports the largest
     gap and every consecutive pair (p, q) with p <= limit and q - p >
-    gap_bound.  The successor q may exceed limit; the sieve is extended
-    until every class's last prime below the limit has one, doubling the
-    extension up to MAX_GAP_SLACK past the limit (ValueError beyond)."""
+    gap_bound.  Sieves to the limit once; the successor of each class's
+    last prime up to the limit lies above it and is found by stepping
+    through the class with a primality test (Dirichlet: it exists)."""
     t0 = _now_ms()
     residues = tuple(residues)
     if modulus < 1:
@@ -288,34 +266,20 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
                 f"residue {l} outside 0..{modulus - 1} for modulus {modulus}")
         if math.gcd(l, modulus) != 1:
             raise ValueError(f"residue {l} not coprime to modulus {modulus}")
-    slack = max(4 * gap_bound, 1000)
-    while True:
-        flags = _shared_flags(limit + slack)
-        primes = np.flatnonzero(flags[:limit + slack + 1])
-        ok = True
-        per_class = {}
-        for l in residues:
-            sel = primes[primes % modulus == l]
-            if sel.size < 2 or sel[-1] <= limit:
-                ok = False
-                break
-            per_class[l] = sel
-        if ok:
-            break
-        if slack >= MAX_GAP_SLACK:
-            raise ValueError(
-                f"residue class {l} mod {modulus} has no two primes reaching "
-                f"past {limit} below {limit + slack}")
-        slack = min(2 * slack, MAX_GAP_SLACK)
+    primes = np.flatnonzero(prime_flags(limit))
     exceptions = []
     max_gap = 0
     for l in residues:
-        sel = per_class[l]
+        sel = primes[primes % modulus == l]
+        if not sel.size:
+            continue  # no prime up to the limit in this class
+        succ = int(sel[-1]) + modulus
+        while not is_prime(succ):
+            succ += modulus
+        sel = np.append(sel, succ)
         gaps = np.diff(sel)
-        first_ok = sel[:-1] <= limit
-        if first_ok.any():
-            max_gap = max(max_gap, int(gaps[first_ok].max()))
-        for j in np.flatnonzero(first_ok & (gaps > gap_bound)):
+        max_gap = max(max_gap, int(gaps.max()))
+        for j in np.flatnonzero(gaps > gap_bound):
             exceptions.append((int(sel[j]), int(sel[j + 1])))
     exceptions.sort()
     return SieveReport(
@@ -333,8 +297,7 @@ def residue_prime_count(x, modulus: int, l: int) -> int:
     xf = math.floor(x)
     if xf < 2:
         return 0
-    flags = _shared_flags(xf)
-    primes = np.flatnonzero(flags[:xf + 1])
+    primes = np.flatnonzero(prime_flags(xf))
     return int((primes % modulus == l).sum())
 
 
@@ -371,17 +334,6 @@ def progression_prime_set_mismatches(k_lo: int, k_hi: int) -> list[tuple[int, in
     return out
 
 
-def _nth_prime(l: int) -> int:
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
-    limit = 16
-    while True:
-        ps = primes_up_to(limit)
-        if len(ps) >= l:
-            return int(ps[l - 1])
-        limit *= 2
-
-
 def smoothness_bound_exact(k: int, l: int, printed_inner_pi: bool = False) -> tuple[int, int]:
     """Exact integer core (N, T) of the smooth-range bound N**(1/T):
     N = (k-1)! times a correction p**L0(p) for each of the first l primes,
@@ -397,9 +349,13 @@ def smoothness_bound_exact(k: int, l: int, printed_inner_pi: bool = False) -> tu
     if T <= 0:
         raise ValueError(f"exponent k+1-pi(4k+3) = {T} must be positive")
     inner = (k + 1 - prime_count(4 * k)) if printed_inner_pi else T
+    if l < 1:
+        raise ValueError(f"need l >= 1, got {l}")
+    # the l-th prime is below l (ln l + ln ln l) for l >= 6 (Rosser)
+    top = 11 if l < 6 else int(l * (math.log(l) + math.log(math.log(l))))
     fac = math.factorial(k - 1)
     denom = 1
-    for p in primes_up_to(_nth_prime(l)):
+    for p in primes_up_to(top)[:l]:
         p = int(p)
         if p == 2:
             denom <<= ord_factorial(2, k - 1)

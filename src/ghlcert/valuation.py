@@ -53,14 +53,22 @@ class _InfiniteValuation:
 
 INFINITY = _InfiniteValuation()
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the least strong pseudoprime to all 13 bases above (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers all 64-bit inputs
-    and far beyond (valid below 3.3e24)."""
+    """Miller-Rabin to the 13 prime bases 2..41, which is deterministic below
+    PRIMALITY_LIMIT = psi_13; ValueError for m >= PRIMALITY_LIMIT, since
+    psi_13 itself passes every base.  (The 12 bases 2..37 alone accept the
+    composite psi_12 = 318,665,857,834,031,151,167,461.)"""
     if m < 2:
         return False
+    if m >= PRIMALITY_LIMIT:
+        raise ValueError(
+            f"cannot decide whether {m} is prime: at or above {PRIMALITY_LIMIT}")
     for p in _SMALL_PRIMES:
         if m % p == 0:
             return m == p

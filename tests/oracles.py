@@ -234,3 +234,21 @@ def p_exponent(p: int, m: int) -> int:
         m //= p
         v += 1
     return v
+
+
+def ap_prime_gap_pairs(modulus: int, residues, limit: int) -> list:
+    """Every pair (p, q) of consecutive primes of one residue class with
+    p <= limit, walking each class upward and testing every member by
+    trial division."""
+    def prime(m):
+        return m >= 2 and all(m % f for f in range(2, math.isqrt(m) + 1))
+
+    pairs = []
+    for l in residues:
+        members = itertools.count(l, modulus)
+        p = next(m for m in members if prime(m))
+        while p <= limit:
+            q = next(m for m in members if prime(m))
+            pairs.append((p, q))
+            p = q
+    return pairs

@@ -284,6 +284,34 @@ def test_sieve_loads_numpy_when_it_runs(capsys):
     assert json.loads(done.stdout) == in_process
 
 
+def test_importing_sieve_leaves_thread_pools_unloaded():
+    # only gpf-bound --jobs > 1 starts a thread pool, and it imports one then
+    done = _python("import ghlcert.sieve; "
+                   "assert 'concurrent.futures' not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("limit, message", [
+    ("100000000000", "above the cap"),
+    ("-1", "limit must be nonnegative"),
+])
+def test_sieve_ap_gaps_rejects_bad_limit(capsys, limit, message):
+    assert main(["sieve", "ap-gaps", "--modulus", "4", "--residues", "1,3",
+                 "--limit", limit, "--gap-bound", "270"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_polygon_refuses_twelve_base_pseudoprime(capsys):
+    # psi_12 passes Miller-Rabin to the bases 2..37 but not to 41
+    assert main(["polygon", "--q", "1/3", "--n", "5", "--prime",
+                 "318665857834031151167461"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not prime" in captured.err
+
+
 def test_certify_batch(capsys):
     code, blobs = run(capsys, "certify", "--q", "1/3", "--batch-n", "2:4",
                       "--delta", "3", "--jobs", "2")

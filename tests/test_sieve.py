@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ghlcert.sieve import (
     verify_gpf_bound,
 )
 from ghlcert.valuation import factorize, gpf, prime_factors
+from oracles import ap_prime_gap_pairs
 
 
 def brute_factorize(m):
@@ -44,13 +46,11 @@ def test_prime_basics():
 
 
 def test_spf_table(rng):
-    table = SpfTable(10_000, segment=1024)
+    table = SpfTable(10_000)
     for _ in range(200):
         m = rng.randint(2, 10_000)
         brute = brute_factorize(m)
         assert table.spf[m] == min(brute)
-    assert np.array_equal(SpfTable(5000, segment=999, jobs=2).spf,
-                          table.spf[:5001])
 
 
 def test_factorize_and_gpf(rng):
@@ -69,7 +69,6 @@ def test_gpf_array(rng):
     for _ in range(150):
         m = rng.randint(1, 3000)
         assert g[m] == gpf(m)
-    assert list(gpf_array(50, jobs=2)) == list(gpf_array(50))
 
 
 def test_range_filter():
@@ -147,11 +146,60 @@ def test_ap_prime_gaps_rejects_bad_classes(modulus, residues):
         ap_prime_gaps(modulus, residues, 100, 10)
 
 
-def test_ap_prime_gaps_extension_is_capped(monkeypatch):
-    # no prime is 1 mod 10007 below 4010, so the extension hits the cap
-    monkeypatch.setattr(sieve, "MAX_GAP_SLACK", 4000)
-    with pytest.raises(ValueError, match="no two primes"):
-        ap_prime_gaps(10007, (1,), 10, 0)
+def test_ap_prime_gaps_finds_far_successors():
+    # each class's only prime up to 7 is its residue; the next prime in the
+    # class lies up to 26 steps of 10,000,019 above the limit
+    report = ap_prime_gaps(10000019, (2, 3, 5, 7), 7, 0)
+    assert report.exceptions == sorted(ap_prime_gap_pairs(
+        10000019, (2, 3, 5, 7), 7))
+    assert report.exceptions[-1] == (7, 260000501)
+    assert report.extremal == 260000494
+
+
+def _check_ap_prime_gaps(modulus, residues, limit, gap_bound):
+    pairs = ap_prime_gap_pairs(modulus, residues, limit)
+    report = ap_prime_gaps(modulus, residues, limit, gap_bound)
+    assert report.exceptions == sorted(
+        (p, q) for p, q in pairs if q - p > gap_bound)
+    assert report.extremal == max((q - p for p, q in pairs), default=0)
+
+
+@pytest.mark.parametrize("modulus, residues, limit, gap_bound", [
+    (1, (0,), 0, 0), (1, (0,), 1, 0), (1, (0,), 2, 0), (1, (0,), 3, 1),
+    (2, (1,), 2, 0), (3, (1, 2), 3, 2), (4, (1, 3), 3, 1),
+    (10007, (1,), 10, 0),         # no prime in the class up to the limit
+    (100, (3, 7), 50, 10),        # exactly one prime in each class
+    (12, (1, 5, 7, 11), 13, 0),
+])
+def test_ap_prime_gaps_edge_cases_match_trial_division(
+        modulus, residues, limit, gap_bound):
+    _check_ap_prime_gaps(modulus, residues, limit, gap_bound)
+
+
+def test_ap_prime_gaps_match_trial_division(rng):
+    for _ in range(40):
+        modulus = rng.choice([rng.randint(1, 12), rng.randint(13, 10007)])
+        residues = sorted({l for l in (rng.randrange(modulus)
+                                       for _ in range(4))
+                           if math.gcd(l, modulus) == 1} or {1 % modulus})
+        _check_ap_prime_gaps(modulus, residues, rng.randint(0, 5000),
+                             rng.randint(0, 3 * modulus))
+
+
+def test_sieve_above_the_cap_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the cap"):
+            ap_prime_gaps(4, (1, 3), sieve.MAX_SIEVE_LIMIT + 1, 270)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    with pytest.raises(ValueError, match="above the cap"):
+        residue_prime_count(sieve.MAX_SIEVE_LIMIT + 1, 3, 1)
+    with pytest.raises(ValueError, match="above the cap"):
+        smoothness_bound_exact(401, sieve.MAX_SIEVE_LIMIT)
+
 
 
 def test_residue_prime_count():

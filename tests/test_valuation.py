@@ -6,6 +6,7 @@ from ghlcert.polynomials import GhlParams, SeedCoefficients, build_substituted
 from ghlcert.sieve import primes_up_to
 from ghlcert.valuation import (
     INFINITY,
+    PRIMALITY_LIMIT,
     coefficient_valuations,
     digit_sum,
     is_prime,
@@ -115,3 +116,22 @@ def test_is_prime_large_values():
     assert not is_prime(3215031751)         # strong pseudoprime to 2,3,5,7
     assert not is_prime(2 ** 61 + 1)
     assert is_prime(1_000_000_007)
+
+
+def test_is_prime_rejects_twelve_base_pseudoprime():
+    psi12 = 318_665_857_834_031_151_167_461
+    assert psi12 == 399_165_290_221 * 798_330_580_441
+    assert not is_prime(psi12)
+    assert not is_prime(PRIMALITY_LIMIT - 1)  # the largest decided input
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(PRIMALITY_LIMIT)             # psi_13 passes all 13 bases
+
+
+def test_is_prime_agrees_with_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    for digits in range(2, 25):
+        for _ in range(40):
+            m = rng.randint(10 ** (digits - 1), 10 ** digits)
+            assert is_prime(m) == sympy.isprime(m), m
+    for m in (2 ** 61 - 1, 2 ** 64 - 59, 2 ** 79 - 67, 10 ** 24 - 9):
+        assert is_prime(m) == sympy.isprime(m), m
