@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import resource
 import sys
@@ -30,6 +31,13 @@ _ENV_SIEVE_LIMIT = "GHLCERT_SIEVE_LIMIT"
 # (certify --q 1/3 --n 20000 peaks at 433 MiB), so a huge n would not stop.
 MAX_DEGREE = 25_000          # delta * n of one instance; --hermite's degree
 MAX_BATCH_DEGREE = 250_000   # delta * n summed over a --batch-n range
+
+
+def decimal_digits(n: int) -> int:
+    """Decimal digits of n >= 1, without the quadratic str(n): 2**(b-1) <=
+    n < 2**b puts floor(b*log10(2)) at the count or one below it."""
+    digits = int(n.bit_length() * math.log10(2))
+    return digits + (n >= 10 ** digits)
 
 
 def _emit(obj) -> None:
@@ -254,10 +262,9 @@ def _cmd_sieve(args) -> int:
             raise InvalidParameters("--l is required for smoothness")
         n_exact, t = sieve_mod.smoothness_bound_exact(
             args.k, args.l, printed_inner_pi=bool(args.printed_inner_pi))
-        bound = sieve_mod.smoothness_bound(
-            args.k, args.l, printed_inner_pi=bool(args.printed_inner_pi))
-        _emit({"query": "smoothness", "k": args.k, "l": args.l,
-               "T": t, "bound": bound, "N_digits": len(str(n_exact))})
+        _emit({"query": "smoothness", "k": args.k, "l": args.l, "T": t,
+               "bound": sieve_mod.smoothness_root(n_exact, t),
+               "N_digits": decimal_digits(n_exact)})
         return 0
     if query == "rset-mismatch":
         if args.k_range:

@@ -6,7 +6,7 @@ one fixed-size block at a time and so needs memory for one block only.  It
 answers greatest-prime-factor questions over arithmetic progressions,
 smooth-pair enumerations, prime gaps in residue classes (sieved to the
 limit, with each class's successor above it found by a primality test), and
-the closed-form bound evaluations, all in exact integer arithmetic (floats
+the closed-form counts and bounds, all in exact integer arithmetic (floats
 only at the final root/log step where a real number is the answer).  The
 smallest-prime-factor table and the full greatest-prime-factor array are
 the reference the tests check the smoothness sieve against.
@@ -19,12 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .valuation import is_prime, ord_factorial, prime_factors
+# unused here, but the layer trace (perfbench) times sieve.prime_factors
+from .valuation import is_prime, ord_factorial, prime_factors  # noqa: F401
 
 DEFAULT_SEGMENT = 1 << 20
 # prime_flags refuses a longer sieve; ap-gaps at this limit peaks at about
 # 710 MiB of RSS.
 MAX_SIEVE_LIMIT = 5 * 10 ** 8
+# caps on smoothness --k ((k-1)! has 2.5M digits at the cap) and on
+# gpf-bound --k (one sieved window per term); at each cap the slowest query
+# measured takes 1-3 s on a 2-vCPU host (README, size caps)
+MAX_SMOOTHNESS_K = 500_000
+MAX_GPF_TERMS = 10_000
 
 
 def prime_flags(limit: int) -> np.ndarray:
@@ -44,14 +50,6 @@ def prime_flags(limit: int) -> np.ndarray:
 
 def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(prime_flags(limit)).astype(np.int64)
-
-
-def prime_count(x) -> int:
-    """Number of primes <= x."""
-    x = math.floor(x)
-    if x < 2:
-        return 0
-    return int(prime_flags(x).sum())
 
 
 class SpfTable:
@@ -206,6 +204,11 @@ def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
     for name, value in (("d", d), ("k", k), ("limit", n_limit)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if k > MAX_GPF_TERMS:
+        raise ValueError(f"k {k:,} is above the cap {MAX_GPF_TERMS:,}")
+    top = n_limit + d * (k - 1)
+    if top >= 1 << 63:
+        raise ValueError(f"limit + d*(k-1) = {top:,} does not fit int64")
     t0 = _now_ms()
 
     def select(lo, size, window):
@@ -292,46 +295,34 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
     )
 
 
-def residue_prime_count(x, modulus: int, l: int) -> int:
-    """Number of primes <= x congruent to l modulo modulus."""
-    xf = math.floor(x)
-    if xf < 2:
-        return 0
-    primes = np.flatnonzero(prime_flags(xf))
-    return int((primes % modulus == l).sum())
-
-
-def progression_prime_set(k: int) -> set[int]:
-    """Primes dividing (alpha+3)(alpha+6)...(alpha+3k), with alpha = 1 for
-    even k and alpha = 2 for odd k."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    alpha = 1 if k % 2 == 0 else 2
-    out: set[int] = set()
-    for i in range(1, k + 1):
-        out.update(prime_factors(alpha + 3 * i))
-    return out
-
-
-def progression_prime_set_size_printed(k: int) -> int:
-    """The closed-form count claimed for the progression prime set, using
-    counts of primes in residue classes mod 3."""
-    if k % 2 == 0:
-        return (residue_prime_count(3 * k + 1, 3, 1)
-                + residue_prime_count((3 * k + 1) / 2, 3, 1) - 1)
-    return (residue_prime_count(3 * k + 2, 3, 2)
-            + residue_prime_count((3 * k + 2) / 2, 3, 2) - 1)
-
-
 def progression_prime_set_mismatches(k_lo: int, k_hi: int) -> list[tuple[int, int, int]]:
-    """(k, direct size, closed-form size) wherever the two disagree."""
+    """(k, direct size, closed-form size) for each k in [k_lo, k_hi] where
+    the two disagree.  With alpha = 1 for even k and 2 for odd k, the
+    direct size counts the primes dividing (alpha+3)(alpha+6)...(alpha+3k),
+    the closed form is pi(3k+alpha) + pi((3k+alpha)//2) - 1 over primes
+    congruent to alpha mod 3.  One sieve to 3*k_hi + 2 gives both: 3
+    divides no term, and a prime p != 3 divides one exactly when the least
+    i >= 1 with alpha + 3i = 0 mod p, i0(p), is at most k, so each size is
+    a binary search (among the sorted i0, or the primes of the class)."""
+    if k_lo < 2:
+        raise ValueError(f"k must be at least 2, got {k_lo}")
+    primes = np.flatnonzero(prime_flags(3 * k_hi + 2))
+    # int32 holds 2p + 1 for every p up to MAX_SIEVE_LIMIT
+    primes = primes[primes != 3].astype(np.int32)
+    # 3 * inv3 is p + 1 or 2p + 1, so inv3 is the inverse of 3 mod p
+    inv3 = np.where(primes % 3 == 2, primes + 1, 2 * primes + 1) // 3
+    ks = np.arange(k_lo, k_hi + 1)
     out = []
-    for k in range(k_lo, k_hi + 1):
-        direct = len(progression_prime_set(k))
-        printed = progression_prime_set_size_printed(k)
-        if direct != printed:
-            out.append((k, direct, printed))
-    return out
+    for alpha in (1, 2):
+        k = ks[ks % 2 == alpha - 1]
+        first = np.sort(primes - alpha * inv3 % primes)  # i0(p), in 1..p
+        cls, top = primes[primes % 3 == alpha], 3 * k + alpha
+        direct = np.searchsorted(first, k, "right")
+        printed = (np.searchsorted(cls, top, "right")
+                   + np.searchsorted(cls, top // 2, "right") - 1)
+        bad = direct != printed
+        out += zip(*(a[bad].tolist() for a in (k, direct, printed)))
+    return sorted(out)
 
 
 def smoothness_bound_exact(k: int, l: int, printed_inner_pi: bool = False) -> tuple[int, int]:
@@ -344,37 +335,44 @@ def smoothness_bound_exact(k: int, l: int, printed_inner_pi: bool = False) -> tu
     floor((k-1)/p**u) for u = 1..h).  The inner T in that product is
     pi(4k+3)-based by default; printed_inner_pi switches it to the
     pi(4k)-based variant.
+
+    One sieve to max(4k+3, a bound on the l-th prime) gives pi(4k+3),
+    pi(4k) and the first l primes.  k above MAX_SMOOTHNESS_K is refused.
     """
-    T = k + 1 - prime_count(4 * k + 3)
-    if T <= 0:
-        raise ValueError(f"exponent k+1-pi(4k+3) = {T} must be positive")
-    inner = (k + 1 - prime_count(4 * k)) if printed_inner_pi else T
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
+    if k > MAX_SMOOTHNESS_K:
+        raise ValueError(f"k {k:,} is above the cap {MAX_SMOOTHNESS_K:,}")
     # the l-th prime is below l (ln l + ln ln l) for l >= 6 (Rosser)
     top = 11 if l < 6 else int(l * (math.log(l) + math.log(math.log(l))))
-    fac = math.factorial(k - 1)
+    flags = prime_flags(max(4 * k + 3, top))
+    T = k + 1 - int(np.count_nonzero(flags[:max(0, 4 * k + 4)]))
+    if T <= 0:
+        raise ValueError(f"exponent k+1-pi(4k+3) = {T} must be positive")
+    inner = (k + 1 - int(np.count_nonzero(flags[:4 * k + 1]))
+             if printed_inner_pi else T)
+    if l < 1:
+        raise ValueError(f"need l >= 1, got {l}")
     denom = 1
-    for p in primes_up_to(top)[:l]:
-        p = int(p)
-        if p == 2:
-            denom <<= ord_factorial(2, k - 1)
-            continue
-        if k - 1 <= T:
-            continue  # no exponent h satisfies floor((k-1)/p^h) > T
+    # the first l primes but 2 (T > 0 puts k above 2); a prime >= k does
+    # not divide (k-1)! and changes nothing
+    for p in np.flatnonzero(flags[:k])[1:l].tolist():
         h = 0
         while (k - 1) // p ** (h + 1) > T:
             h += 1
         x = h * inner - sum((k - 1) // p ** u for u in range(1, h + 1))
         if x < 0:
             denom *= p ** (-x)
-    n_exact, rem = divmod(fac, denom)
+    odd_part = math.factorial(k - 1) >> ord_factorial(2, k - 1)
+    n_exact, rem = divmod(odd_part, denom)
     if rem:
         raise AssertionError("correction exponents exceeded factorial content")
     return n_exact, T
 
 
+def smoothness_root(n_exact: int, T: int) -> float:
+    """N**(1/T) as a float, for the exact core (N, T)."""
+    return math.exp(math.log(n_exact) / T) if n_exact > 1 else float(n_exact)
+
+
 def smoothness_bound(k: int, l: int, printed_inner_pi: bool = False) -> float:
     """Real value of the smooth-range bound N**(1/T)."""
-    n_exact, T = smoothness_bound_exact(k, l, printed_inner_pi)
-    return math.exp(math.log(n_exact) / T) if n_exact > 1 else float(n_exact)
+    return smoothness_root(*smoothness_bound_exact(k, l, printed_inner_pi))

@@ -252,3 +252,34 @@ def ap_prime_gap_pairs(modulus: int, residues, limit: int) -> list:
             pairs.append((p, q))
             p = q
     return pairs
+
+
+def progression_prime_set(k: int) -> set[int]:
+    """Primes dividing (alpha+3)(alpha+6)...(alpha+3k), with alpha = 1 for
+    even k and alpha = 2 for odd k, each term factorised by trial
+    division."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    alpha = 1 if k % 2 == 0 else 2
+    out: set[int] = set()
+    for i in range(1, k + 1):
+        out |= distinct_prime_factors(alpha + 3 * i)
+    return out
+
+
+def progression_prime_set_sizes(k_hi: int) -> dict:
+    """k -> (direct size, closed-form size) for k = 2..k_hi.  The direct
+    size is that of progression_prime_set(k); the closed form
+    pi(3k+alpha) + pi((3k+alpha)//2) - 1 counts, one by one, the primes
+    congruent to alpha mod 3 among the trial-division primes."""
+    primes = [m for m in range(2, 3 * k_hi + 3)
+              if distinct_prime_factors(m) == {m}]
+    out = {}
+    for k in range(2, k_hi + 1):
+        alpha = 1 if k % 2 == 0 else 2
+        top = 3 * k + alpha
+        cls = [p for p in primes if p % 3 == alpha]
+        closed = (sum(1 for p in cls if p <= top)
+                  + sum(1 for p in cls if p <= top // 2) - 1)
+        out[k] = (len(progression_prime_set(k)), closed)
+    return out

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from ghlcert import cli
 from ghlcert.certify import full_certify
-from ghlcert.cli import _job_count, main
+from ghlcert.cli import _job_count, decimal_digits, main
 from ghlcert.jsontext import unlimited_int_digits
 from ghlcert.polynomials import GhlParams, SeedCoefficients, build_substituted
 from ghlcert.sieve import smoothness_bound_exact
@@ -421,6 +422,67 @@ def test_sieve_rset_mismatch(capsys):
     code, blob = run(capsys, "sieve", "rset-mismatch", "--k", "2")
     assert code == 0
     assert blob["mismatches"] == [[2, 2, 0]]
+
+
+def test_decimal_digits_at_powers_of_ten():
+    assert [decimal_digits(n) for n in (1, 2, 9, 10, 11)] == [1, 1, 1, 2, 2]
+    for j in range(1, 3001):
+        p = 10 ** j
+        assert (decimal_digits(p - 1), decimal_digits(p),
+                decimal_digits(p + 1)) == (j, j + 1, j + 1), j
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sieve", "rset-mismatch", "--k", "200000000"],
+     "sieve limit 600,000,002 is above the cap 500,000,000"),
+    (["sieve", "rset-mismatch", "--k-range", "2:200000000"],
+     "sieve limit 600,000,002 is above the cap 500,000,000"),
+    (["sieve", "smoothness", "--k", "500001", "--l", "3"],
+     "k 500,001 is above the cap 500,000"),
+    (["sieve", "smoothness", "--k", "500001", "--pow2"],
+     "k 500,001 is above the cap 500,000"),
+    (["sieve", "gpf-bound", "--d", "4", "--k", "100000000", "--bound", "12",
+      "--limit", "10"], "k 100,000,000 is above the cap 10,000"),
+    (["sieve", "gpf-bound", "--d", "1000000000000000000", "--k", "20",
+      "--bound", "12", "--limit", "100"],
+     "limit + d*(k-1) = 19,000,000,000,000,000,100 does not fit int64"),
+])
+def test_sieve_queries_above_their_caps_exit_2_at_once(capsys, argv,
+                                                       message):
+    # rset --k 200000000 and gpf-bound --k 100000000 ran until killed and
+    # the int64 case ended in an internal error; each is now refused before
+    # any sieve is allocated (the rset sieve would take 600 MB)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "smoothness", "--k", "-5", "--l", "3"],
+    ["sieve", "smoothness", "--k", "-5", "--l", "40"],
+    ["sieve", "smoothness", "--k", "-5", "--pow2"]])
+def test_sieve_smoothness_rejects_negative_k(capsys, argv):
+    # 4k + 4 is a negative slice bound here: it must count no primes
+    assert main(argv) == 2
+    assert "exponent k+1-pi(4k+3) = -4 must be positive" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sieve", "smoothness", "--k", "401", "--l", "0"], "need l >= 1, got 0"),
+    (["sieve", "rset-mismatch", "--k-range", "1:5"],
+     "k must be at least 2, got 1")])
+def test_sieve_closed_form_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_sieve_ap_gaps(capsys):

@@ -12,18 +12,16 @@ from ghlcert.sieve import (
     ap_prime_gaps,
     exact_p5_pairs,
     gpf_array,
-    prime_count,
+    prime_flags,
     primes_up_to,
-    progression_prime_set,
     progression_prime_set_mismatches,
-    progression_prime_set_size_printed,
-    residue_prime_count,
     smoothness_bound,
     smoothness_bound_exact,
     verify_gpf_bound,
 )
 from ghlcert.valuation import factorize, gpf, prime_factors
-from oracles import ap_prime_gap_pairs
+from oracles import (ap_prime_gap_pairs, distinct_prime_factors,
+                     progression_prime_set, progression_prime_set_sizes)
 
 
 def brute_factorize(m):
@@ -41,8 +39,8 @@ def brute_factorize(m):
 
 def test_prime_basics():
     assert list(primes_up_to(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert prime_count(10 ** 6) == 78498
-    assert prime_count(1) == 0
+    assert np.count_nonzero(prime_flags(10 ** 6)) == 78498
+    assert not prime_flags(1).any()
 
 
 def test_spf_table(rng):
@@ -93,6 +91,20 @@ def test_verify_gpf_bound_small_range():
     json.dumps(blob)
     assert blob["params"]["filter"] == "n>8, odd"
     assert "elapsed_ms" not in blob
+
+
+def test_verify_gpf_bound_refuses_terms_past_int64():
+    # n + d(k-1) used to overflow numpy's int64 (exit 3, OverflowError)
+    for d, k, limit in ((10 ** 18, 20, 100), (2 ** 63 - 10, 2, 10)):
+        with pytest.raises(ValueError, match="does not fit int64"):
+            verify_gpf_bound(d, k, 12, limit)
+    # the largest top that fits: 10 + (2^63 - 11) = 2^63 - 1
+    assert verify_gpf_bound(2 ** 63 - 11, 2, 12, 10).exceptions == []
+
+
+def test_verify_gpf_bound_accepts_k_at_the_cap():
+    # k = 10^8 ran until killed; the cap itself is still accepted
+    assert verify_gpf_bound(4, sieve.MAX_GPF_TERMS, 12, 10).exceptions == []
 
 
 def test_verify_gpf_bound_other_shapes():
@@ -196,18 +208,16 @@ def test_sieve_above_the_cap_allocates_nothing():
         tracemalloc.stop()
     assert peak < 1 << 16
     with pytest.raises(ValueError, match="above the cap"):
-        residue_prime_count(sieve.MAX_SIEVE_LIMIT + 1, 3, 1)
+        prime_flags(sieve.MAX_SIEVE_LIMIT + 1)
     with pytest.raises(ValueError, match="above the cap"):
         smoothness_bound_exact(401, sieve.MAX_SIEVE_LIMIT)
 
 
-
 def test_residue_prime_count():
-    primes = [int(p) for p in primes_up_to(500)]
-    for modulus, l in ((3, 1), (3, 2), (4, 1), (4, 3)):
-        expect = sum(1 for p in primes if p % modulus == l)
-        assert residue_prime_count(500, modulus, l) == expect
-    assert residue_prime_count(1.5, 3, 1) == 0
+    # the closed form counts the sieve's primes in each class mod 3: they
+    # are the trial-division primes
+    assert primes_up_to(2000).tolist() == [
+        m for m in range(2001) if distinct_prime_factors(m) == {m}]
 
 
 def test_progression_prime_set():
@@ -215,16 +225,39 @@ def test_progression_prime_set():
     assert progression_prime_set(3) == {2, 5, 11}       # (2+3)(2+6)(2+9)
     with pytest.raises(ValueError):
         progression_prime_set(1)
+    with pytest.raises(ValueError, match="k must be at least 2, got 1"):
+        progression_prime_set_mismatches(1, 5)
 
 
 def test_progression_prime_set_printed_count_disagrees():
     # the closed-form count does not match the direct set size everywhere;
     # pin a couple of witnesses so the discrepancy stays visible
-    assert progression_prime_set_size_printed(2) == 0
+    assert progression_prime_set_sizes(3) == {2: (2, 0), 3: (3, 4)}
     mm = progression_prime_set_mismatches(2, 12)
     assert (2, 2, 0) in mm
     assert (3, 3, 4) in mm
     assert 5 not in [k for k, _, _ in mm]
+
+
+@pytest.fixture(scope="module")
+def rset_rows():
+    """(k, direct, closed form) for k = 2..600 where the two differ, by
+    trial division."""
+    return [(k, direct, closed) for k, (direct, closed)
+            in progression_prime_set_sizes(600).items() if direct != closed]
+
+
+def test_progression_prime_set_mismatches_match_trial_division(rset_rows):
+    assert progression_prime_set_mismatches(2, 600) == rset_rows
+
+
+@pytest.mark.parametrize("k_lo, k_hi", [
+    (2, 2), (3, 3), (5, 5), (600, 600), (2, 3), (3, 4), (4, 9), (7, 8),
+    (101, 250), (250, 401), (599, 600)])
+def test_progression_prime_set_mismatches_on_subranges(rset_rows, k_lo, k_hi):
+    # ranges that start at odd and at even k, and single-k ranges
+    assert progression_prime_set_mismatches(k_lo, k_hi) == \
+        [row for row in rset_rows if k_lo <= row[0] <= k_hi]
 
 
 def test_smoothness_bound_values():
@@ -244,7 +277,8 @@ def test_smoothness_bound_pow2_matches_first_prime():
         odd = math.factorial(k - 1)
         while odd % 2 == 0:
             odd //= 2
-        t = k + 1 - prime_count(4 * k + 3)
+        t = k + 1 - sum(1 for m in range(4 * k + 4)
+                        if distinct_prime_factors(m) == {m})
         assert smoothness_bound_exact(k, 1) == (odd, t)
         assert smoothness_bound(k, 1) == math.exp(math.log(odd) / t)
 
