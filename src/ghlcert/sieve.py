@@ -1,15 +1,19 @@
 """Exact range-verification engine for prime-factor statements.
 
-Backs every bulk query with one boolean prime sieve per query, or with a
-segmented smoothness sieve, which divides the primes up to the bound out of
-one fixed-size block at a time and so needs memory for one block only.  It
-answers greatest-prime-factor questions over arithmetic progressions,
-smooth-pair enumerations, prime gaps in residue classes (sieved to the
-limit, with each class's successor above it found by a primality test), and
-the closed-form counts and bounds, all in exact integer arithmetic (floats
-only at the final root/log step where a real number is the answer).  The
+Backs every bulk query with one boolean prime sieve per query, or, for the
+greatest-prime-factor bounds P(m) <= B, with one of two sources of smooth
+numbers.  When few B-smooth numbers can exist up to the range's top (their
+exponent vectors number at most DEFAULT_SEGMENT), they are listed outright
+and each shifted term is looked up among them.  Otherwise a segmented
+smoothness sieve divides the primes up to B out of one fixed-size block at
+a time.  Either way memory is O(DEFAULT_SEGMENT).  The engine answers
+greatest-prime-factor questions over arithmetic progressions, smooth-pair
+enumerations, prime gaps in residue classes (sieved to the limit, with each
+class's successor above it found by a primality test), and the closed-form
+counts and bounds, all in exact integer arithmetic (floats only at the
+final root/log step where a real number is the answer).  The
 smallest-prime-factor table and the full greatest-prime-factor array are
-the reference the tests check the smoothness sieve against.
+the reference the tests check both sources against.
 """
 
 from __future__ import annotations
@@ -31,15 +35,22 @@ MAX_SIEVE_LIMIT = 5 * 10 ** 8
 # measured takes 1-3 s on a 2-vCPU host (README, size caps)
 MAX_SMOOTHNESS_K = 500_000
 MAX_GPF_TERMS = 10_000
+# cap on the length of an rset-mismatch k range, whose rows are all held in
+# memory (nearly every k mismatches): 2:500001 takes about 1.3 s and 270 MiB
+MAX_RSET_RANGE = 500_000
+
+
+def _check_sieve_limit(limit: int) -> None:
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(
+            f"sieve limit {limit:,} is above the cap {MAX_SIEVE_LIMIT:,}")
 
 
 def prime_flags(limit: int) -> np.ndarray:
     """Boolean array of length limit+1; entry m is True iff m is prime."""
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    if limit > MAX_SIEVE_LIMIT:
-        raise ValueError(
-            f"sieve limit {limit:,} is above the cap {MAX_SIEVE_LIMIT:,}")
+    _check_sieve_limit(limit)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -149,8 +160,8 @@ def _now_ms() -> float:
 
 def _smooth_mask(lo: int, hi: int, bound: int, primes) -> np.ndarray:
     """Whether P(m) <= bound, for every m in [lo, hi); m = 0 reads as
-    smooth.  ``primes`` are the primes <= bound, ascending, up to at least
-    isqrt(hi-1).
+    smooth.  ``primes`` are the primes <= bound, ascending, in a numpy
+    array, up to at least isqrt(hi-1).
 
     Divides every prime p <= min(bound, isqrt(hi-1)) out of each m with
     its full multiplicity.  If bound < isqrt(hi-1), the cofactor is 1 or
@@ -158,35 +169,92 @@ def _smooth_mask(lo: int, hi: int, bound: int, primes) -> np.ndarray:
     above isqrt(hi-1).  Either way P(m) <= bound exactly when the cofactor
     is <= bound."""
     cur = np.arange(lo, hi, dtype=np.int64)
-    top = hi - 1
-    root = math.isqrt(top)
-    for p in primes:
-        if p > root:
-            break
+    top, span = hi - 1, hi - lo
+    primes = primes[:np.searchsorted(primes, math.isqrt(top), "right")]
+    split = int(np.searchsorted(primes, span, "right"))
+    for p in primes[:split].tolist():
         pe = p
         while pe <= top:
             cur[(-lo) % pe::pe] //= p
             pe *= p
+    # a prime above the span divides at most one m of the window: divide
+    # those hits out together, one power of p per round.  (m = 0 would never
+    # stop, but it is in the window only when lo = 0, and then every prime
+    # <= isqrt(hi-1) is below the span hi.)
+    big = primes[split:]
+    at = (-lo) % big
+    hit = at < span
+    big, at = big[hit], at[hit]
+    while big.size:
+        np.floor_divide.at(cur, at, big)
+        still = cur[at] % big == 0
+        big, at = big[still], at[still]
     return cur <= bound
 
 
+def _smooth_numbers(bound: int, top: int) -> np.ndarray | None:
+    """Every m in [1, top] with P(m) <= bound, ascending as int64, or None
+    when there may be more than DEFAULT_SEGMENT of them.
+
+    The gate multiplies 1 + floor(log_p top) over the primes p <= min(bound,
+    top), upward, and gives up once the product passes DEFAULT_SEGMENT: it
+    counts exponent vectors, so it bounds the number of such m.  Each
+    factor is at least 2, so at most log2(DEFAULT_SEGMENT) + 1 primes are
+    tried whatever the bound.  Below the gate the numbers are listed by
+    multiplying in one prime at a time, only entries <= top // p, so no
+    product passes top (or int64)."""
+    primes, count = [], 1
+    for p in range(2, min(bound, top) + 1):
+        if not is_prime(p):
+            continue
+        e, pe = 0, p
+        while pe <= top:
+            e, pe = e + 1, pe * p
+        count *= 1 + e
+        if count > DEFAULT_SEGMENT:
+            return None
+        primes.append(p)
+    smooth = np.ones(1 if bound >= 1 else 0, dtype=np.int64)
+    for p in primes:
+        parts, cur = [smooth], smooth
+        while (cur := cur[cur <= top // p] * p).size:
+            parts.append(cur)
+        smooth = np.concatenate(parts)
+    return np.sort(smooth)
+
+
 def _smooth_sweep(limit: int, halo: int, bound: int, select, jobs: int = 1) -> list:
-    """Walks n in [0, limit] in blocks of DEFAULT_SEGMENT and concatenates
-    ``select(lo, size, window)`` in block order, where the block holds n in
-    [lo, lo + size) and window(s)[j] says whether P(lo + s + j) <= bound,
-    for 0 <= s <= halo and j < size.  A halo up to the block size is sieved
-    with the block as one mask; a longer one, window by window, so memory
-    is O(DEFAULT_SEGMENT) per worker whatever the halo."""
-    primes = [int(p) for p in
-              primes_up_to(max(0, min(bound, math.isqrt(limit + halo))))]
+    """Feeds ``select(xs, smooth_at)`` the n in [0, limit] with P(n) <=
+    bound and returns what it returns, concatenated: xs is an ascending
+    int64 array of such n, and smooth_at(s, x), for 0 <= s <= halo and x
+    drawn from xs, says whether P(x + s) <= bound for each x.  n = 0 may
+    or may not be among them.
+
+    When _smooth_numbers lists the smooth m up to limit + halo, select runs
+    once on that list and looks the shifted terms up in it.  Otherwise the
+    range is sieved in blocks of DEFAULT_SEGMENT, and select runs once per
+    block.  A halo up to the block size is sieved with the block as one
+    mask; a longer one, window by window, so memory is O(DEFAULT_SEGMENT)
+    per worker whatever the halo."""
+    smooth = _smooth_numbers(bound, limit + halo)
+    if smooth is not None:
+        def listed(s, x):
+            y = x + s
+            return np.searchsorted(smooth, y, "right") > np.searchsorted(smooth, y)
+        return select(smooth[:np.searchsorted(smooth, limit, "right")],
+                      listed)
+
+    primes = primes_up_to(max(0, min(bound, math.isqrt(limit + halo))))
 
     def block(lo):
         size = min(DEFAULT_SEGMENT, limit + 1 - lo)
         if halo <= DEFAULT_SEGMENT:
             mask = _smooth_mask(lo, lo + size + halo, bound, primes)
-            return select(lo, size, lambda s: mask[s:s + size])
-        return select(lo, size, lambda s: _smooth_mask(
-            lo + s, lo + s + size, bound, primes))
+            xs = lo + np.flatnonzero(mask[:size])
+            return select(xs, lambda s, x: mask[x - lo + s])
+        xs = lo + np.flatnonzero(_smooth_mask(lo, lo + size, bound, primes))
+        return select(xs, lambda s, x: _smooth_mask(
+            lo + s, lo + s + size, bound, primes)[x - lo])
 
     starts = range(0, limit + 1, DEFAULT_SEGMENT)
     if jobs > 1:
@@ -211,12 +279,10 @@ def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
         raise ValueError(f"limit + d*(k-1) = {top:,} does not fit int64")
     t0 = _now_ms()
 
-    def select(lo, size, window):
-        ok = window(0).copy()
+    def select(xs, smooth_at):
         for i in range(1, k):
-            ok &= window(i * d)
-        values = lo + np.flatnonzero(ok)
-        return values[flt.mask(values) & (values >= 1)].tolist()
+            xs = xs[smooth_at(i * d, xs)]
+        return xs[flt.mask(xs) & (xs >= 1)].tolist()
 
     exceptions = _smooth_sweep(n_limit, d * (k - 1), bound, select, jobs)
     return SieveReport(
@@ -236,14 +302,12 @@ def exact_p5_pairs(limit: int) -> list[tuple[int, int]]:
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
 
-    def select(lo, size, window):
-        j = np.flatnonzero(window(0))
-        x = lo + j
-        base = (x > 80) & (x % 3 != 0)
+    def select(xs, smooth_at):
+        x = xs[(xs > 80) & (xs % 3 != 0)]
         out = []
         for i in range(1, 8):
             y = x + 3 * i
-            keep = base & window(3 * i)[j]
+            keep = smooth_at(3 * i, x)
             keep &= (x % 5 == 0) | (y % 5 == 0)
             keep &= (x % 2 == 0) | (y % 2 == 0)
             out.extend((i, v) for v in x[keep].tolist())
@@ -303,9 +367,14 @@ def progression_prime_set_mismatches(k_lo: int, k_hi: int) -> list[tuple[int, in
     congruent to alpha mod 3.  One sieve to 3*k_hi + 2 gives both: 3
     divides no term, and a prime p != 3 divides one exactly when the least
     i >= 1 with alpha + 3i = 0 mod p, i0(p), is at most k, so each size is
-    a binary search (among the sorted i0, or the primes of the class)."""
+    a binary search (among the sorted i0, or the primes of the class).
+    A range longer than MAX_RSET_RANGE is refused before the sieve."""
     if k_lo < 2:
         raise ValueError(f"k must be at least 2, got {k_lo}")
+    _check_sieve_limit(3 * k_hi + 2)  # reported first when both caps fail
+    if k_hi - k_lo + 1 > MAX_RSET_RANGE:
+        raise ValueError(f"k range of {k_hi - k_lo + 1:,} values is above "
+                         f"the cap {MAX_RSET_RANGE:,}")
     primes = np.flatnonzero(prime_flags(3 * k_hi + 2))
     # int32 holds 2p + 1 for every p up to MAX_SIEVE_LIMIT
     primes = primes[primes != 3].astype(np.int32)

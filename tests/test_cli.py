@@ -446,6 +446,8 @@ def test_decimal_digits_at_powers_of_ten():
     (["sieve", "gpf-bound", "--d", "1000000000000000000", "--k", "20",
       "--bound", "12", "--limit", "100"],
      "limit + d*(k-1) = 19,000,000,000,000,000,100 does not fit int64"),
+    (["sieve", "rset-mismatch", "--k-range", "2:500002"],
+     "k range of 500,001 values is above the cap 500,000"),
 ])
 def test_sieve_queries_above_their_caps_exit_2_at_once(capsys, argv,
                                                        message):

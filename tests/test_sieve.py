@@ -260,6 +260,23 @@ def test_progression_prime_set_mismatches_on_subranges(rset_rows, k_lo, k_hi):
         [row for row in rset_rows if k_lo <= row[0] <= k_hi]
 
 
+def test_progression_prime_set_mismatches_range_cap():
+    # every row is held in memory (2:1000000 took 517 MiB); a range of
+    # MAX_RSET_RANGE values runs, one more is refused before the sieve
+    cap = sieve.MAX_RSET_RANGE
+    rows = progression_prime_set_mismatches(10 ** 6, 10 ** 6 + cap - 1)
+    assert rows[0][0] >= 10 ** 6 and rows[-1][0] <= 10 ** 6 + cap - 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"k range of {cap + 1:,} values "
+                           f"is above the cap {cap:,}"):
+            progression_prime_set_mismatches(10 ** 6, 10 ** 6 + cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_smoothness_bound_values():
     n_exact, t = smoothness_bound_exact(401, 3)
     assert t == 149
@@ -315,7 +332,13 @@ def gpf_array_bound(d, k, bound, limit, flt):
 
 
 @pytest.fixture
-def small_segment(monkeypatch):
+def sieve_only(monkeypatch):
+    # the segmented sieve answers every query: no smooth numbers are listed
+    monkeypatch.setattr(sieve, "_smooth_numbers", lambda bound, top: None)
+
+
+@pytest.fixture
+def small_segment(monkeypatch, sieve_only):
     # an odd block size, so that halos and prime powers cross block edges
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 97)
 
@@ -337,7 +360,8 @@ def test_segmented_gpf_bound_matches_brute_force(rng, small_segment):
 
 
 @pytest.mark.parametrize("segment", [97, 128, 243, 729, 1024, 1025])
-def test_segmented_sieve_divides_out_prime_powers(monkeypatch, segment):
+def test_segmented_sieve_divides_out_prime_powers(monkeypatch, sieve_only,
+                                                  segment):
     # 2^10 and 3^6 start or end a block for some of these sizes
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
     assert verify_gpf_bound(1, 1, 2, 2000).exceptions == \
@@ -395,13 +419,15 @@ def test_segmented_pairs_match_brute_force(small_segment):
     (4, 2, 8, RangeFilter(min_exclusive=8, odd_only=True)),        # AC-03
     (3, 2, 6, RangeFilter(min_exclusive=6, not_divisible_by=3)),   # AC-04
 ])
-def test_segmented_gpf_bound_matches_gpf_array(monkeypatch, d, k, bound, flt):
+def test_segmented_gpf_bound_matches_gpf_array(monkeypatch, sieve_only,
+                                               d, k, bound, flt):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 9973)
     assert verify_gpf_bound(d, k, bound, 10 ** 5, flt).exceptions == \
         gpf_array_bound(d, k, bound, 10 ** 5, flt)
 
 
-def test_segmented_p5_pairs_matches_gpf_array(monkeypatch):      # AC-05
+def test_segmented_p5_pairs_matches_gpf_array(monkeypatch,       # AC-05
+                                              sieve_only):
     monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 9973)
     limit = 10 ** 5
     g = gpf_array(limit + 21)
@@ -437,3 +463,194 @@ def test_long_halo_is_sieved_window_by_window(monkeypatch, small_segment,
                   if max(gpf(n + d * i) for i in range(k)) <= bound]
         assert verify_gpf_bound(d, k, bound, 500).exceptions == expect
     assert max(spans) <= 2 * 97
+
+
+def test_short_windows_divide_out_primes_above_the_span():
+    # primes above the window's length hit at most one number each; those
+    # hits are divided out together, so a number with two or three such
+    # factors (101*103*107) or a square of one (1009^2) must lose them all
+    centres = (101 * 103 * 107, 1009 ** 2, 1009 * 1013, 997 * 991, 10 ** 6)
+    for centre in centres:
+        for span in (1, 2, 5, 11):
+            for lo in (centre - span + 1, centre - 1, centre):
+                hi = lo + span
+                for bound in (5, 107, 1009, 1013, 2000):
+                    primes = primes_up_to(max(0, min(bound, math.isqrt(hi - 1))))
+                    got = sieve._smooth_mask(lo, hi, bound, primes).tolist()
+                    assert got == [max(brute_factorize(m)) <= bound
+                                   for m in range(lo, hi)], (lo, hi, bound)
+
+
+def test_large_bound_on_a_short_window(sieve_only):
+    # d = 10^12 puts the second window at 10^12 with ~78,000 primes to try
+    # there, nearly all above its 41-number length, so their hits come from
+    # the residue test rather than the strided loop
+    sympy = pytest.importorskip("sympy")
+    d, bound = 10 ** 12, 10 ** 6
+    expect = [n for n in range(1, 41)
+              if max(sympy.factorint(n * (n + d)), default=1) <= bound]
+    assert verify_gpf_bound(d, 2, bound, 40).exceptions == expect
+    assert len(expect) == 12   # 4, 9, 10, 11, ..., 37
+
+
+# --- listing the smooth numbers ----------------------------------------------
+
+def count_smooth(top, primes):
+    """Number of m in [1, top] whose prime factors all lie in ``primes``,
+    by recursion on the exponent of the first prime."""
+    if not primes:
+        return 1 if top >= 1 else 0
+    total, pe = 0, 1
+    while pe <= top:
+        total += count_smooth(top // pe, primes[1:])
+        pe *= primes[0]
+    return total
+
+
+def is_smooth(m, bound):
+    """Whether m >= 1 has no prime factor above bound, by dividing out
+    every integer from 2 to bound."""
+    for q in range(2, bound + 1):
+        while m % q == 0:
+            m //= q
+    return m == 1 and bound >= 1
+
+
+def exponent_vectors(bound, top, cap):
+    """The gate's product, 1 + floor(log_p top) over the primes p <=
+    min(bound, top), stopped once it passes ``cap``."""
+    product = 1
+    for p in range(2, min(bound, top) + 1):
+        if distinct_prime_factors(p) == {p}:
+            product *= 1 + next(e for e in range(64) if p ** (e + 1) > top)
+            if product > cap:
+                break
+    return product
+
+
+@pytest.fixture
+def listings(monkeypatch):
+    """Records every list of smooth numbers, checking that the gate let it
+    through only when the exponent-vector count is at most DEFAULT_SEGMENT,
+    and that the list holds at most that many numbers."""
+    seen = []
+
+    def spy(bound, top, _fn=sieve._smooth_numbers):
+        got = _fn(bound, top)
+        product = exponent_vectors(bound, top, sieve.DEFAULT_SEGMENT)
+        assert (got is not None) == (product <= sieve.DEFAULT_SEGMENT)
+        if got is not None:
+            assert got.size <= product <= sieve.DEFAULT_SEGMENT
+            # P(1) = 1, so 1 is smooth unless the bound is below 1
+            assert got.size == (bound >= 1) * count_smooth(top, [
+                p for p in range(2, min(bound, top) + 1)
+                if distinct_prime_factors(p) == {p}])
+            assert np.all(np.diff(got) > 0)
+        seen.append(got)
+        return got
+    monkeypatch.setattr(sieve, "_smooth_numbers", spy)
+    return seen
+
+
+def test_smooth_numbers_are_the_smooth_numbers():
+    for bound in range(-1, 60):
+        for top in (1, 2, 3, 8, 9, 97, 1000, 2099):
+            got = sieve._smooth_numbers(bound, top)
+            if got is not None:
+                assert got.tolist() == [m for m in range(1, top + 1)
+                                        if _GPF[m] <= bound], (bound, top)
+
+
+def test_smooth_numbers_gate_is_exact(monkeypatch):
+    # 3-smooth numbers up to 1000 have (1 + 9)(1 + 6) = 70 exponent
+    # vectors: a block of 70 lists them, a block of 69 does not
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 70)
+    assert sieve._smooth_numbers(3, 1000).size == count_smooth(1000, [2, 3])
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 69)
+    assert sieve._smooth_numbers(3, 1000) is None
+
+
+def test_smooth_numbers_near_int64_max_do_not_wrap():
+    # every product stays <= top; a wrapped one would be negative or small
+    top = 2 ** 63 - 1
+    got = sieve._smooth_numbers(5, top).tolist()
+    expect = sorted(2 ** a * 3 ** b * 5 ** c
+                    for a in range(63) for b in range(40) for c in range(28)
+                    if 2 ** a * 3 ** b * 5 ** c <= top)
+    assert got == expect
+    assert sieve._smooth_numbers(7, top) is None   # 63*40*28*23 > 2^20
+
+
+def _both_paths(monkeypatch, listings, run):
+    """run() on the listing path (default segment) and on the sieve path
+    (segment 97, listing off); both answers, which must agree."""
+    listed = run()
+    assert listings and listings[-1] is not None
+    with monkeypatch.context() as m:
+        m.setattr(sieve, "DEFAULT_SEGMENT", 97)
+        m.setattr(sieve, "_smooth_numbers", lambda bound, top: None)
+        sieved = run()
+    assert listed == sieved
+    return listed
+
+
+def test_listing_and_sieve_match_brute_force(rng, monkeypatch, listings):
+    for _ in range(60):
+        d, k = rng.randint(1, 6), rng.randint(1, 4)
+        limit = rng.randint(1, 2100 - d * (k - 1) - 1)
+        bound = rng.randint(0, 16)
+        flt = RangeFilter(min_exclusive=rng.randint(0, 20),
+                          odd_only=rng.random() < 0.5,
+                          not_divisible_by=rng.choice([None, 3, 5]))
+        got = _both_paths(monkeypatch, listings, lambda: verify_gpf_bound(
+            d, k, bound, limit, flt).exceptions)
+        assert got == brute_gpf_bound(d, k, bound, limit, flt), \
+            (d, k, bound, limit, flt)
+        assert got == gpf_array_bound(d, k, bound, limit, flt)
+
+
+@pytest.mark.parametrize("d, k, bound, limit, flt", [
+    (4, 1, 0, 500, RangeFilter()),            # bound 0: nothing is smooth
+    (4, 1, 1, 500, RangeFilter()),            # bound 1: only 1
+    (4, 2, 1, 500, RangeFilter()),
+    (1, 1, 2, 1024, RangeFilter()),           # 2^10 = top
+    (4, 2, 3, 725, RangeFilter()),            # 3^6 = top
+    (5, 3, 7, 333, RangeFilter()),            # 7^3 = top
+    (1, 1, 13, 1, RangeFilter()),             # bound >= top
+    (2, 2, 50, 40, RangeFilter(min_exclusive=3)),
+    (4, 2, 12, 2000, RangeFilter(min_exclusive=8, odd_only=True)),
+    (3, 2, 6, 2000, RangeFilter(min_exclusive=6, not_divisible_by=3)),
+])
+def test_listing_edge_cases(monkeypatch, listings, d, k, bound, limit, flt):
+    got = _both_paths(monkeypatch, listings, lambda: verify_gpf_bound(
+        d, k, bound, limit, flt).exceptions)
+    assert got == brute_gpf_bound(d, k, bound, limit, flt)
+
+
+def test_listing_at_the_int64_top(monkeypatch, listings):
+    # n + d runs up to 2^63 - 1 (and 1 + 3^39 - 1 is 3-smooth); a listing
+    # or a lookup that overflowed int64 would wrap
+    for d in (2 ** 63 - 11, 3 ** 39 - 1):
+        for bound in (3, 5):
+            got = _both_paths(monkeypatch, listings, lambda: verify_gpf_bound(
+                d, 2, bound, 10).exceptions)
+            assert got == [n for n in range(1, 11)
+                           if is_smooth(n * (n + d), bound)]
+    assert got[0] == 1
+
+
+def test_listing_answers_p5_pairs(monkeypatch, listings):
+    brute = sorted(
+        (i, x) for x in range(81, 2001) if x % 3
+        for i in range(1, 8)
+        if x * (x + 3 * i) % 2 == 0 and max(_GPF[x], _GPF[x + 3 * i]) == 5)
+    assert _both_paths(monkeypatch, listings,
+                       lambda: exact_p5_pairs(2000)) == brute
+
+
+def test_large_bounds_fall_back_to_the_sieve(listings):
+    # the 25 primes up to 100 have more exponent vectors below 3000 than
+    # one block holds, so the query is sieved and nothing is listed
+    assert verify_gpf_bound(1, 1, 100, 3000).exceptions == [
+        m for m in range(1, 3001) if is_smooth(m, 100)]
+    assert listings == [None]
