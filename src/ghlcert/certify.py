@@ -308,6 +308,37 @@ def _runs(degrees):
     return out
 
 
+def _witness_entry_template(pad: str) -> str:
+    """%-template of one WITNESS_PRIME entry of a certificate written with
+    pad, filled with (k, window low, window high, run low, run high,
+    prime): the entry json_text's generic path writes for such a record."""
+    i2 = pad.replace("%", "%%") + "    "
+    i3, i4, i5 = i2 + "  ", i2 + "    ", i2 + "      "
+    return ("{" + i3 + '"evidence": {' + i4 + '"k": %d,' + i4
+            + '"window": [' + i5 + "%d," + i5 + "%d" + i4 + "]" + i3 + "},"
+            + i3 + '"k_range": [' + i4 + "%d," + i4 + "%d" + i3 + "],"
+            + i3 + '"method": ' + encode_str(Method.WITNESS_PRIME.value)
+            + "," + i3 + '"prime": %d' + i2 + "}")
+
+
+def _witness_numbers(rec: ExclusionRecord):
+    """(k, window low, window high) of a WITNESS_PRIME record whose
+    evidence is exactly {"k": int, "window": [int, int]}, else None.  Each
+    member is tested for type int itself: %d writes True as 1 where JSON
+    writes true."""
+    ev = rec.evidence
+    if (rec.method is not Method.WITNESS_PRIME or type(ev) is not dict
+            or ev.keys() != {"k", "window"}):
+        return None
+    k, window = ev["k"], ev["window"]
+    if type(k) is not int or type(window) is not list or len(window) != 2:
+        return None
+    lo, hi = window
+    if type(lo) is not int or type(hi) is not int:
+        return None
+    return k, lo, hi
+
+
 @dataclass(frozen=True)
 class Certificate:
     params: GhlParams
@@ -352,17 +383,27 @@ class Certificate:
     def json_text(self, pad: str = "\n") -> str:
         """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) with
         every newline written as pad (a newline and the indentation the
-        certificate sits at), built straight from the records.  Each
-        record's evidence, method and prime are encoded once; each run of
-        its degrees then fills the fixed entry layout (evidence, k_range,
-        method, prime: sorted-key order)."""
+        certificate sits at), built straight from the records.  A witness
+        record of the usual shape (_witness_numbers) fills one %-template
+        per run of its degrees.  Any other record has its evidence, method
+        and prime encoded once; each run of its degrees then fills the
+        fixed entry layout (evidence, k_range, method, prime: sorted-key
+        order)."""
         i1 = pad + "  "
         i2 = i1 + "  "
         i3 = i2 + "  "
         i4 = i3 + "  "
         mid = "," + i4
+        witness = _witness_entry_template(pad)
         entries = []
         for rec in self.records:
+            numbers = _witness_numbers(rec)
+            if numbers is not None:
+                k, w_lo, w_hi = numbers
+                for lo, hi in _runs(rec.degrees):
+                    entries.append(
+                        (lo, witness % (k, w_lo, w_hi, lo, hi, rec.prime)))
+                continue
             head = ("{" + i3 + '"evidence": ' + encode(rec.evidence, i3)
                     + "," + i3 + '"k_range": [' + i4)
             tail = (i3 + "]," + i3 + '"method": '

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .newton import (NewtonPolygon, admissible_degrees, polygon_from_params,
                      viable_margin, widest_window)
 from .polynomials import GhlParams, IntegerPolynomial, SeedCoefficients
-from .valuation import INFINITY, is_prime, prime_factors
+from .valuation import INFINITY, is_prime, prime_factors, term_table
 
 
 class Method(str, enum.Enum):
@@ -91,8 +91,9 @@ def witness_primes(params: GhlParams, seed: SeedCoefficients):
     only gains primes, the low block only gains primes, the threshold only
     rises, the endpoints are fixed), so a prime that fails once fails for
     every larger k.  The candidates sit in a max-heap; a failing top is
-    popped for good and never pushed again.  Each linear factor is
-    factorised once."""
+    popped for good and never pushed again.  The linear factors'
+    factorisations come from the family's TermTable, so each is
+    factorised once per process, whatever n."""
     if params.u not in (-1, 0):
         raise ValueError(f"witness search needs u in {{-1, 0}}, got {params.u}")
     n, d = params.n, params.d
@@ -100,12 +101,13 @@ def witness_primes(params: GhlParams, seed: SeedCoefficients):
     heap: list[int] = []          # negated primes of the top block
     seen: set[int] = set()
     low: set[int] = set()
+    factors = term_table(d, params.u, params.alpha).factors(n)
     for k in range(1, n // 2 + 1):
-        for p in prime_factors(params.term(n - k + 1)):
+        for p in factors[n - k + 1]:
             if p not in seen:
                 seen.add(p)
                 heapq.heappush(heap, -p)
-        low.update(prime_factors(params.term(k)))
+        low.update(factors[k])
         threshold = max(d + 1, min(2 * k, d * (d - 1)))
         while heap:
             p = -heap[0]
@@ -134,9 +136,10 @@ _SMALL_PRIMES = tuple(p for p in range(SMALL_PRIME_LIMIT + 1) if is_prime(p))
 def candidate_primes(params: GhlParams) -> list[int]:
     """Primes worth building polygons at: the primes up to
     SMALL_PRIME_LIMIT plus every divisor of the top linear factor and of n."""
+    n = params.n
     out = set(_SMALL_PRIMES)
-    out.update(prime_factors(params.top_term))
-    out.update(prime_factors(params.n))
+    out.update(term_table(params.d, params.u, params.alpha).factors(n)[n])
+    out.update(prime_factors(n))
     return sorted(out)
 
 
@@ -193,7 +196,7 @@ class PolygonCache:
 def witness_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Witness-prime exclusions for k = 1..n//2, each covering the degree
     window [delta*k-delta+1, delta*k].  The primes come from one pass of
-    witness_primes, so each linear factor is factorised once."""
+    witness_primes."""
     delta = cache.params.delta
     for k, p in witness_primes(cache.params, cache.seed):
         if p is None:

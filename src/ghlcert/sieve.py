@@ -235,7 +235,10 @@ def _smooth_sweep(limit: int, halo: int, bound: int, select, jobs: int = 1) -> l
     range is sieved in blocks of DEFAULT_SEGMENT, and select runs once per
     block.  A halo up to the block size is sieved with the block as one
     mask; a longer one, window by window, so memory is O(DEFAULT_SEGMENT)
-    per worker whatever the halo."""
+    per worker whatever the halo.  The blocks take about 1 s per 10^8 on a
+    2-vCPU host, so a limit above MAX_SIEVE_LIMIT is refused before any of
+    them is sieved; the listing has no such cap, since its cost follows
+    the count of smooth numbers, not the limit."""
     smooth = _smooth_numbers(bound, limit + halo)
     if smooth is not None:
         def listed(s, x):
@@ -243,6 +246,11 @@ def _smooth_sweep(limit: int, halo: int, bound: int, select, jobs: int = 1) -> l
             return np.searchsorted(smooth, y, "right") > np.searchsorted(smooth, y)
         return select(smooth[:np.searchsorted(smooth, limit, "right")],
                       listed)
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(
+            f"limit {limit:,} is above the cap {MAX_SIEVE_LIMIT:,} of the "
+            f"segmented sieve: the {bound}-smooth numbers up to it may be "
+            f"too many to list")
 
     primes = primes_up_to(max(0, min(bound, math.isqrt(limit + halo))))
 

@@ -5,10 +5,14 @@ trial-division factorisation of single integers, base-p digit sums, the
 digit-sum form of the factorial valuation, and valuations of the factored
 coefficient products of the generalized polynomials.  Valuations of huge
 coefficients are always computed from the factored form (sums over the small
-linear factors), never by dividing the assembled big integer.
+linear factors), never by dividing the assembled big integer.  The linear
+factors' arithmetic belongs to their family (d, u, alpha), not to one
+degree n, so it sits in a per-family TermTable that every n shares.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .polynomials import GhlParams, IntegerPolynomial, SeedCoefficients
 
@@ -167,27 +171,75 @@ def ord_factorial(p: int, m: int) -> int:
     return (m - digit_sum(p, m)) // (p - 1)
 
 
+class TermTable:
+    """The linear factors term(i) = alpha + (u+i)*d, i >= 1, of one family
+    (d, u, alpha), whose arithmetic every degree n of the family shares:
+    the factorisation of each term, and per prime p the prefix sums
+    S_p[i] = nu_p(term(1)) + ... + nu_p(term(i)), S_p[0] = 0.  Both grow
+    on demand to the largest n asked for.  A term is never 0 (d does not
+    divide alpha) but is negative for u <= -2; factorize takes |term|.
+
+    The prefix sums take nu_p of each term directly rather than reading
+    the factorisations: the polygon command accepts any d, and factorising
+    the terms of a large d by trial division would not finish."""
+
+    def __init__(self, d: int, u: int, alpha: int):
+        self._family = GhlParams(d=d, u=u, alpha=alpha, n=1)
+        self._factors: list[dict] = [{}]
+        self._sums: dict[int, list[int]] = {}
+
+    def factors(self, n: int) -> list[dict]:
+        """Entry i, for 1 <= i <= n, is the factorisation {prime: exponent}
+        of term(i); entry 0 is empty.  Shared by every caller: read only."""
+        factors, term = self._factors, self._family.term
+        for i in range(len(factors), n + 1):
+            factors.append(factorize(term(i)))
+        return factors
+
+    def valuation_sums(self, p: int, n: int) -> list[int]:
+        """S_p[0..n], for a prime p the caller has checked.  Shared by every
+        caller: read only."""
+        sums = self._sums.setdefault(p, [0])
+        acc, term = sums[-1], self._family.term
+        for i in range(len(sums), n + 1):
+            acc += _nu(p, term(i))
+            sums.append(acc)
+        return sums
+
+
+# The process keeps the tables of this many families, the most recently
+# used: the paper's shifts q in {+-1/3, +-2/3, +-1/4, +-3/4} are eight.
+# Through the CLI, cli.MAX_DEGREE caps each table at 25,000 terms.
+TERM_TABLES = 8
+
+
+@functools.lru_cache(maxsize=TERM_TABLES)
+def term_table(d: int, u: int, alpha: int) -> TermTable:
+    """The process's TermTable of the family (d, u, alpha)."""
+    return TermTable(d, u, alpha)
+
+
 def coefficient_valuations(p: int, params: GhlParams, seed: SeedCoefficients) -> list:
     """Ordinates of the Newton-polygon point set of the seeded polynomial
     after the x -> x^delta substitution, indexed from the leading side:
     entry x is the valuation of the coefficient of x^(delta*n - x).
 
     Computed factored: the coefficient at seed index j is
-    seed[j] * prod(term(i) for i in j+1..n), so its valuation is a suffix
-    sum of small valuations plus the seed valuation.  Entries at indices
-    that are not multiples of delta are INFINITY (zero coefficients).
+    seed[j] * prod(term(i) for i in j+1..n), so its valuation is the seed
+    valuation plus S_p[n] - S_p[j], read from the family's TermTable.
+    Entries at indices that are not multiples of delta are INFINITY (zero
+    coefficients).
     """
     if len(seed) != params.n + 1:
         raise ValueError(
             f"seed length {len(seed)} does not match degree n={params.n}")
     _require_prime(p)
     n, delta = params.n, params.delta
-    tail = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        tail[j] = tail[j + 1] + _nu(p, params.term(j + 1))
+    sums = term_table(params.d, params.u, params.alpha).valuation_sums(p, n)
+    top = sums[n]
     ordinates = [INFINITY] * (delta * n + 1)
     for j in range(n + 1):
-        ordinates[delta * (n - j)] = _nu(p, seed[j]) + tail[j]
+        ordinates[delta * (n - j)] = _nu(p, seed[j]) + (top - sums[j])
     return ordinates
 
 

@@ -94,11 +94,22 @@ def test_json_text_edge_shapes():
         evidence={"float": 0.5, "inf": float("inf"),
                   "tuple": (1, [2, "x"]), "int_keys": {3: "a", 1: [None, True]},
                   "text": "é\n\"\\", "empty": [], "none": {}})
+    witness = cert.records[0]
+    assert witness.method is Method.WITNESS_PRIME
+    # witness evidence off the {"k": int, "window": [int, int]} template:
+    # %d would write True as 1 where JSON writes true
+    generic = [dataclasses.replace(witness, evidence=evidence) for evidence in (
+        {"k": True, "window": [4, 6]}, {"k": 2, "window": [4, False]},
+        {"k": 2, "window": [4, 6], "extra": 0}, {"k": 2, "window": (4, 6)},
+        {"k": 2, "window": [4, 6, 7]}, {"k": 2.0, "window": [4, 6]},
+        {"k": 2}, {"k": [2], "window": [4, 6]},
+        {"k": 2, "window": {4: 0, 6: 0}})]
     shapes = [
         dataclasses.replace(cert, records=(), residual=tuple(range(1, 15))),
         dataclasses.replace(cert, records=(odd,) + cert.records[1:],
                             notes=("a: line\nbreak", "b: € \U0001f600")),
-    ]
+    ] + [dataclasses.replace(cert, records=(rec,) + cert.records[1:])
+         for rec in generic]
     for shape in shapes:
         assert_text_matches(shape, pads=("\n", "\n  ", "\n" + " " * 7))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -29,7 +30,7 @@ from ghlcert.polynomials import (
     SeedCoefficients,
     build_substituted,
 )
-from ghlcert.valuation import ord_factorial
+from ghlcert.valuation import TERM_TABLES, ord_factorial, term_table
 
 from oracles import (factor_of_degree, irreducible_over_z,
                      three_adic_check_loop)
@@ -428,6 +429,35 @@ def test_batch_certify_matches_serial():
     assert [cert.params.n for cert in serial] == list(range(2, 7))
     assert ([cert.json_text() for cert in serial]
             == [cert.json_text() for cert in parallel])
+
+
+def test_batch_certify_does_not_depend_on_table_order():
+    # the families' term tables persist across instances: every order of
+    # a batch must give each n the certificate a cold table gives it
+    families = [(3, 0, 1), (3, -1, 2), (4, 0, 3), (4, -1, 1)]
+    ns = range(2, 31)
+    fresh = {}
+    for d, u, alpha in families:
+        for n in ns:
+            term_table.cache_clear()
+            fresh[d, u, alpha, n] = certify_instance(d, u, alpha, n, d)
+    orders = {"ascending": [(f, n) for f in families for n in ns],
+              "descending": [(f, n) for f in families for n in reversed(ns)],
+              "interleaved": [(f, n) for n in ns for f in families]}
+    for name, order in orders.items():
+        term_table.cache_clear()
+        certs = batch_certify([(*f, n, f[0], "laguerre") for f, n in order])
+        assert certs == [fresh[(*f, n)] for f, n in order], name
+
+
+def test_term_tables_stay_bounded():
+    term_table.cache_clear()
+    families = [(d, u, alpha) for d in (3, 4, 5) for u in (-1, 0)
+                for alpha in range(1, d) if math.gcd(alpha, d) == 1]
+    assert len(families) > TERM_TABLES
+    for d, u, alpha in families:
+        certify_instance(d, u, alpha, 6, d)
+    assert term_table.cache_info().currsize == TERM_TABLES
 
 
 def test_exclusions_are_sound_for_small_degrees():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from ghlcert import cli
 from ghlcert.certify import full_certify
 from ghlcert.cli import _job_count, decimal_digits, main
 from ghlcert.jsontext import unlimited_int_digits
+from ghlcert.newton import build_polygon
 from ghlcert.polynomials import GhlParams, SeedCoefficients, build_substituted
 from ghlcert.sieve import smoothness_bound_exact
 
@@ -171,6 +173,21 @@ def test_polygon_json(capsys):
     assert blob["vertices"] == [[0, 0], [96, 33], [120, 42], [129, 46]]
     assert blob["min_slope"] == "11/32" and blob["max_slope"] == "4/9"
     assert len(blob["admissible_degrees"]) == 32
+
+
+def test_polygon_of_a_large_step_does_not_factorise_its_terms(capsys):
+    # terms near 2 * 10^17: trial division of even one would not finish
+    d = 10 ** 15 + 37
+    t0 = time.perf_counter()
+    code, blob = run(capsys, "polygon", "--d", str(d), "--u", "0",
+                     "--alpha", "1", "--n", "200", "--prime", "2")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    params = GhlParams(d=d, u=0, alpha=1, n=200)
+    poly = build_polygon(
+        build_substituted(params, SeedCoefficients.laguerre(200)), 2)
+    assert blob["vertices"] == [[x, poly.ordinates[x]]
+                                for x in poly.vertex_xs()]
 
 
 def test_polygon_tsv_stdout(capsys):
@@ -448,18 +465,25 @@ def test_decimal_digits_at_powers_of_ten():
      "limit + d*(k-1) = 19,000,000,000,000,000,100 does not fit int64"),
     (["sieve", "rset-mismatch", "--k-range", "2:500002"],
      "k range of 500,001 values is above the cap 500,000"),
+    (["sieve", "gpf-bound", "--d", "4", "--k", "2", "--bound", "100",
+      "--limit", str(10 ** 12)],
+     "limit 1,000,000,000,000 is above the cap 500,000,000 of the "
+     "segmented sieve"),
 ])
 def test_sieve_queries_above_their_caps_exit_2_at_once(capsys, argv,
                                                        message):
-    # rset --k 200000000 and gpf-bound --k 100000000 ran until killed and
-    # the int64 case ended in an internal error; each is now refused before
-    # any sieve is allocated (the rset sieve would take 600 MB)
+    # rset --k 200000000 and gpf-bound --k 100000000 ran until killed, the
+    # int64 case ended in an internal error, and gpf-bound --bound 100
+    # --limit 10^12 sieved for hours; each is now refused before any sieve
+    # is allocated (the rset sieve would take 600 MB)
     tracemalloc.start()
+    t0 = time.perf_counter()
     try:
         code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

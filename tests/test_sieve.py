@@ -60,6 +60,9 @@ def test_factorize_and_gpf(rng):
         assert gpf(m) == max(brute)
     assert gpf(1) == 1
     assert factorize(1) == {}
+    # the benchmark's layer trace counts calls through the sieve's name
+    assert sieve.prime_factors is prime_factors
+    assert type(prime_factors(-360)) is list and prime_factors(1) == []
 
 
 def test_gpf_array(rng):
@@ -400,6 +403,20 @@ def test_segmented_gpf_bound_threads_match_serial(rng, small_segment):
         one = verify_gpf_bound(d, k, bound, 2000, flt, jobs=1)
         two = verify_gpf_bound(d, k, bound, 2000, flt, jobs=2)
         assert two.exceptions == one.exceptions
+
+
+def test_segmented_sieve_refuses_limits_above_the_sieve_cap(monkeypatch):
+    # the blocks run at about 1 s per 10^8, so --limit 10^12 ran for hours;
+    # the listing path, whose cost follows the smooth count, stays uncapped
+    monkeypatch.setattr(sieve, "MAX_SIEVE_LIMIT", 1000)
+    listed = verify_gpf_bound(4, 2, 12, 2000).exceptions
+    assert listed == brute_gpf_bound(4, 2, 12, 2000)
+    monkeypatch.setattr(sieve, "_smooth_numbers", lambda bound, top: None)
+    assert verify_gpf_bound(4, 2, 12, 1000).exceptions == \
+        [m for m in listed if m <= 1000]
+    with pytest.raises(ValueError, match="above the cap 1,000 of the "
+                                         "segmented sieve"):
+        verify_gpf_bound(4, 2, 12, 1001)
 
 
 def test_segmented_pairs_match_brute_force(small_segment):

@@ -13,6 +13,7 @@ from ghlcert.valuation import (
     nu,
     ord_factorial,
     ordinates_from_polynomial,
+    term_table,
 )
 
 from oracles import legendre_direct
@@ -93,6 +94,38 @@ def test_coefficient_valuations_match_polynomial(rng):
         direct = ordinates_from_polynomial(p, build_substituted(params, seed))
         assert len(analytic) == delta * n + 1
         assert analytic == direct
+
+
+def test_coefficient_valuations_do_not_depend_on_table_order(rng):
+    # each family's term table is first grown past every n checked, and
+    # other families' tables are built in between; u = -2 gives negative
+    # terms, and zero seed entries give INFINITY ordinates
+    families = [(d, u, alpha) for d in (2, 3, 4, 5) for u in (-2, -1, 0)
+                for alpha in range(1, d) if math.gcd(alpha, d) == 1]
+    primes = SMALL_PRIMES[:8]
+    term_table.cache_clear()
+    for d, u, alpha in families:
+        table = term_table(d, u, alpha)
+        table.factors(30)
+        warm = GhlParams(d=d, u=u, alpha=alpha, n=30)
+        for p in primes:
+            coefficient_valuations(p, warm, SeedCoefficients.ones(30))
+        for other in rng.sample(families, 3):
+            n = rng.randint(1, 40)
+            coefficient_valuations(rng.choice(primes), GhlParams(*other, n=n),
+                                   SeedCoefficients.ones(n))
+        assert term_table(d, u, alpha) is table
+        for n in (12, 1, 7, 3, 12):
+            values = [rng.choice([0, 0, 1, -2, 3, 12, 45])
+                      for _ in range(n - 1)]
+            for seed in (SeedCoefficients.ones(n), SeedCoefficients.laguerre(n),
+                         SeedCoefficients((6, *values, -9))):
+                for delta in (1, d):
+                    params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=delta)
+                    poly = build_substituted(params, seed)
+                    for p in primes:
+                        assert coefficient_valuations(p, params, seed) == \
+                            ordinates_from_polynomial(p, poly), (params, p)
 
 
 def test_ordinates_are_leading_first():
