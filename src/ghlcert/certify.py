@@ -12,6 +12,7 @@ exceptional family, or simply was not closed.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
                        degree_set_stage, delta_stage, margin_stage,
                        window_stage, witness_stage)
 from .jsontext import encode, encode_int, encode_str
-from .newton import admissible_degrees, polygon_from_params, viable_margin, widest_window
+from .newton import viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
 from .valuation import nu, ord_factorial, prime_factors
 
@@ -235,7 +236,8 @@ def laguerre_np_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
     that avoids the top factor and the three lowest linear factors, check
     the vertex spacing, and exclude every degree outside the
     lattice-admissible set.  With delta == d that polygon is the instance's
-    own and comes from the run's cache; with delta == 1 it is built here.
+    own and comes from the run's cache; with delta == 1 it comes from a
+    PolygonCache of the lifted instance.
 
     The claim is stated in the degrees of the instance itself: when
     delta == 1 a degree-k factor of the base polynomial would lift to a
@@ -260,13 +262,10 @@ def laguerre_np_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
             f"no prime divisor of n={n} avoids the top factor "
             f"{params.top_term} and the low factors {abs(low)}")
     p = max(candidates)
-    if params.delta == d:
-        poly = cache.polygon(p, "self")
-        admissible = cache.admissible(p, "self")
-    else:
-        lift = GhlParams(d=d, u=params.u, alpha=params.alpha, n=n, delta=d)
-        poly = polygon_from_params(p, lift, cache.seed)
-        admissible = admissible_degrees(poly)
+    lift = cache if params.delta == d else PolygonCache(
+        dataclasses.replace(params, delta=d), cache.seed)
+    poly = lift.polygon(p, "self")
+    admissible = lift.admissible(p, "self")
     if any(x % d for x in poly.vertex_xs()):
         raise CertificationInternalError(
             f"vertex abscissa not a multiple of d: {poly.vertex_xs()}")

@@ -25,12 +25,15 @@ from .newton import (admissible_degrees, build_polygon, polygon_from_params,
 from .polynomials import (GhlParams, InvalidParameters, SeedCoefficients,
                           build_substituted, hermite_polynomial,
                           read_coefficients, write_coefficients)
+from .valuation import PRIMALITY_LIMIT
 
 _ENV_SIEVE_LIMIT = "GHLCERT_SIEVE_LIMIT"
 # Larger input is refused before anything is built: memory grows as n^2
 # (certify --q 1/3 --n 20000 peaks at 433 MiB), so a huge n would not stop.
 MAX_DEGREE = 25_000          # delta * n of one instance; --hermite's degree
 MAX_BATCH_DEGREE = 250_000   # delta * n summed over a --batch-n range
+# certify factorises every linear factor, and is_prime decides only below
+# valuation.PRIMALITY_LIMIT: a top linear factor at or above it is refused
 
 
 def decimal_digits(n: int) -> int:
@@ -183,12 +186,16 @@ def _cmd_certify(args) -> int:
         _refuse_above(MAX_BATCH_DEGREE,
                       base.delta * (lo + hi) * (hi - lo + 1) // 2,
                       "--batch-n summed degree")
+        _refuse_above(PRIMALITY_LIMIT - 1, base.term(hi),
+                      "--batch-n top linear factor")
         kind = args.seed or "laguerre"
         tasks = [(base.d, base.u, base.alpha, n, base.delta, kind)
                  for n in range(lo, hi + 1)]
         certs = certify_mod.batch_certify(tasks, jobs=jobs)
     else:
         params = _params_from_args(args)
+        _refuse_above(PRIMALITY_LIMIT - 1, params.top_term,
+                      "top linear factor")
         seed = _seed_from_args(args, params.n)
         certs = [certify_mod.full_certify(params, seed)]
     _write_certificates(certs, batch=bool(args.batch_n))

@@ -26,9 +26,9 @@ import heapq
 from dataclasses import dataclass
 
 from .newton import (NewtonPolygon, admissible_degrees, polygon_from_params,
-                     viable_margin, widest_window)
+                     subset_sums, viable_margin, widest_window)
 from .polynomials import GhlParams, IntegerPolynomial, SeedCoefficients
-from .valuation import INFINITY, is_prime, prime_factors, term_table
+from .valuation import is_prime, prime_factors, term_table
 
 
 class Method(str, enum.Enum):
@@ -235,9 +235,8 @@ def window_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
         for carrier, poly in cache.carriers(p):
             if poly.ordinates[m] == 0:
                 continue  # p must divide the constant term
-            l_min = max((x for x in range(1, m)
-                         if poly.ordinates[x] is not INFINITY
-                         and poly.ordinates[x] == 0), default=0)
+            l_min = max((x for x in range(1, m) if poly.ordinates[x] == 0),
+                        default=0)
             k_max = widest_window(poly, l_min)
             if k_max is None or k_max <= l_min:
                 continue
@@ -292,6 +291,6 @@ def degree_set_stage(poly: IntegerPolynomial, ledger: DegreeLedger,
             continue
         counts = gfp.factor_degree_counts(f, p)
         ledger.claim(
-            Method.DEGREE_SET, ledger.remaining - gfp.subset_sums(counts), p,
-            {"prime": p, "factor_degrees": {
+            Method.DEGREE_SET, ledger.remaining - subset_sums(counts.items()),
+            p, {"prime": p, "factor_degrees": {
                 str(i): c for i, c in sorted(counts.items())}})

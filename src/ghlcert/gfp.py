@@ -138,11 +138,3 @@ def factor_degree_counts(f: np.ndarray, p: int) -> dict[int, int]:
     return {i: degree(g) // i
             for i, g in distinct_degree_factors(monic(f, p), p)}
 
-
-def subset_sums(counts: dict[int, int]) -> frozenset:
-    """Every sum of a sub-multiset of the degrees (with multiplicity)."""
-    sums = 1
-    for i, c in counts.items():
-        for _ in range(c):
-            sums |= sums << i
-    return frozenset(k for k in range(sums.bit_length()) if sums >> k & 1)

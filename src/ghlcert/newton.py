@@ -100,10 +100,10 @@ def polygon_from_ordinates(p: int, ordinates) -> NewtonPolygon:
     degree = len(ordinates) - 1
     if degree < 1:
         raise PreconditionError("polygon needs degree at least 1")
-    if ordinates[0] is INFINITY or ordinates[-1] is INFINITY:
+    if ordinates[0] == INFINITY or ordinates[-1] == INFINITY:
         raise PreconditionError(
             "leading and constant coefficients must be nonzero")
-    finite = [(x, y) for x, y in enumerate(ordinates) if y is not INFINITY]
+    finite = [(x, y) for x, y in enumerate(ordinates) if y < INFINITY]
     hull = _lower_hull(finite)
     vertices = tuple(hull)
     edges = tuple(
@@ -142,19 +142,23 @@ def newton_function(polygon: NewtonPolygon, x) -> Fraction:
     raise AssertionError("unreachable: x within range but no edge found")
 
 
-def admissible_degrees(polygon: NewtonPolygon) -> frozenset:
-    """Degrees a hypothetical factor could have, per the lattice-segment
-    subset-sum rule: subset sums of minimal lattice-segment widths, via a
-    bitset.  Always contains 0 and the full degree and is closed under
-    k -> degree - k."""
+def subset_sums(parts) -> frozenset:
+    """Every sum of a sub-multiset of the sizes given as (size, count)
+    pairs, via a bitset.  Always contains 0 and the full sum and is closed
+    under k -> full sum - k."""
     bits = 1
-    for e in polygon.edges:
-        segments = e.lattice_length
-        step = e.width // segments
-        for _ in range(segments):
-            bits |= bits << step
+    for size, count in parts:
+        for _ in range(count):
+            bits |= bits << size
     low_first = bin(bits)[:1:-1]  # bin() writes "0b" and then high bits first
     return frozenset(k for k, bit in enumerate(low_first) if bit == "1")
+
+
+def admissible_degrees(polygon: NewtonPolygon) -> frozenset:
+    """Degrees a hypothetical factor could have, per the lattice-segment
+    subset-sum rule: subset sums of minimal lattice-segment widths."""
+    return subset_sums((e.segment_width, e.lattice_length)
+                       for e in polygon.edges)
 
 
 def viable_margin(polygon: NewtonPolygon, k: int):
@@ -178,8 +182,7 @@ def window_holds(polygon: NewtonPolygon, l: int, k: int) -> bool:
     if polygon.ordinates[0] != 0:
         return False
     for x in range(l + 1, m + 1):
-        y = polygon.ordinates[x]
-        if y is not INFINITY and y < 1:
+        if polygon.ordinates[x] < 1:
             return False
     return polygon.max_slope < Fraction(1, k)
 
@@ -201,15 +204,14 @@ def polygon_tsv(polygon: NewtonPolygon) -> str:
     vertex_xs = set(polygon.vertex_xs())
     lines = ["x\ty\tis_vertex"]
     for x, y in enumerate(polygon.ordinates):
-        ys = "inf" if y is INFINITY else str(y)
-        lines.append(f"{x}\t{ys}\t{int(x in vertex_xs)}")
+        lines.append(f"{x}\t{y}\t{int(x in vertex_xs)}")
     return "\n".join(lines) + "\n"
 
 
 def polygon_svg(polygon: NewtonPolygon, width: int = 640, height: int = 480) -> str:
     """Simple standalone SVG: finite points, hull path, slope labels."""
     finite = [(x, y) for x, y in enumerate(polygon.ordinates)
-              if y is not INFINITY]
+              if y < INFINITY]
     max_x = polygon.degree
     max_y = max(y for _, y in finite) or 1
     pad = 40

@@ -1,7 +1,7 @@
 """Exact p-adic valuations and the pure-Python integer arithmetic under them.
 
-Provides the valuation nu(p, r) with nu(p, 0) = INFINITY, primality and
-trial-division factorisation of single integers, base-p digit sums, the
+Provides the valuation nu(p, r) with nu(p, 0) = INFINITY (math.inf),
+primality and factorisation of single integers, base-p digit sums, the
 digit-sum form of the factorial valuation, and valuations of the factored
 coefficient products of the generalized polynomials.  Valuations of huge
 coefficients are always computed from the factored form (sums over the small
@@ -13,49 +13,14 @@ degree n, so it sits in a per-family TermTable that every n shares.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 
 from .polynomials import GhlParams, IntegerPolynomial, SeedCoefficients
 
 
-class _InfiniteValuation:
-    """Distinguished value for nu(p, 0); absorbing under addition and larger
-    than every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("ghlcert-infinite-valuation")
-
-
-INFINITY = _InfiniteValuation()
+# nu(p, 0): absorbing under addition and above every integer
+INFINITY = math.inf
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13: the least strong pseudoprime to all 13 bases above (Sorenson and
@@ -117,8 +82,17 @@ def _nu(p: int, r: int):
     return 2 * w + (r // (p * p) ** w % p == 0)
 
 
+# factorize trial-divides by the primes below this bound; a cofactor with
+# no smaller prime factor is tested with is_prime and split by rho
+TRIAL_DIVISION_BOUND = 1000
+
+
 def factorize(m: int) -> dict:
-    """Prime factorization of |m| >= 1 by trial division."""
+    """Prime factorization of |m| >= 1: trial division up to
+    TRIAL_DIVISION_BOUND, then is_prime and Pollard-Brent rho on the
+    cofactor and on each part rho splits off.  ValueError (from is_prime)
+    when a part left to test is at or above PRIMALITY_LIMIT, which needs
+    |m| at or above it."""
     if m == 0:
         raise ValueError("0 has no prime factorization")
     m = abs(m)
@@ -128,15 +102,49 @@ def factorize(m: int) -> dict:
             out[p] = out.get(p, 0) + 1
             m //= p
     f = 5
-    while f * f <= m:
+    while f * f <= m and f < TRIAL_DIVISION_BOUND:
         for p in (f, f + 2):
             while m % p == 0:
                 out[p] = out.get(p, 0) + 1
                 m //= p
         f += 6
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
+    rest = [m] if m > 1 else []
+    while rest:
+        m = rest.pop()
+        if f * f > m or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            g = _rho_divisor(m)
+            rest += (g, m // g)
     return out
+
+
+def _rho_divisor(m: int) -> int:
+    """A divisor 1 < g < m of the composite m: Brent's cycle search over
+    x -> x^2 + c mod m, the differences multiplied into batches of 128 per
+    gcd, for c = 1, 2, ... in turn."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = math.gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:  # the batch met every factor at once: redo it singly
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if g != m:
+            return g
 
 
 def prime_factors(m: int) -> list[int]:
@@ -180,8 +188,8 @@ class TermTable:
     divide alpha) but is negative for u <= -2; factorize takes |term|.
 
     The prefix sums take nu_p of each term directly rather than reading
-    the factorisations: the polygon command accepts any d, and factorising
-    the terms of a large d by trial division would not finish."""
+    the factorisations: the polygon command accepts any d, and factorize
+    cannot decide a term at or above PRIMALITY_LIMIT."""
 
     def __init__(self, d: int, u: int, alpha: int):
         self._family = GhlParams(d=d, u=u, alpha=alpha, n=1)

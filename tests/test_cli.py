@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from ghlcert.jsontext import unlimited_int_digits
 from ghlcert.newton import build_polygon
 from ghlcert.polynomials import GhlParams, SeedCoefficients, build_substituted
 from ghlcert.sieve import smoothness_bound_exact
+from ghlcert.valuation import PRIMALITY_LIMIT
 
 
 def run(capsys, *argv):
@@ -489,6 +491,48 @@ def test_sieve_queries_above_their_caps_exit_2_at_once(capsys, argv,
     assert captured.out == ""
     assert f"error: {message}" in captured.err
     assert peak < 1 << 20
+
+
+def test_certify_with_large_d_factorises_its_terms_fast(capsys):
+    # the linear factors near 2*10^14 took about 17 s by trial division;
+    # the digest is that of the stdout written before factorize split
+    # large cofactors with rho
+    t0 = time.perf_counter()
+    code = main(["certify", "--d", "1000000000000", "--u", "0",
+                 "--alpha", "1", "--n", "200", "--delta", "1"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "2a56c0e6c55a19b42284310e6421453ef5fc9e78db4d52438f13e140d9e537b2"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--d", str(PRIMALITY_LIMIT - 1), "--u", "0", "--alpha", "1",
+      "--n", "1"], "top linear factor is 3,317,044,064,679,887,385,961,981"),
+    (["--d", str(PRIMALITY_LIMIT // 3), "--u", "0", "--alpha", "1",
+      "--batch-n", "1:3"], "--batch-n top linear factor is 3,317,044,064,"
+     "679,887,385,961,981, above the cap 3,317,044,064,679,887,385,961,980"),
+])
+def test_certify_refuses_a_top_term_past_the_primality_limit(
+        capsys, monkeypatch, argv, message):
+    # is_prime decides nothing at or above the limit, so the terms could
+    # not be factorised: refused before a seed or a certificate is built
+    def built(*args, **kwargs):
+        raise AssertionError("built past the cap")
+    for name in ("full_certify", "batch_certify"):
+        monkeypatch.setattr(cli.certify_mod, name, built)
+    monkeypatch.setattr(cli, "_seed_from_args", built)
+    assert main(["certify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+def test_certify_accepts_the_largest_decidable_top_term(capsys):
+    code, blob = run(capsys, "certify", "--d", str(PRIMALITY_LIMIT - 2),
+                     "--u", "0", "--alpha", "1", "--n", "1")
+    assert code == 0
+    assert blob["verdict"] == "IRREDUCIBLE_CERTIFIED"
 
 
 @pytest.mark.parametrize("argv", [

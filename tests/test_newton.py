@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from ghlcert.newton import (
     polygon_from_params,
     polygon_svg,
     polygon_tsv,
+    subset_sums,
     viable_margin,
     widest_window,
     window_holds,
@@ -54,7 +56,7 @@ def test_infinite_ordinates_skipped():
     assert polygon.vertices == ((0, 0), (6, 2))
     assert polygon.min_slope == polygon.max_slope == Fraction(1, 3)
     assert polygon.ordinates[3] == 3
-    assert polygon.ordinates[1] is INFINITY
+    assert polygon.ordinates[1] == INFINITY
 
 
 def test_endpoint_preconditions():
@@ -97,6 +99,47 @@ def test_admissible_degrees_multi_edge():
     assert 0 in adm and 129 in adm
     assert 8 in adm and 9 in adm and 17 in adm
     assert 1 not in adm and 3 not in adm
+
+
+def _all_subset_sums(sizes):
+    return {sum(chosen) for r in range(len(sizes) + 1)
+            for chosen in itertools.combinations(sizes, r)}
+
+
+def test_subset_sums_match_sub_multiset_enumeration(rng):
+    # (size, count) pairs, a size may repeat across pairs and a count may
+    # be 0; the brute force lists the multiset and sums every sub-multiset
+    for _ in range(300):
+        parts = [(rng.randint(1, 12), rng.randint(0, 3))
+                 for _ in range(rng.randint(0, 5))]
+        sizes = [size for size, count in parts for _ in range(count)]
+        assert subset_sums(iter(parts)) == _all_subset_sums(sizes), parts
+
+
+def _lattice_segment_widths(polygon):
+    """Gaps between consecutive lattice points on each hull edge, found by
+    testing every abscissa of the edge for an integer height."""
+    widths = []
+    for (x0, y0), (x1, y1) in zip(polygon.vertices, polygon.vertices[1:]):
+        xs = [x for x in range(x0, x1 + 1)
+              if (x - x0) * (y1 - y0) % (x1 - x0) == 0]
+        widths += [b - a for a, b in zip(xs, xs[1:])]
+    return widths
+
+
+def test_admissible_degrees_match_brute_force_subset_sums(rng):
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        ordinates = [rng.choice([0, 0, 1, 2, 3, 5, 8, 13])
+                     for _ in range(m + 1)]
+        for x in range(1, m):
+            if rng.random() < 0.2:
+                ordinates[x] = INFINITY
+        polygon = polygon_from_ordinates(2, ordinates)
+        widths = _lattice_segment_widths(polygon)
+        assert sum(widths) == m
+        assert admissible_degrees(polygon) == _all_subset_sums(widths), \
+            ordinates
 
 
 def test_margins_on_carrier():
@@ -154,6 +197,25 @@ def test_admissible_contains_true_factor_degrees(rng):
         polygon = build_polygon(IntegerPolynomial(tuple(prod)), p)
         adm = admissible_degrees(polygon)
         assert da in adm and db in adm
+
+
+def test_zero_seed_entries_give_the_assembled_polygon():
+    # a zero seed entry's ordinate is INFINITY plus a finite tail valuation,
+    # which the hull filter must drop like the gaps of the substitution
+    seed = SeedCoefficients((6, 0, 5, 0, 0, 12, 0, -9))
+    for delta in (1, 3):
+        params = GhlParams(d=3, u=-1, alpha=2, n=7, delta=delta)
+        poly = build_substituted(params, seed)
+        for p in (2, 3, 5, 7):
+            from_params = polygon_from_params(p, params, seed)
+            assembled = build_polygon(poly, p)
+            assert from_params.ordinates[delta * 6] == INFINITY
+            assert from_params.ordinates == assembled.ordinates, (delta, p)
+            assert from_params.vertices == assembled.vertices, (delta, p)
+            # and it is the lower hull of the finite points alone
+            assert all(y < INFINITY for _, y in from_params.vertices)
+            assert all(newton_function(from_params, x) <= y
+                       for x, y in enumerate(from_params.ordinates))
 
 
 def test_renderings():

@@ -7,8 +7,10 @@ from ghlcert.sieve import primes_up_to
 from ghlcert.valuation import (
     INFINITY,
     PRIMALITY_LIMIT,
+    TRIAL_DIVISION_BOUND,
     coefficient_valuations,
     digit_sum,
+    factorize,
     is_prime,
     nu,
     ord_factorial,
@@ -16,15 +18,15 @@ from ghlcert.valuation import (
     term_table,
 )
 
-from oracles import legendre_direct
+from oracles import distinct_prime_factors, legendre_direct
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
 def test_infinity_arithmetic():
-    assert INFINITY + 5 is INFINITY
-    assert 5 + INFINITY is INFINITY
-    assert INFINITY + INFINITY is INFINITY
+    assert INFINITY + 5 == INFINITY
+    assert 5 + INFINITY == INFINITY
+    assert INFINITY + INFINITY == INFINITY
     assert INFINITY > 10 ** 18
     assert not (INFINITY < 0)
     assert INFINITY == INFINITY
@@ -41,7 +43,7 @@ def test_nu_brute_force(rng):
             m //= p
             count += 1
         assert nu(p, r) == count
-    assert nu(7, 0) is INFINITY
+    assert nu(7, 0) == INFINITY
     with pytest.raises(ValueError):
         nu(6, 10)
 
@@ -135,7 +137,7 @@ def test_ordinates_are_leading_first():
     # x^6 - 8x^3 + 4: leading-first ordinates at p=2
     ys = ordinates_from_polynomial(2, poly)
     assert ys[0] == 0 and ys[3] == 3 and ys[6] == 2
-    assert all(ys[i] is INFINITY for i in (1, 2, 4, 5))
+    assert all(ys[i] == INFINITY for i in (1, 2, 4, 5))
 
 
 def test_is_prime_agrees_with_sieve():
@@ -168,3 +170,55 @@ def test_is_prime_agrees_with_sympy(rng):
             assert is_prime(m) == sympy.isprime(m), m
     for m in (2 ** 61 - 1, 2 ** 64 - 59, 2 ** 79 - 67, 10 ** 24 - 9):
         assert is_prime(m) == sympy.isprime(m), m
+
+
+def _oracle_prime(rng, lo, hi):
+    """A random prime in [lo, hi), confirmed by trial division."""
+    p = rng.randrange(lo, hi) | 1
+    while not is_prime(p):
+        p += 2
+    assert distinct_prime_factors(p) == {p}
+    return p
+
+
+def test_factorize_splits_factors_past_trial_division(rng):
+    # every prime factor here is far above TRIAL_DIVISION_BOUND, so each is
+    # found by is_prime on a cofactor or split off by rho
+    assert TRIAL_DIVISION_BOUND < 10 ** 6
+    cases = []
+    for _ in range(3):
+        # the oracle trial-divides up to the smaller factor, ~1.1*10^6
+        p = _oracle_prime(rng, 10 ** 6, 11 * 10 ** 5)
+        cases.append(([p, _oracle_prime(rng, 10 ** 6, 10 ** 9)], True))
+    p = _oracle_prime(rng, 10 ** 6, 11 * 10 ** 5)
+    cases += [([p, p], True), ([p, p, p], True), ([2, 2, 3, 7, p, p], True)]
+    for _ in range(4):
+        # products of two or three factors of 10^6..10^9, up to 2*10^24,
+        # are past the oracle's reach; their factors are confirmed singly
+        p = _oracle_prime(rng, 10 ** 8, 10 ** 9)
+        q = _oracle_prime(rng, 10 ** 8, 10 ** 9)
+        r = _oracle_prime(rng, 10 ** 7, 10 ** 8)
+        s = _oracle_prime(rng, 10 ** 6, 2 * 10 ** 6)
+        cases += [([p, q], False), ([q, q], False), ([r, r, r], False),
+                  ([p, q, s], False)]
+    for primes, oracle_reaches in cases:
+        m = math.prod(primes)
+        assert m < PRIMALITY_LIMIT
+        expected = {p: primes.count(p) for p in primes}
+        assert factorize(m) == expected, primes
+        assert factorize(-m) == expected
+        if oracle_reaches:
+            assert distinct_prime_factors(m) == set(expected)
+
+
+def test_factorize_refuses_undecidable_cofactors():
+    # psi_13 passes every Miller-Rabin base, so its primality is not
+    # decided: factorize says so at once instead of trial-dividing
+    with pytest.raises(ValueError, match="cannot decide"):
+        factorize(PRIMALITY_LIMIT)
+    # above the limit, but every part left to test is below it
+    expected = {2: 20, 17: 1, 1709: 1, 1366183751: 1, 83570142193: 1}
+    assert math.prod(p ** e for p, e in expected.items()) == \
+        2 ** 20 * (PRIMALITY_LIMIT - 2)
+    assert factorize(2 ** 20 * (PRIMALITY_LIMIT - 2)) == expected
+    assert all(distinct_prime_factors(p) == {p} for p in expected)
