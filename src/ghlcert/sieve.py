@@ -1,17 +1,19 @@
 """Exact range-verification engine for prime-factor statements.
 
-Backs every bulk query with one boolean prime sieve per query, or, for the
-greatest-prime-factor bounds P(m) <= B, with one of two sources of smooth
-numbers.  When few B-smooth numbers can exist up to the range's top (their
-exponent vectors number at most DEFAULT_SEGMENT), they are listed outright
-and each shifted term is looked up among them.  Otherwise a segmented
-smoothness sieve divides the primes up to B out of one fixed-size block at
-a time.  Either way memory is O(DEFAULT_SEGMENT).  The engine answers
+Backs every prime query with one segmented, odd-only prime sieve,
+prime_blocks, which hands out the primes one block of DEFAULT_SEGMENT odd
+numbers at a time, and the greatest-prime-factor bounds P(m) <= B with one
+of two sources of smooth numbers.  When few B-smooth numbers can exist up
+to the range's top (their exponent vectors number at most
+DEFAULT_SEGMENT), they are listed outright and each shifted term is looked
+up among them.  Otherwise a segmented smoothness sieve divides the primes
+up to B out of one fixed-size block at a time.  Either way memory is
+O(DEFAULT_SEGMENT), plus O(sqrt(limit)) base primes.  The engine answers
 greatest-prime-factor questions over arithmetic progressions, smooth-pair
-enumerations, prime gaps in residue classes (sieved to the limit, with each
-class's successor above it found by a primality test), and the closed-form
-counts and bounds, all in exact integer arithmetic (floats only at the
-final root/log step where a real number is the answer).  The
+enumerations, prime gaps in residue classes (streamed block by block, with
+each class's successor above the limit found by a primality test), and the
+closed-form counts and bounds, all in exact integer arithmetic (floats only
+at the final root/log step where a real number is the answer).  The
 smallest-prime-factor table and the full greatest-prime-factor array are
 the reference the tests check both sources against.
 """
@@ -27,8 +29,9 @@ import numpy as np
 from .valuation import is_prime, ord_factorial, prime_factors  # noqa: F401
 
 DEFAULT_SEGMENT = 1 << 20
-# prime_flags refuses a longer sieve; ap-gaps at this limit peaks at about
-# 710 MiB of RSS.
+# prime_blocks and prime_flags refuse a longer sieve.  prime_blocks needs
+# O(DEFAULT_SEGMENT + sqrt(limit)) memory at any limit, so this caps time:
+# ap-gaps at this limit takes about 2.5 s on a 2-vCPU host, at ~36 MiB of RSS.
 MAX_SIEVE_LIMIT = 5 * 10 ** 8
 # caps on smoothness --k ((k-1)! has 2.5M digits at the cap) and on
 # gpf-bound --k (one sieved window per term); at each cap the slowest query
@@ -59,8 +62,48 @@ def prime_flags(limit: int) -> np.ndarray:
     return flags
 
 
+def prime_blocks(limit: int):
+    """The primes up to limit, ascending, as int64 arrays: [2] (when limit
+    >= 2), then the odd primes of each block of DEFAULT_SEGMENT odd
+    numbers (an array may be empty).
+
+    A block holds one byte per odd number.  Each odd base prime p <=
+    isqrt(limit), taken from prime_flags, crosses off every p-th entry
+    (odd multiples of p are 2p apart) from its first odd multiple at or
+    above both p*p and the block's bottom.  Memory is O(DEFAULT_SEGMENT +
+    isqrt(limit)); a limit above MAX_SIEVE_LIMIT is refused before
+    anything is sieved.  DEFAULT_SEGMENT is read once per call."""
+    if limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    _check_sieve_limit(limit)
+    segment = DEFAULT_SEGMENT
+    base = np.flatnonzero(prime_flags(math.isqrt(limit)))[1:]
+    if limit >= 2:
+        yield np.array([2], dtype=np.int64)
+    odd_count = (limit + 1) // 2       # the odd numbers 1, 3, ..., <= limit
+    # one flag buffer for all blocks, and the primes scaled in place: fresh
+    # block-sized temporaries left the allocator's heap larger
+    buffer = np.empty(min(segment, odd_count), dtype=bool)
+    for first in range(0, odd_count, segment):
+        size = min(segment, odd_count - first)
+        lo = 2 * first + 1             # entry i stands for lo + 2i
+        ps = base[:np.searchsorted(base, math.isqrt(lo + 2 * (size - 1)),
+                                   "right")]
+        start = np.maximum(ps * ps, (lo + ps - 1) // ps * ps)
+        start += ps * (start % 2 == 0)   # an even multiple: the next is odd
+        flags = buffer[:size]
+        flags.fill(True)
+        flags[0] = lo > 1              # 1 is not prime
+        for p, i in zip(ps.tolist(), ((start - lo) // 2).tolist()):
+            flags[i::p] = False
+        primes = np.flatnonzero(flags)
+        primes *= 2
+        primes += lo
+        yield primes
+
+
 def primes_up_to(limit: int) -> np.ndarray:
-    return np.flatnonzero(prime_flags(limit)).astype(np.int64)
+    return np.concatenate([np.zeros(0, dtype=np.int64), *prime_blocks(limit)])
 
 
 class SpfTable:
@@ -328,34 +371,52 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
                   gap_bound: int) -> SieveReport:
     """Consecutive primes within each residue class; reports the largest
     gap and every consecutive pair (p, q) with p <= limit and q - p >
-    gap_bound.  Sieves to the limit once; the successor of each class's
-    last prime up to the limit lies above it and is found by stepping
-    through the class with a primality test (Dirichlet: it exists)."""
+    gap_bound.  Streams the blocks of prime_blocks(limit), carrying each
+    class's last prime from one block to the next; the successor of each
+    class's last prime up to the limit lies above it and is found by
+    stepping through the class with a primality test (Dirichlet: it
+    exists).  A repeated residue, or a modulus past int64, is refused."""
     t0 = _now_ms()
     residues = tuple(residues)
     if modulus < 1:
         raise ValueError(f"modulus must be at least 1, got {modulus}")
+    if modulus >= 1 << 63:
+        raise ValueError(f"modulus {modulus:,} does not fit int64")
+    last = {}                          # each class's last prime so far
     for l in residues:
         if not 0 <= l < modulus:
             raise ValueError(
                 f"residue {l} outside 0..{modulus - 1} for modulus {modulus}")
         if math.gcd(l, modulus) != 1:
             raise ValueError(f"residue {l} not coprime to modulus {modulus}")
-    primes = np.flatnonzero(prime_flags(limit))
+        if l in last:
+            raise ValueError(f"residue {l} given more than once")
+        last[l] = None
     exceptions = []
     max_gap = 0
-    for l in residues:
-        sel = primes[primes % modulus == l]
-        if not sel.size:
+    for primes in prime_blocks(limit):
+        classes = primes % modulus
+        for l in residues:
+            sel = primes[classes == l]
+            if not sel.size:
+                continue
+            if last[l] is not None:
+                sel = np.concatenate(([last[l]], sel))
+            gaps = np.diff(sel)
+            if gaps.size:
+                max_gap = max(max_gap, int(gaps.max()))
+                exceptions += ((int(sel[j]), int(sel[j + 1])) for j
+                               in np.flatnonzero(gaps > gap_bound).tolist())
+            last[l] = int(sel[-1])
+    for p in last.values():
+        if p is None:
             continue  # no prime up to the limit in this class
-        succ = int(sel[-1]) + modulus
+        succ = p + modulus
         while not is_prime(succ):
             succ += modulus
-        sel = np.append(sel, succ)
-        gaps = np.diff(sel)
-        max_gap = max(max_gap, int(gaps.max()))
-        for j in np.flatnonzero(gaps > gap_bound):
-            exceptions.append((int(sel[j]), int(sel[j + 1])))
+        max_gap = max(max_gap, succ - p)
+        if succ - p > gap_bound:
+            exceptions.append((p, succ))
     exceptions.sort()
     return SieveReport(
         query="ap-prime-gaps",
@@ -372,10 +433,11 @@ def progression_prime_set_mismatches(k_lo: int, k_hi: int) -> list[tuple[int, in
     the two disagree.  With alpha = 1 for even k and 2 for odd k, the
     direct size counts the primes dividing (alpha+3)(alpha+6)...(alpha+3k),
     the closed form is pi(3k+alpha) + pi((3k+alpha)//2) - 1 over primes
-    congruent to alpha mod 3.  One sieve to 3*k_hi + 2 gives both: 3
-    divides no term, and a prime p != 3 divides one exactly when the least
-    i >= 1 with alpha + 3i = 0 mod p, i0(p), is at most k, so each size is
-    a binary search (among the sorted i0, or the primes of the class).
+    congruent to alpha mod 3.  The primes up to 3*k_hi + 2, from
+    prime_blocks, give both: 3 divides no term, and a prime p != 3 divides
+    one exactly when the least i >= 1 with alpha + 3i = 0 mod p, i0(p), is
+    at most k, so each size is a binary search (among the sorted i0, or the
+    primes of the class).
     A range longer than MAX_RSET_RANGE is refused before the sieve."""
     if k_lo < 2:
         raise ValueError(f"k must be at least 2, got {k_lo}")
@@ -383,9 +445,9 @@ def progression_prime_set_mismatches(k_lo: int, k_hi: int) -> list[tuple[int, in
     if k_hi - k_lo + 1 > MAX_RSET_RANGE:
         raise ValueError(f"k range of {k_hi - k_lo + 1:,} values is above "
                          f"the cap {MAX_RSET_RANGE:,}")
-    primes = np.flatnonzero(prime_flags(3 * k_hi + 2))
     # int32 holds 2p + 1 for every p up to MAX_SIEVE_LIMIT
-    primes = primes[primes != 3].astype(np.int32)
+    primes = np.concatenate([block[block != 3].astype(np.int32)
+                             for block in prime_blocks(3 * k_hi + 2)])
     # 3 * inv3 is p + 1 or 2p + 1, so inv3 is the inverse of 3 mod p
     inv3 = np.where(primes % 3 == 2, primes + 1, 2 * primes + 1) // 3
     ks = np.arange(k_lo, k_hi + 1)
@@ -413,25 +475,27 @@ def smoothness_bound_exact(k: int, l: int, printed_inner_pi: bool = False) -> tu
     pi(4k+3)-based by default; printed_inner_pi switches it to the
     pi(4k)-based variant.
 
-    One sieve to max(4k+3, a bound on the l-th prime) gives pi(4k+3),
-    pi(4k) and the first l primes.  k above MAX_SMOOTHNESS_K is refused.
+    The primes up to 4k+3 give pi(4k+3), pi(4k) and the first l primes
+    below k.  k above MAX_SMOOTHNESS_K is refused, and so is an l whose
+    bound on the l-th prime passes MAX_SIEVE_LIMIT.
     """
     if k > MAX_SMOOTHNESS_K:
         raise ValueError(f"k {k:,} is above the cap {MAX_SMOOTHNESS_K:,}")
     # the l-th prime is below l (ln l + ln ln l) for l >= 6 (Rosser)
     top = 11 if l < 6 else int(l * (math.log(l) + math.log(math.log(l))))
-    flags = prime_flags(max(4 * k + 3, top))
-    T = k + 1 - int(np.count_nonzero(flags[:max(0, 4 * k + 4)]))
+    _check_sieve_limit(max(4 * k + 3, top))
+    primes = primes_up_to(max(0, 4 * k + 3))
+    T = k + 1 - primes.size
     if T <= 0:
         raise ValueError(f"exponent k+1-pi(4k+3) = {T} must be positive")
-    inner = (k + 1 - int(np.count_nonzero(flags[:4 * k + 1]))
+    inner = (k + 1 - int(np.searchsorted(primes, 4 * k, "right"))
              if printed_inner_pi else T)
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
     denom = 1
     # the first l primes but 2 (T > 0 puts k above 2); a prime >= k does
-    # not divide (k-1)! and changes nothing
-    for p in np.flatnonzero(flags[:k])[1:l].tolist():
+    # not divide (k-1)! and changes nothing, so 4k + 3 is sieve enough
+    for p in primes[:np.searchsorted(primes, k)][1:l].tolist():
         h = 0
         while (k - 1) // p ** (h + 1) > T:
             h += 1

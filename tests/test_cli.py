@@ -323,6 +323,21 @@ def test_sieve_ap_gaps_rejects_bad_limit(capsys, limit, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("modulus, residues, message", [
+    # primes % modulus on int64 ended in an OverflowError (exit 3)
+    ("100000000000000000000", "7",
+     "modulus 100,000,000,000,000,000,000 does not fit int64"),
+    # a repeated residue printed each exception twice
+    ("3", "1,1", "residue 1 given more than once"),
+])
+def test_sieve_ap_gaps_rejects_bad_classes(capsys, modulus, residues, message):
+    assert main(["sieve", "ap-gaps", "--modulus", modulus, "--residues",
+                 residues, "--limit", "100", "--gap-bound", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_polygon_refuses_twelve_base_pseudoprime(capsys):
     # psi_12 passes Miller-Rabin to the bases 2..37 but not to 41
     assert main(["polygon", "--q", "1/3", "--n", "5", "--prime",

@@ -161,6 +161,24 @@ def test_ap_prime_gaps_rejects_bad_classes(modulus, residues):
         ap_prime_gaps(modulus, residues, 100, 10)
 
 
+def test_ap_prime_gaps_rejects_repeated_residue():
+    # a repeated residue used to report each of its exceptions twice
+    with pytest.raises(ValueError, match="residue 1 given more than once"):
+        ap_prime_gaps(3, (1, 2, 1), 100, 11)
+
+
+def test_ap_prime_gaps_refuses_modulus_past_int64():
+    # primes % modulus on int64 ended in an OverflowError (exit 3)
+    with pytest.raises(ValueError, match="modulus 9,223,372,036,854,775,808 "
+                                         "does not fit int64"):
+        ap_prime_gaps(2 ** 63, (7,), 100, 0)
+    # the largest modulus that fits: each class's only prime up to the
+    # limit is its residue, and its successor lies a multiple of it above
+    report = ap_prime_gaps(2 ** 63 - 1, (2, 97), 100, 0)
+    assert [p for p, _ in report.exceptions] == [2, 97]
+    assert all((q - p) % (2 ** 63 - 1) == 0 for p, q in report.exceptions)
+
+
 def test_ap_prime_gaps_finds_far_successors():
     # each class's only prime up to 7 is its residue; the next prime in the
     # class lies up to 26 steps of 10,000,019 above the limit
@@ -199,6 +217,70 @@ def test_ap_prime_gaps_match_trial_division(rng):
                            if math.gcd(l, modulus) == 1} or {1 % modulus})
         _check_ap_prime_gaps(modulus, residues, rng.randint(0, 5000),
                              rng.randint(0, 3 * modulus))
+
+
+# --- block boundaries of the segmented prime sieve ---------------------------
+
+def _trial_division_primes(limit):
+    return [m for m in range(limit + 1) if distinct_prime_factors(m) == {m}]
+
+
+@pytest.mark.parametrize("segment", [4, 5, 64])
+def test_prime_blocks_match_trial_division(monkeypatch, segment):
+    # a block of `segment` odd numbers spans 2 * segment integers, so every
+    # base prime's first multiple lands at many offsets within a block
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+    expect = _trial_division_primes(600)
+    for limit in range(601):
+        blocks = list(sieve.prime_blocks(limit))
+        assert all(b.dtype == np.int64 for b in blocks)
+        got = np.concatenate([np.zeros(0, np.int64), *blocks]).tolist()
+        assert got == expect[:np.searchsorted(expect, limit, "right")], limit
+        # [2], then one block per `segment` odd numbers up to the limit
+        assert len(blocks) == (limit >= 2) + -(-((limit + 1) // 2) // segment)
+
+
+@pytest.mark.parametrize("segment", [4, 64])
+def test_ap_prime_gaps_across_block_ends_match_trial_division(
+        monkeypatch, rng, segment):
+    # with 8 or 128 integers per block, nearly every gap within a class
+    # straddles one or more block ends
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+    for _ in range(30):
+        modulus = rng.randint(1, 60)
+        residues = sorted({l for l in (rng.randrange(modulus)
+                                       for _ in range(3))
+                           if math.gcd(l, modulus) == 1} or {1 % modulus})
+        _check_ap_prime_gaps(modulus, residues, rng.randint(0, 3000),
+                             rng.randint(0, 2 * modulus))
+
+
+@pytest.mark.parametrize("segment", [4, 64])
+def test_rset_and_smoothness_across_block_ends(monkeypatch, rset_rows,
+                                               segment):
+    smooth = {(k, l, printed): smoothness_bound_exact(k, l, printed)
+              for k in (67, 100, 401) for l in (1, 3, 30)
+              for printed in (False, True)}
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+    for k_lo, k_hi in ((2, 600), (101, 250), (599, 600)):
+        assert progression_prime_set_mismatches(k_lo, k_hi) == \
+            [row for row in rset_rows if k_lo <= row[0] <= k_hi]
+    for (k, l, printed), expect in smooth.items():
+        assert smoothness_bound_exact(k, l, printed) == expect
+
+
+def test_ap_prime_gaps_memory_is_one_block():
+    # a whole-range sieve held 40 MB of flags and 20 MB of primes here
+    tracemalloc.start()
+    try:
+        report = ap_prime_gaps(4, (1, 3), 4 * 10 ** 7, 270)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    # the answer a whole-range sieve gave
+    assert report.extremal == 420 and len(report.exceptions) == 106
+    assert sum(p for p, _ in report.exceptions) == 2_740_365_560
 
 
 def test_sieve_above_the_cap_allocates_nothing():
