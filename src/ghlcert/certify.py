@@ -531,7 +531,7 @@ def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
     the message of a SpecialCaseError it raises, becomes a certificate
     note headed by the stage name.  The degree-set stage runs only with
     degree_sets=True and while degrees remain open; it is off by default,
-    and batch_certify, which the CLI calls, leaves it off."""
+    and the CLI leaves it off."""
     if seed is None:
         seed = SeedCoefficients.of_kind(params.n, seed_kind or "ones")
     if seed_kind is None:
@@ -565,13 +565,3 @@ def certify_instance(d: int, u: int, alpha: int, n: int, delta: int,
     params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=delta)
     return full_certify(params, seed_kind=seed_kind, **kwargs)
 
-
-def batch_certify(tasks, jobs: int = 1) -> list[Certificate]:
-    """Certify many (d, u, alpha, n, delta, seed_kind) tuples; certificates
-    in input order.  jobs > 1 fans out over processes."""
-    tasks = [tuple(t) for t in tasks]
-    if jobs <= 1:
-        return [certify_instance(*t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(certify_instance, *zip(*tasks)))

@@ -27,7 +27,6 @@ from .polynomials import (GhlParams, InvalidParameters, SeedCoefficients,
                           read_coefficients, write_coefficients)
 from .valuation import PRIMALITY_LIMIT
 
-_ENV_SIEVE_LIMIT = "GHLCERT_SIEVE_LIMIT"
 # Larger input is refused before anything is built: memory grows as n^2
 # (certify --q 1/3 --n 20000 peaks at 433 MiB), so a huge n would not stop.
 MAX_DEGREE = 25_000          # delta * n of one instance; --hermite's degree
@@ -171,7 +170,6 @@ def _job_count(jobs: int) -> int:
 
 
 def _cmd_certify(args) -> int:
-    jobs = _job_count(args.jobs)
     if args.batch_n:
         for flag, value in (("--n", args.n), ("--seed-file", args.seed_file)):
             if value is not None:
@@ -189,9 +187,10 @@ def _cmd_certify(args) -> int:
         _refuse_above(PRIMALITY_LIMIT - 1, base.term(hi),
                       "--batch-n top linear factor")
         kind = args.seed or "laguerre"
-        tasks = [(base.d, base.u, base.alpha, n, base.delta, kind)
+        certs = [certify_mod.full_certify(
+                     GhlParams(d=base.d, u=base.u, alpha=base.alpha, n=n,
+                               delta=base.delta), seed_kind=kind)
                  for n in range(lo, hi + 1)]
-        certs = certify_mod.batch_certify(tasks, jobs=jobs)
     else:
         params = _params_from_args(args)
         _refuse_above(PRIMALITY_LIMIT - 1, params.top_term,
@@ -216,13 +215,9 @@ def _write_certificates(certs, batch: bool) -> None:
 
 
 def _sieve_limit(args) -> int:
-    if args.limit is not None:
-        return args.limit
-    env = os.environ.get(_ENV_SIEVE_LIMIT)
-    if env:
-        return int(env)
-    raise InvalidParameters(
-        f"--limit is required (or set {_ENV_SIEVE_LIMIT})")
+    if args.limit is None:
+        raise InvalidParameters("--limit is required")
+    return args.limit
 
 
 def _cmd_sieve(args) -> int:
@@ -321,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_options(p_cert)
     p_cert.add_argument("--batch-n", default=None,
                         help="certify n in lo:hi (inclusive) instead of one n")
-    p_cert.add_argument("--jobs", type=int, default=1)
     p_cert.set_defaults(func=_cmd_certify)
 
     p_sieve = subs.add_parser("sieve", help="numeric survey queries")
@@ -332,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sieve.add_argument("--l", type=int)
     p_sieve.add_argument("--bound", type=int)
     p_sieve.add_argument("--limit", type=int, default=None,
-                         help=f"search limit (default ${_ENV_SIEVE_LIMIT})")
+                         help="search limit")
     p_sieve.add_argument("--odd-only", action="store_true")
     p_sieve.add_argument("--min-exclusive", type=int, default=None)
     p_sieve.add_argument("--not-divisible-by", type=int, default=None)
@@ -344,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="power-of-two smoothness variant")
     p_sieve.add_argument("--printed-inner-pi", action="store_true")
     p_sieve.add_argument("--k-range", default=None, help="lo:hi")
-    p_sieve.add_argument("--jobs", type=int, default=1)
+    p_sieve.add_argument("--jobs", type=int, default=1,
+                         help="threads for gpf-bound's segmented sieve; "
+                              "every other query ignores it")
     p_sieve.set_defaults(func=_cmd_sieve)
     return parser
 

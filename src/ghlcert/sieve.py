@@ -476,22 +476,18 @@ def smoothness_bound_exact(k: int, l: int, printed_inner_pi: bool = False) -> tu
     pi(4k)-based variant.
 
     The primes up to 4k+3 give pi(4k+3), pi(4k) and the first l primes
-    below k.  k above MAX_SMOOTHNESS_K is refused, and so is an l whose
-    bound on the l-th prime passes MAX_SIEVE_LIMIT.
+    below k.  k above MAX_SMOOTHNESS_K is refused.
     """
     if k > MAX_SMOOTHNESS_K:
         raise ValueError(f"k {k:,} is above the cap {MAX_SMOOTHNESS_K:,}")
-    # the l-th prime is below l (ln l + ln ln l) for l >= 6 (Rosser)
-    top = 11 if l < 6 else int(l * (math.log(l) + math.log(math.log(l))))
-    _check_sieve_limit(max(4 * k + 3, top))
+    if l < 1:
+        raise ValueError(f"need l >= 1, got {l}")
     primes = primes_up_to(max(0, 4 * k + 3))
     T = k + 1 - primes.size
     if T <= 0:
         raise ValueError(f"exponent k+1-pi(4k+3) = {T} must be positive")
     inner = (k + 1 - int(np.searchsorted(primes, 4 * k, "right"))
              if printed_inner_pi else T)
-    if l < 1:
-        raise ValueError(f"need l >= 1, got {l}")
     denom = 1
     # the first l primes but 2 (T > 0 puts k above 2); a prime >= k does
     # not divide (k-1)! and changes nothing, so 4k + 3 is sieve enough

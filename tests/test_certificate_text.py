@@ -12,8 +12,7 @@ from hypothesis import given, reject, seed, settings
 from hypothesis import strategies as st
 
 from ghlcert.certify import (Certificate, HypothesisViolation, Verdict,
-                             batch_certify, certify_instance, classify_seed,
-                             full_certify)
+                             certify_instance, classify_seed, full_certify)
 from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
                               delta_stage, margin_stage, window_stage)
 from ghlcert.jsontext import unlimited_int_digits
@@ -43,9 +42,8 @@ def stage_alone(stage, params, seed, notes=()):
 def w1_certificates():
     for q in W1_FAMILIES:
         base = GhlParams.from_q(Fraction(q), 2, delta=1)
-        yield from batch_certify(
-            [(base.d, base.u, base.alpha, n, base.d, "laguerre")
-             for n in range(2, 101)])
+        yield from (certify_instance(base.d, base.u, base.alpha, n, base.d)
+                    for n in range(2, 101))
 
 
 def test_json_text_matches_stdlib_on_the_w1_grid():

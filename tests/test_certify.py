@@ -11,7 +11,6 @@ from ghlcert.certify import (
     HypothesisViolation,
     SpecialCaseError,
     Verdict,
-    batch_certify,
     certify_instance,
     classify_seed,
     exception_family,
@@ -420,17 +419,7 @@ def test_verify_certificate_detects_tampering():
     assert not verify_certificate(gamed)
 
 
-def test_batch_certify_matches_serial():
-    tasks = [(3, 0, 1, n, 3, "laguerre") for n in range(2, 7)]
-    serial = batch_certify(tasks, jobs=1)
-    parallel = batch_certify(tasks, jobs=2)
-    assert serial == parallel
-    assert [cert.params.n for cert in serial] == list(range(2, 7))
-    assert ([cert.json_text() for cert in serial]
-            == [cert.json_text() for cert in parallel])
-
-
-def test_batch_certify_does_not_depend_on_table_order():
+def test_certificates_do_not_depend_on_table_order():
     # the families' term tables persist across instances: every order of
     # a batch must give each n the certificate a cold table gives it
     families = [(3, 0, 1), (3, -1, 2), (4, 0, 3), (4, -1, 1)]
@@ -445,7 +434,7 @@ def test_batch_certify_does_not_depend_on_table_order():
               "interleaved": [(f, n) for n in ns for f in families]}
     for name, order in orders.items():
         term_table.cache_clear()
-        certs = batch_certify([(*f, n, f[0], "laguerre") for f, n in order])
+        certs = [certify_instance(*f, n, f[0]) for f, n in order]
         assert certs == [fresh[(*f, n)] for f, n in order], name
 
 

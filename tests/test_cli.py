@@ -271,7 +271,7 @@ def test_oversized_input_is_refused_before_building(capsys, monkeypatch,
 
     for module, name in ((cli, "_seed_from_args"),
                          (cli, "hermite_polynomial"),
-                         (cli.certify_mod, "batch_certify")):
+                         (cli.certify_mod, "full_certify")):
         monkeypatch.setattr(module, name, built)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -349,7 +349,7 @@ def test_polygon_refuses_twelve_base_pseudoprime(capsys):
 
 def test_certify_batch(capsys):
     code, blobs = run(capsys, "certify", "--q", "1/3", "--batch-n", "2:4",
-                      "--delta", "3", "--jobs", "2")
+                      "--delta", "3")
     assert code == 0
     assert [b["params"]["n"] for b in blobs] == [2, 3, 4]
     assert all(b["verdict"] == "IRREDUCIBLE_CERTIFIED" for b in blobs)
@@ -363,19 +363,37 @@ def test_certify_batch_with_residual(capsys):
     assert blobs[1]["residual"] == []
 
 
+@pytest.mark.parametrize("q, lo, hi, delta", [
+    ("1/3", 2, 12, 3),
+    ("1/4", 2, 4, 4)])    # n = 2 of 1/4 is reducible: a residual
+def test_certify_batch_entry_is_the_single_certificate(capsys, q, lo, hi,
+                                                        delta):
+    flags = [f"--q={q}", "--delta", str(delta)]
+    code, blobs = run(capsys, "certify", "--batch-n", f"{lo}:{hi}", *flags)
+    assert len(blobs) == hi - lo + 1
+    for i, blob in enumerate(blobs):
+        single_code, single = run(capsys, "certify", "--n", str(lo + i),
+                                  *flags)
+        assert blob == single
+        assert single_code == (1 if single["residual"] else 0)
+    assert code == (1 if any(b["residual"] for b in blobs) else 0)
+
+
 def test_sieve_p5_pairs(capsys):
     code, blob = run(capsys, "sieve", "p5-pairs", "--limit", "2000")
     assert code == 0
     assert blob["pairs"] == [[1, 125], [2, 250], [4, 500], [5, 625]]
 
 
-def test_sieve_limit_env(capsys, monkeypatch):
-    monkeypatch.setenv("GHLCERT_SIEVE_LIMIT", "2000")
-    code, blob = run(capsys, "sieve", "p5-pairs")
+def test_sieve_limit_from_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"limit": 2000}))
+    code, blob = run(capsys, "--config", str(cfg), "sieve", "p5-pairs")
     assert code == 0 and blob["limit"] == 2000
-    monkeypatch.delenv("GHLCERT_SIEVE_LIMIT")
     assert main(["sieve", "p5-pairs"]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --limit is required\n" in captured.err
 
 
 def test_sieve_gpf_bound(capsys):
@@ -409,7 +427,8 @@ def test_job_count_validates_and_clamps():
 
 
 @pytest.mark.parametrize("argv", [
-    ["certify", "--q", "1/3", "--n", "5", "--delta", "3", "--jobs", "0"],
+    ["sieve", "gpf-bound", "--d", "4", "--k", "2", "--bound", "12",
+     "--limit", "200", "--jobs", "0"],
     ["sieve", "p5-pairs", "--limit", "100", "--jobs", "-2"]])
 def test_jobs_below_one_is_usage_error(capsys, argv):
     assert main(argv) == 2
@@ -534,8 +553,7 @@ def test_certify_refuses_a_top_term_past_the_primality_limit(
     # not be factorised: refused before a seed or a certificate is built
     def built(*args, **kwargs):
         raise AssertionError("built past the cap")
-    for name in ("full_certify", "batch_certify"):
-        monkeypatch.setattr(cli.certify_mod, name, built)
+    monkeypatch.setattr(cli.certify_mod, "full_certify", built)
     monkeypatch.setattr(cli, "_seed_from_args", built)
     assert main(["certify"] + argv) == 2
     captured = capsys.readouterr()

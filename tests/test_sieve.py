@@ -294,8 +294,9 @@ def test_sieve_above_the_cap_allocates_nothing():
     assert peak < 1 << 16
     with pytest.raises(ValueError, match="above the cap"):
         prime_flags(sieve.MAX_SIEVE_LIMIT + 1)
-    with pytest.raises(ValueError, match="above the cap"):
-        smoothness_bound_exact(401, sieve.MAX_SIEVE_LIMIT)
+    # smoothness sieves only to 4k + 3, whatever l is
+    assert (smoothness_bound_exact(401, 5 * 10 ** 8)
+            == smoothness_bound_exact(401, 10 ** 6))
 
 
 def test_residue_prime_count():
