@@ -1,7 +1,7 @@
 """Exact range-verification engine for prime-factor statements.
 
 Backs every prime query with one segmented, odd-only prime sieve,
-prime_blocks, which hands out the primes one block of DEFAULT_SEGMENT odd
+odd_blocks, which hands out the flags of one block of DEFAULT_SEGMENT odd
 numbers at a time, and the greatest-prime-factor bounds P(m) <= B with one
 of two sources of smooth numbers.  When few B-smooth numbers can exist up
 to the range's top (their exponent vectors number at most
@@ -10,10 +10,10 @@ up among them.  Otherwise a segmented smoothness sieve divides the primes
 up to B out of one fixed-size block at a time.  Either way memory is
 O(DEFAULT_SEGMENT), plus O(sqrt(limit)) base primes.  The engine answers
 greatest-prime-factor questions over arithmetic progressions, smooth-pair
-enumerations, prime gaps in residue classes (streamed block by block, with
-each class's successor above the limit found by a primality test), and the
-closed-form counts and bounds, all in exact integer arithmetic (floats only
-at the final root/log step where a real number is the answer).  The
+enumerations, prime gaps in residue classes (each class a strided view of
+every block, its successor above the limit found by a primality test), and
+the closed-form counts and bounds, all in exact integer arithmetic (floats
+only at the final root/log step where a real number is the answer).  The
 smallest-prime-factor table and the full greatest-prime-factor array are
 the reference the tests check both sources against.
 """
@@ -29,9 +29,9 @@ import numpy as np
 from .valuation import is_prime, ord_factorial, prime_factors  # noqa: F401
 
 DEFAULT_SEGMENT = 1 << 20
-# prime_blocks and prime_flags refuse a longer sieve.  prime_blocks needs
+# odd_blocks and prime_flags refuse a longer sieve.  odd_blocks needs
 # O(DEFAULT_SEGMENT + sqrt(limit)) memory at any limit, so this caps time:
-# ap-gaps at this limit takes about 2.5 s on a 2-vCPU host, at ~36 MiB of RSS.
+# ap-gaps at this limit takes 1.5-2.3 s on a 2-vCPU host, at ~33 MiB of RSS.
 MAX_SIEVE_LIMIT = 5 * 10 ** 8
 # caps on smoothness --k ((k-1)! has 2.5M digits at the cap) and on
 # gpf-bound --k (one sieved window per term); at each cap the slowest query
@@ -41,6 +41,8 @@ MAX_GPF_TERMS = 10_000
 # cap on the length of an rset-mismatch k range, whose rows are all held in
 # memory (nearly every k mismatches): 2:500001 takes about 1.3 s and 270 MiB
 MAX_RSET_RANGE = 500_000
+# cap on the pairs ap-gaps reports, all held in memory and written out
+MAX_GAP_EXCEPTIONS = 1_000_000
 
 
 def _check_sieve_limit(limit: int) -> None:
@@ -62,31 +64,29 @@ def prime_flags(limit: int) -> np.ndarray:
     return flags
 
 
-def prime_blocks(limit: int):
-    """The primes up to limit, ascending, as int64 arrays: [2] (when limit
-    >= 2), then the odd primes of each block of DEFAULT_SEGMENT odd
-    numbers (an array may be empty).
+def odd_blocks(limit: int):
+    """The odd numbers up to limit, sieved one block of DEFAULT_SEGMENT at
+    a time: pairs (lo, flags), flags[i] saying whether lo + 2i is prime.
+    flags is one buffer, refilled for the next block.
 
-    A block holds one byte per odd number.  Each odd base prime p <=
-    isqrt(limit), taken from prime_flags, crosses off every p-th entry
-    (odd multiples of p are 2p apart) from its first odd multiple at or
-    above both p*p and the block's bottom.  Memory is O(DEFAULT_SEGMENT +
-    isqrt(limit)); a limit above MAX_SIEVE_LIMIT is refused before
-    anything is sieved.  DEFAULT_SEGMENT is read once per call."""
+    Each odd base prime p <= isqrt(limit), taken from prime_flags, crosses
+    off every p-th entry (odd multiples of p are 2p apart) from its first
+    odd multiple at or above both p*p and the block's bottom.  Memory is
+    O(DEFAULT_SEGMENT + isqrt(limit)); a limit above MAX_SIEVE_LIMIT is
+    refused before anything is sieved.  DEFAULT_SEGMENT is read once per
+    call."""
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     _check_sieve_limit(limit)
     segment = DEFAULT_SEGMENT
     base = np.flatnonzero(prime_flags(math.isqrt(limit)))[1:]
-    if limit >= 2:
-        yield np.array([2], dtype=np.int64)
     odd_count = (limit + 1) // 2       # the odd numbers 1, 3, ..., <= limit
-    # one flag buffer for all blocks, and the primes scaled in place: fresh
-    # block-sized temporaries left the allocator's heap larger
+    # one flag buffer for all blocks: fresh block-sized arrays left the
+    # allocator's heap larger
     buffer = np.empty(min(segment, odd_count), dtype=bool)
     for first in range(0, odd_count, segment):
         size = min(segment, odd_count - first)
-        lo = 2 * first + 1             # entry i stands for lo + 2i
+        lo = 2 * first + 1
         ps = base[:np.searchsorted(base, math.isqrt(lo + 2 * (size - 1)),
                                    "right")]
         start = np.maximum(ps * ps, (lo + ps - 1) // ps * ps)
@@ -96,6 +96,16 @@ def prime_blocks(limit: int):
         flags[0] = lo > 1              # 1 is not prime
         for p, i in zip(ps.tolist(), ((start - lo) // 2).tolist()):
             flags[i::p] = False
+        yield lo, flags
+
+
+def prime_blocks(limit: int):
+    """The primes up to limit, ascending, as int64 arrays: [2] (when limit
+    >= 2), then the odd primes of each block of odd_blocks(limit) (an
+    array may be empty)."""
+    for lo, flags in odd_blocks(limit):
+        if lo == 1 and limit >= 2:
+            yield np.array([2], dtype=np.int64)
         primes = np.flatnonzero(flags)
         primes *= 2
         primes += lo
@@ -371,17 +381,23 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
                   gap_bound: int) -> SieveReport:
     """Consecutive primes within each residue class; reports the largest
     gap and every consecutive pair (p, q) with p <= limit and q - p >
-    gap_bound.  Streams the blocks of prime_blocks(limit), carrying each
-    class's last prime from one block to the next; the successor of each
-    class's last prime up to the limit lies above it and is found by
-    stepping through the class with a primality test (Dirichlet: it
-    exists).  A repeated residue, or a modulus past int64, is refused."""
+    gap_bound.  The odd members of a class are every step-th entry of a
+    block of odd_blocks(limit) (step = modulus, halved when even), so each
+    class is a strided view of the flags; its last prime (at first 2, if
+    the class has it) is carried from one block to the next.  The
+    successor of each class's last prime up to the limit lies above it
+    and is found by stepping through the class with a primality test
+    (Dirichlet: it exists).  A repeated residue, a modulus past int64 or a
+    negative gap bound is refused, and more than MAX_GAP_EXCEPTIONS pairs
+    over the bound stop the query."""
     t0 = _now_ms()
     residues = tuple(residues)
     if modulus < 1:
         raise ValueError(f"modulus must be at least 1, got {modulus}")
     if modulus >= 1 << 63:
         raise ValueError(f"modulus {modulus:,} does not fit int64")
+    if gap_bound < 0:
+        raise ValueError(f"gap bound must be nonnegative, got {gap_bound}")
     last = {}                          # each class's last prime so far
     for l in residues:
         if not 0 <= l < modulus:
@@ -392,22 +408,34 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
         if l in last:
             raise ValueError(f"residue {l} given more than once")
         last[l] = None
+    if limit >= 2 and 2 % modulus in last:
+        last[2 % modulus] = 2
+    step = modulus // 2 if modulus % 2 == 0 else modulus
+    stride = 2 * step                  # between odd members of a class
     exceptions = []
     max_gap = 0
-    for primes in prime_blocks(limit):
-        classes = primes % modulus
+    for lo, flags in odd_blocks(limit):
         for l in residues:
-            sel = primes[classes == l]
-            if not sel.size:
+            # entry i0, the class's first: 2*i0 = l - lo (mod modulus)
+            t = (l - lo) % modulus
+            i0 = (t + modulus * (t & 1)) // 2
+            hits = np.flatnonzero(flags[i0::step])
+            if not hits.size:
                 continue
+            at = lo + 2 * i0           # hit j stands for at + stride*j
+            p = at + stride * int(hits[0])
             if last[l] is not None:
-                sel = np.concatenate(([last[l]], sel))
-            gaps = np.diff(sel)
-            if gaps.size:
-                max_gap = max(max_gap, int(gaps.max()))
-                exceptions += ((int(sel[j]), int(sel[j + 1])) for j
-                               in np.flatnonzero(gaps > gap_bound).tolist())
-            last[l] = int(sel[-1])
+                max_gap = max(max_gap, p - last[l])
+                if p - last[l] > gap_bound:
+                    exceptions.append((last[l], p))
+            if hits.size > 1:          # so step is below the block length
+                gaps = np.diff(hits)
+                max_gap = max(max_gap, stride * int(gaps.max()))
+                j = np.flatnonzero(gaps > gap_bound // stride)
+                _check_gap_exceptions(len(exceptions) + j.size, gap_bound)
+                exceptions += zip((at + stride * hits[j]).tolist(),
+                                  (at + stride * hits[j + 1]).tolist())
+            last[l] = at + stride * int(hits[-1])
     for p in last.values():
         if p is None:
             continue  # no prime up to the limit in this class
@@ -417,6 +445,7 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
         max_gap = max(max_gap, succ - p)
         if succ - p > gap_bound:
             exceptions.append((p, succ))
+    _check_gap_exceptions(len(exceptions), gap_bound)
     exceptions.sort()
     return SieveReport(
         query="ap-prime-gaps",
@@ -426,6 +455,14 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
         extremal=max_gap,
         elapsed_ms=_now_ms() - t0,
     )
+
+
+def _check_gap_exceptions(count: int, gap_bound: int) -> None:
+    if count > MAX_GAP_EXCEPTIONS:
+        raise ValueError(
+            f"more than {MAX_GAP_EXCEPTIONS:,} pairs exceed the gap bound "
+            f"{gap_bound:,} (the cap on reported pairs); ask for a larger "
+            f"--gap-bound")
 
 
 def progression_prime_set_mismatches(k_lo: int, k_hi: int) -> list[tuple[int, int, int]]:
@@ -448,14 +485,27 @@ def progression_prime_set_mismatches(k_lo: int, k_hi: int) -> list[tuple[int, in
     # int32 holds 2p + 1 for every p up to MAX_SIEVE_LIMIT
     primes = np.concatenate([block[block != 3].astype(np.int32)
                              for block in prime_blocks(3 * k_hi + 2)])
-    # 3 * inv3 is p + 1 or 2p + 1, so inv3 is the inverse of 3 mod p
-    inv3 = np.where(primes % 3 == 2, primes + 1, 2 * primes + 1) // 3
-    ks = np.arange(k_lo, k_hi + 1)
+    # at most four arrays as long as primes: primes, its two classes mod 3,
+    # inv3 and one i0 buffer.  3 * inv3 = p*(3 - p%3) + 1, which is 2p + 1
+    # or p + 1, so inv3 is the inverse of 3 mod p; it is built in place in
+    # the p % 3 that gave the classes
+    inv3 = primes % 3
+    classes = {alpha: primes[inv3 == alpha] for alpha in (1, 2)}
+    np.subtract(3, inv3, out=inv3)
+    inv3 *= primes
+    inv3 += 1
+    inv3 //= 3
+    first = np.empty_like(primes)
+    # int32 ks: an int64 key would make searchsorted copy first as int64
+    ks = np.arange(k_lo, k_hi + 1, dtype=np.int32)
     out = []
     for alpha in (1, 2):
         k = ks[ks % 2 == alpha - 1]
-        first = np.sort(primes - alpha * inv3 % primes)  # i0(p), in 1..p
-        cls, top = primes[primes % 3 == alpha], 3 * k + alpha
+        np.multiply(inv3, alpha, out=first)
+        first %= primes
+        np.subtract(primes, first, out=first)    # i0(p), in 1..p
+        first.sort()
+        cls, top = classes[alpha], 3 * k + alpha
         direct = np.searchsorted(first, k, "right")
         printed = (np.searchsorted(cls, top, "right")
                    + np.searchsorted(cls, top // 2, "right") - 1)

@@ -283,3 +283,47 @@ def progression_prime_set_sizes(k_hi: int) -> dict:
                   + sum(1 for p in cls if p <= top // 2) - 1)
         out[k] = (len(progression_prime_set(k)), closed)
     return out
+
+
+def eratosthenes(limit: int):
+    """Every prime up to limit, ascending, as an int64 numpy array, from a
+    whole-range sieve of Eratosthenes."""
+    import numpy as np
+
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p::p] = False
+    return np.flatnonzero(flags)
+
+
+def ap_prime_gaps_from_prime_list(primes, modulus: int, residues,
+                                  gap_bound: int) -> tuple[int, list]:
+    """(largest gap, sorted pairs (p, q) with q - p > gap_bound) over the
+    consecutive primes p, q of each residue class with p in ``primes`` (the
+    primes up to some limit, ascending, as an int64 numpy array).  Each
+    class is compressed out of primes % modulus, and the successor of its
+    last prime is found by stepping through the class with sympy's
+    isprime."""
+    import numpy as np
+    from sympy import isprime
+
+    classes = primes % modulus
+    max_gap, pairs = 0, []
+    for l in residues:
+        sel = primes[classes == l]
+        if not sel.size:
+            continue
+        gaps = np.diff(sel)
+        max_gap = max(max_gap, int(gaps.max(initial=0)))
+        pairs += [(int(sel[j]), int(sel[j + 1]))
+                  for j in np.flatnonzero(gaps > gap_bound).tolist()]
+        p = int(sel[-1])
+        q = p + modulus
+        while not isprime(q):
+            q += modulus
+        max_gap = max(max_gap, q - p)
+        if q - p > gap_bound:
+            pairs.append((p, q))
+    return max_gap, sorted(pairs)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ghlcert import cli
+from ghlcert import cli, sieve
 from ghlcert.certify import full_certify
 from ghlcert.cli import _job_count, decimal_digits, main
 from ghlcert.jsontext import unlimited_int_digits
@@ -505,6 +505,8 @@ def test_decimal_digits_at_powers_of_ten():
       "--limit", str(10 ** 12)],
      "limit 1,000,000,000,000 is above the cap 500,000,000 of the "
      "segmented sieve"),
+    (["sieve", "ap-gaps", "--modulus", "4", "--residues", "1,3", "--limit",
+      "100000000", "--gap-bound", "-1"], "gap bound must be nonnegative"),
 ])
 def test_sieve_queries_above_their_caps_exit_2_at_once(capsys, argv,
                                                        message):
@@ -594,6 +596,25 @@ def test_sieve_ap_gaps(capsys):
                      "--gap-bound", "40")
     assert code == 0
     assert blob["exceptions"] == [] and blob["extremal"] == 36
+
+
+def test_sieve_ap_gaps_past_the_exceptions_cap_exits_2(capsys, monkeypatch):
+    # --gap-bound 0 at 2*10^7 wrote 1.27 million pairs (54 MB, 535 MiB);
+    # the query stops before it builds the pairs past the cap
+    monkeypatch.setattr(sieve, "MAX_GAP_EXCEPTIONS", 1000)
+    tracemalloc.start()
+    try:
+        code = main(["sieve", "ap-gaps", "--modulus", "4", "--residues",
+                     "1,3", "--limit", "20000000", "--gap-bound", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: more than 1,000 pairs exceed the gap bound 0 (the cap "
+            "on reported pairs); ask for a larger --gap-bound") in captured.err
+    assert peak < 8 << 20             # one block, no pair built past the cap
 
 
 def test_config_defaults_and_precedence(tmp_path, capsys):

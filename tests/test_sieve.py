@@ -20,7 +20,8 @@ from ghlcert.sieve import (
     verify_gpf_bound,
 )
 from ghlcert.valuation import factorize, gpf, prime_factors
-from oracles import (ap_prime_gap_pairs, distinct_prime_factors,
+from oracles import (ap_prime_gap_pairs, ap_prime_gaps_from_prime_list,
+                     distinct_prime_factors, eratosthenes,
                      progression_prime_set, progression_prime_set_sizes)
 
 
@@ -267,6 +268,51 @@ def test_rset_and_smoothness_across_block_ends(monkeypatch, rset_rows,
             [row for row in rset_rows if k_lo <= row[0] <= k_hi]
     for (k, l, printed), expect in smooth.items():
         assert smoothness_bound_exact(k, l, printed) == expect
+
+
+@pytest.fixture(scope="module")
+def primes_6e6():
+    return eratosthenes(6 * 10 ** 6)
+
+
+@pytest.mark.parametrize("modulus, residues, gap_bound", [
+    (1, (0,), 100), (2, (1,), 100), (3, (1, 2), 200), (4, (1, 3), 200),
+    (5, (1, 2, 3, 4), 300), (8, (1, 3, 5, 7), 300),
+    (12, (1, 5, 7, 11), 300), (30, (1, 7, 11, 13, 17, 19, 23, 29), 700),
+    (210, (1, 11, 209), 3000), (10007, (1, 2, 10006), 200000),
+    (2 ** 61 - 1, (1, 2, 3, 5), 0),
+])
+def test_ap_prime_gaps_over_real_blocks_match_prime_list(
+        primes_6e6, modulus, residues, gap_bound):
+    # 6*10^6 spans 3 blocks of 2^20 odd numbers; each odd modulus's
+    # residues include the class of 2
+    report = ap_prime_gaps(modulus, residues, 6 * 10 ** 6, gap_bound)
+    assert (report.extremal, report.exceptions) == \
+        ap_prime_gaps_from_prime_list(primes_6e6, modulus, residues,
+                                      gap_bound)
+
+
+@pytest.mark.parametrize("modulus, residues", [
+    (30, (1, 7, 11, 13, 17, 19, 23, 29)), (97, (2, 3, 96)), (10007, (2, 5))])
+def test_ap_prime_gaps_with_step_above_the_block_length(
+        monkeypatch, modulus, residues):
+    # blocks of 4 odd numbers: each class has at most one entry per block,
+    # so every gap spans blocks
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 4)
+    for limit in (0, 2, 3, 100, 2999):
+        _check_ap_prime_gaps(modulus, residues, limit, 2 * modulus)
+        _check_ap_prime_gaps(modulus, residues, limit, 0)
+
+
+def test_ap_prime_gaps_exceptions_cap_counts_every_pair(monkeypatch):
+    # exactly at the cap the query answers, one pair more stops it; all
+    # four pairs here come from the successors past the limit
+    monkeypatch.setattr(sieve, "MAX_GAP_EXCEPTIONS", 4)
+    assert len(ap_prime_gaps(10000019, (2, 3, 5, 7), 7, 0).exceptions) == 4
+    monkeypatch.setattr(sieve, "MAX_GAP_EXCEPTIONS", 3)
+    with pytest.raises(ValueError, match="more than 3 pairs exceed the gap "
+                       "bound 0 "):
+        ap_prime_gaps(10000019, (2, 3, 5, 7), 7, 0)
 
 
 def test_ap_prime_gaps_memory_is_one_block():
