@@ -12,9 +12,8 @@ exceptional family, or simply was not closed.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
                        degree_set_stage, delta_stage, margin_stage,
@@ -79,17 +78,11 @@ def exception_family(params: GhlParams):
 # 2-adic handler: d = 3, top linear factor a power of two
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BreakSequence:
-    """Predicted vertex abscissas (in unsubstituted units) of the 2-adic
-    polygon when the top linear factor is 2^a."""
+class BreakSequence(namedtuple("BreakSequence", "eta s a u n breaks")):
+    """Predicted vertex abscissas (in unsubstituted units), the tuple
+    breaks, of the 2-adic polygon when the top linear factor is 2^a."""
 
-    eta: int
-    s: int
-    a: int
-    u: int
-    n: int
-    breaks: tuple[int, ...]
+    __slots__ = ()
 
 
 def expected_breaks(params: GhlParams) -> BreakSequence:
@@ -154,7 +147,7 @@ def special_2adic_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
     if params.d != 3:
         raise SpecialCaseError(f"2-adic handler needs d=3, got d={params.d}")
     n, delta = params.n, params.delta
-    if (seed[0] * seed[n]) % 2 == 0:
+    if (seed.values[0] * seed.values[n]) % 2 == 0:
         raise SpecialCaseError("seed endpoints must be odd")
     bs = expected_breaks(params)
     if not verify_break_valuations(bs):
@@ -263,7 +256,7 @@ def laguerre_np_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
             f"{params.top_term} and the low factors {abs(low)}")
     p = max(candidates)
     lift = cache if params.delta == d else PolygonCache(
-        dataclasses.replace(params, delta=d), cache.seed)
+        GhlParams(params.d, params.u, params.alpha, n, delta=d), cache.seed)
     poly = lift.polygon(p, "self")
     admissible = lift.admissible(p, "self")
     if any(x % d for x in poly.vertex_xs()):
@@ -338,15 +331,12 @@ def _witness_numbers(rec: ExclusionRecord):
     return k, lo, hi
 
 
-@dataclass(frozen=True)
-class Certificate:
-    params: GhlParams
-    seed_kind: str
-    seed: tuple[int, ...]
-    records: tuple[ExclusionRecord, ...]
-    residual: tuple[int, ...]
-    verdict: Verdict
-    notes: tuple[str, ...] = ()
+class Certificate(namedtuple("Certificate", "params seed_kind seed records "
+                                          "residual verdict notes",
+                             defaults=((),))):
+    """One certification run: its instance, records, residual and verdict."""
+
+    __slots__ = ()
 
     @property
     def total_degree(self) -> int:
@@ -443,10 +433,18 @@ def verify_certificate(cert: Certificate) -> bool:
 
 
 def classify_seed(seed: SeedCoefficients) -> str:
-    n = seed.n
-    if seed.values == SeedCoefficients.ones(n).values:
+    """"ones" or "laguerre" when the seed is SeedCoefficients.ones(n) or
+    .laguerre(n), else "custom", read off its values: a_0 = 1 and
+    a_{j+1} (j+1) = -a_j (n-j) fix the binomial seed up to a_{n//2}, and
+    its symmetry C(n, j) = C(n, n-j) fixes the rest."""
+    values, n = seed.values, seed.n
+    if values.count(1) == n + 1:
         return "ones"
-    if seed.values == SeedCoefficients.laguerre(n).values:
+    half, sign = n // 2, (-1) ** n
+    if values[0] == 1 and all(
+            values[j + 1] * (j + 1) == -values[j] * (n - j)
+            for j in range(half)) and all(
+            values[j] == sign * values[n - j] for j in range(half + 1, n + 1)):
         return "laguerre"
     return "custom"
 
@@ -457,7 +455,7 @@ def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
     if len(seed.values) != params.n + 1:
         raise HypothesisViolation(
             f"seed length {len(seed.values)} does not match n={params.n}")
-    endpoints, top = seed[0] * seed[params.n], params.top_term
+    endpoints, top = seed.values[0] * seed.values[params.n], params.top_term
     if params.d in (3, 4) and _cofactor(endpoints, (2, 3)) != 1:
         raise HypothesisViolation(
             f"seed endpoint product {endpoints} has a prime factor > 3")

@@ -31,6 +31,7 @@ from .valuation import PRIMALITY_LIMIT
 # (certify --q 1/3 --n 20000 peaks at 433 MiB), so a huge n would not stop.
 MAX_DEGREE = 25_000          # delta * n of one instance; --hermite's degree
 MAX_BATCH_DEGREE = 250_000   # delta * n summed over a --batch-n range
+REPORT_CHUNK = 4096          # sieve report exceptions per write to stdout
 # certify factorises every linear factor, and is_prime decides only below
 # valuation.PRIMALITY_LIMIT: a top linear factor at or above it is refused
 
@@ -49,9 +50,11 @@ def _emit(obj) -> None:
 
 
 def _report_query(report) -> None:
-    """Stdout gets the report; stderr gets the query's own time and the
-    process's peak resident set so far."""
-    _emit(report.to_json_dict())
+    """Stdout gets the report as _emit writes report.to_json_dict(), its
+    exceptions REPORT_CHUNK at a time; stderr gets the query's own time
+    and the process's peak resident set so far."""
+    sys.stdout.writelines(report.json_chunks(REPORT_CHUNK))
+    sys.stdout.write("\n")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"query_ms={report.elapsed_ms:.1f} peak_rss_mb={peak_mb:.1f}",
           file=sys.stderr)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .newton import (NewtonPolygon, admissible_degrees, polygon_from_params,
                      subset_sums, viable_margin, widest_window)
@@ -42,16 +42,13 @@ class Method(str, enum.Enum):
     DEGREE_SET = "DEGREE_SET"
 
 
-@dataclass(frozen=True)
-class ExclusionRecord:
-    """One certified exclusion: these factor degrees are impossible, by
-    this method at this prime; evidence is what the method read there.
-    The four fields are what each certificate entry of the record shows."""
+class ExclusionRecord(namedtuple("ExclusionRecord",
+                                  "method degrees prime evidence")):
+    """One certified exclusion: these factor degrees (a sorted tuple) are
+    impossible, by this method at this prime; evidence is what the method
+    read there.  The four fields are what each certificate entry shows."""
 
-    method: Method
-    degrees: tuple[int, ...]
-    prime: int
-    evidence: dict
+    __slots__ = ()
 
 
 class DegreeLedger:
@@ -97,7 +94,7 @@ def witness_primes(params: GhlParams, seed: SeedCoefficients):
     if params.u not in (-1, 0):
         raise ValueError(f"witness search needs u in {{-1, 0}}, got {params.u}")
     n, d = params.n, params.d
-    endpoints = seed[0] * seed[n]
+    endpoints = seed.values[0] * seed.values[n]
     heap: list[int] = []          # negated primes of the top block
     seen: set[int] = set()
     low: set[int] = set()
@@ -160,7 +157,7 @@ class PolygonCache:
     def seed_coprime(self, p: int) -> bool:
         """Margin/window conclusions carry from the ones carrier to the
         seeded polynomial only when p divides neither seed endpoint."""
-        return (self.seed[0] * self.seed[self.params.n]) % p != 0
+        return (self.seed.values[0] * self.seed.values[self.params.n]) % p != 0
 
     def polygon(self, p: int, carrier: str) -> NewtonPolygon:
         key = (p, carrier)

@@ -16,7 +16,7 @@ whole-edge reading is unsound ((x+2)^2 at p=2 has one slope-1 edge of width
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polynomials import IntegerPolynomial
@@ -27,14 +27,10 @@ class PreconditionError(ValueError):
     """An exclusion criterion was invoked outside its hypotheses."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One maximal straight stretch of the lower hull."""
+class Edge(namedtuple("Edge", "x0 y0 x1 y1")):
+    """One maximal straight stretch of the lower hull, (x0, y0)-(x1, y1)."""
 
-    x0: int
-    y0: int
-    x1: int
-    y1: int
+    __slots__ = ()
 
     @property
     def width(self) -> int:
@@ -58,13 +54,14 @@ class Edge:
         return self.width // self.lattice_length
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    prime: int
-    degree: int
-    ordinates: tuple  # entry x: valuation of coeff of x^(degree-x), or INFINITY
-    vertices: tuple   # (x, y) lower-hull corners, x strictly increasing
-    edges: tuple      # Edge between consecutive vertices
+class NewtonPolygon(namedtuple("NewtonPolygon",
+                               "prime degree ordinates vertices edges")):
+    """The polygon at prime of a degree-degree polynomial.  ordinates entry
+    x is the valuation of the coefficient of x^(degree-x), or INFINITY;
+    vertices are the (x, y) lower-hull corners, x strictly increasing;
+    edges holds the Edge between consecutive vertices."""
+
+    __slots__ = ()
 
     @property
     def min_slope(self) -> Fraction:

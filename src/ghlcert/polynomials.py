@@ -15,7 +15,7 @@ coefficients to indices delta*j without mixing them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -23,32 +23,29 @@ class InvalidParameters(ValueError):
     """A parameter tuple or seed violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class GhlParams:
+class GhlParams(namedtuple("GhlParams", "d u alpha n delta")):
     """Shift and degree data: q = u + alpha/d in lowest terms, degree n,
     and the substitution exponent delta (1 for the plain polynomial, d for
-    the polynomial evaluated at x^d)."""
+    the polynomial evaluated at x^d).  Build copies by calling GhlParams:
+    namedtuple's _make and _replace skip the checks in __new__."""
 
-    d: int
-    u: int
-    alpha: int
-    n: int
-    delta: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise InvalidParameters(f"d must be at least 2, got {self.d}")
-        if not 1 <= self.alpha < self.d:
+    def __new__(cls, d: int, u: int, alpha: int, n: int, delta: int = 1):
+        if d < 2:
+            raise InvalidParameters(f"d must be at least 2, got {d}")
+        if not 1 <= alpha < d:
             raise InvalidParameters(
-                f"alpha must satisfy 1 <= alpha < d, got alpha={self.alpha}, d={self.d}")
-        if math.gcd(self.alpha, self.d) != 1:
+                f"alpha must satisfy 1 <= alpha < d, got alpha={alpha}, d={d}")
+        if math.gcd(alpha, d) != 1:
             raise InvalidParameters(
-                f"alpha={self.alpha} and d={self.d} must be coprime")
-        if self.delta not in (1, self.d):
+                f"alpha={alpha} and d={d} must be coprime")
+        if delta not in (1, d):
             raise InvalidParameters(
-                f"delta must be 1 or d={self.d}, got {self.delta}")
-        if self.n < 1:
-            raise InvalidParameters(f"n must be positive, got {self.n}")
+                f"delta must be 1 or d={d}, got {delta}")
+        if n < 1:
+            raise InvalidParameters(f"n must be positive, got {n}")
+        return super().__new__(cls, d, u, alpha, n, delta)
 
     @classmethod
     def from_q(cls, q, n: int, delta: int = 1) -> "GhlParams":
@@ -71,17 +68,17 @@ class GhlParams:
         return self.term(self.n)
 
 
-@dataclass(frozen=True)
-class SeedCoefficients:
-    """Integer seed a_0..a_n; both endpoints must be nonzero."""
+class SeedCoefficients(namedtuple("SeedCoefficients", "values")):
+    """Integer seed a_0..a_n (values); both endpoints must be nonzero."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) < 2:
+    def __new__(cls, values: tuple[int, ...]):
+        if len(values) < 2:
             raise InvalidParameters("seed needs at least two coefficients")
-        if self.values[0] == 0 or self.values[-1] == 0:
+        if values[0] == 0 or values[-1] == 0:
             raise InvalidParameters("seed endpoints a_0 and a_n must be nonzero")
+        return super().__new__(cls, values)
 
     @classmethod
     def ones(cls, n: int) -> "SeedCoefficients":
@@ -111,26 +108,19 @@ class SeedCoefficients:
     def n(self) -> int:
         return len(self.values) - 1
 
-    def __len__(self) -> int:
-        return len(self.values)
 
-    def __getitem__(self, j: int) -> int:
-        return self.values[j]
-
-
-@dataclass(frozen=True)
-class IntegerPolynomial:
+class IntegerPolynomial(namedtuple("IntegerPolynomial", "coeffs")):
     """Dense integer polynomial, lowest power first, trailing zeros trimmed."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        trimmed = tuple(self.coeffs)
+    def __new__(cls, coeffs):
+        trimmed = tuple(coeffs)
         while len(trimmed) > 1 and trimmed[-1] == 0:
             trimmed = trimmed[:-1]
         if trimmed == (0,) or not trimmed:
             raise InvalidParameters("the zero polynomial is not allowed")
-        object.__setattr__(self, "coeffs", trimmed)
+        return super().__new__(cls, trimmed)
 
     @property
     def degree(self) -> int:
@@ -157,13 +147,14 @@ class IntegerPolynomial:
 def build_ghl(params: GhlParams, seed: SeedCoefficients) -> IntegerPolynomial:
     """Assemble the seeded polynomial; coefficient j is a_j times the product
     of the linear factors with index above j."""
-    if len(seed) != params.n + 1:
+    values = seed.values
+    if len(values) != params.n + 1:
         raise InvalidParameters(
-            f"seed length {len(seed)} does not match degree n={params.n}")
+            f"seed length {len(values)} does not match degree n={params.n}")
     coeffs = [0] * (params.n + 1)
     suffix = 1
     for j in range(params.n, -1, -1):
-        coeffs[j] = seed[j] * suffix
+        coeffs[j] = values[j] * suffix
         if j > 0:
             suffix *= params.term(j)
     return IntegerPolynomial(tuple(coeffs))

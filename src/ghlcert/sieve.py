@@ -21,10 +21,11 @@ the reference the tests check both sources against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
+from .jsontext import encode
 # unused here, but the layer trace (perfbench) times sieve.prime_factors
 from .valuation import is_prime, ord_factorial, prime_factors  # noqa: F401
 
@@ -161,13 +162,12 @@ def gpf_array(limit: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RangeFilter:
+class RangeFilter(namedtuple("RangeFilter",
+                             "min_exclusive odd_only not_divisible_by",
+                             defaults=(0, False, None))):
     """Predicate selecting which n a range verification applies to."""
 
-    min_exclusive: int = 0
-    odd_only: bool = False
-    not_divisible_by: int | None = None
+    __slots__ = ()
 
     def mask(self, values: np.ndarray) -> np.ndarray:
         keep = values > self.min_exclusive
@@ -186,15 +186,11 @@ class RangeFilter:
         return ", ".join(parts)
 
 
-@dataclass
-class SieveReport:
+class SieveReport(namedtuple("SieveReport",
+                             "query params exceptions extremal elapsed_ms")):
     """Outcome of one range verification."""
 
-    query: str
-    params: dict
-    exceptions: list
-    extremal: object = None
-    elapsed_ms: float = field(default=0.0, compare=False)
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,6 +200,21 @@ class SieveReport:
                            for e in self.exceptions],
             "extremal": self.extremal,
         }
+
+    def json_chunks(self, size: int):
+        """Yield json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        in pieces, the exceptions (the first key) size at a time, so that
+        their whole text never exists at once: ap-gaps may report a
+        million pairs."""
+        rest = encode({"extremal": self.extremal, "params": self.params,
+                       "query": self.query}, "\n")
+        head = '{\n  "exceptions": ['
+        for lo in range(0, len(self.exceptions), size):
+            yield head + "\n    " + ",\n    ".join(
+                encode(list(e) if isinstance(e, tuple) else e, "\n    ")
+                for e in self.exceptions[lo:lo + size])
+            head = ","
+        yield ("\n  " if self.exceptions else head) + "]," + rest[1:]
 
 
 def _now_ms() -> float:

@@ -238,16 +238,17 @@ def coefficient_valuations(p: int, params: GhlParams, seed: SeedCoefficients) ->
     Entries at indices that are not multiples of delta are INFINITY (zero
     coefficients).
     """
-    if len(seed) != params.n + 1:
+    values = seed.values
+    if len(values) != params.n + 1:
         raise ValueError(
-            f"seed length {len(seed)} does not match degree n={params.n}")
+            f"seed length {len(values)} does not match degree n={params.n}")
     _require_prime(p)
     n, delta = params.n, params.delta
     sums = term_table(params.d, params.u, params.alpha).valuation_sums(p, n)
     top = sums[n]
     ordinates = [INFINITY] * (delta * n + 1)
     for j in range(n + 1):
-        ordinates[delta * (n - j)] = _nu(p, seed[j]) + (top - sums[j])
+        ordinates[delta * (n - j)] = _nu(p, values[j]) + (top - sums[j])
     return ordinates
 
 

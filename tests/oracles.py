@@ -185,7 +185,7 @@ def witness_primes_per_k(params, seed) -> list:
     the k lowest ones nor the seed endpoints, with p > d and
     p >= min(2k, d(d-1)); None where no prime qualifies."""
     n, d = params.n, params.d
-    endpoints = seed[0] * seed[n]
+    endpoints = seed.values[0] * seed.values[n]
     factors = {i: distinct_prime_factors(params.term(i))
                for i in range(1, n + 1)}
     out = []

@@ -3,7 +3,6 @@
 with every newline written as pad, for every record shape the stages
 produce, every seed kind, notes, residuals and any indentation."""
 
-import dataclasses
 import json
 from fractions import Fraction
 from math import gcd
@@ -87,8 +86,7 @@ def test_json_text_on_seed_kinds_notes_residuals_and_split_runs():
 
 def test_json_text_edge_shapes():
     cert = certify_instance(3, 0, 1, 5, 3)
-    odd = dataclasses.replace(
-        cert.records[0],
+    odd = cert.records[0]._replace(
         evidence={"float": 0.5, "inf": float("inf"),
                   "tuple": (1, [2, "x"]), "int_keys": {3: "a", 1: [None, True]},
                   "text": "é\n\"\\", "empty": [], "none": {}})
@@ -96,17 +94,17 @@ def test_json_text_edge_shapes():
     assert witness.method is Method.WITNESS_PRIME
     # witness evidence off the {"k": int, "window": [int, int]} template:
     # %d would write True as 1 where JSON writes true
-    generic = [dataclasses.replace(witness, evidence=evidence) for evidence in (
+    generic = [witness._replace(evidence=evidence) for evidence in (
         {"k": True, "window": [4, 6]}, {"k": 2, "window": [4, False]},
         {"k": 2, "window": [4, 6], "extra": 0}, {"k": 2, "window": (4, 6)},
         {"k": 2, "window": [4, 6, 7]}, {"k": 2.0, "window": [4, 6]},
         {"k": 2}, {"k": [2], "window": [4, 6]},
         {"k": 2, "window": {4: 0, 6: 0}})]
     shapes = [
-        dataclasses.replace(cert, records=(), residual=tuple(range(1, 15))),
-        dataclasses.replace(cert, records=(odd,) + cert.records[1:],
-                            notes=("a: line\nbreak", "b: € \U0001f600")),
-    ] + [dataclasses.replace(cert, records=(rec,) + cert.records[1:])
+        cert._replace(records=(), residual=tuple(range(1, 15))),
+        cert._replace(records=(odd,) + cert.records[1:],
+                      notes=("a: line\nbreak", "b: € \U0001f600")),
+    ] + [cert._replace(records=(rec,) + cert.records[1:])
          for rec in generic]
     for shape in shapes:
         assert_text_matches(shape, pads=("\n", "\n  ", "\n" + " " * 7))
@@ -114,7 +112,7 @@ def test_json_text_edge_shapes():
 
 def test_json_text_writes_integers_past_the_str_digit_cap():
     cert = certify_instance(3, 0, 1, 5, 3)
-    big = dataclasses.replace(cert, seed=(10 ** 5000 + 1, -(7 ** 6000)))
+    big = cert._replace(seed=(10 ** 5000 + 1, -(7 ** 6000)))
     with unlimited_int_digits():
         assert_text_matches(big)
 
@@ -153,7 +151,7 @@ def test_json_text_matches_stdlib_encoder(instance, how, notes, indent):
                                 degree_sets=how == "degree sets")
         except HypothesisViolation:
             reject()
-        cert = dataclasses.replace(cert, notes=cert.notes + tuple(notes))
+        cert = cert._replace(notes=cert.notes + tuple(notes))
     else:
         stage = {"delta": delta_stage, "window": window_stage,
                  "margin": margin_stage}[how]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from collections import Counter
@@ -394,6 +393,33 @@ def test_classify_seed():
     assert classify_seed(SeedCoefficients((2, 1, 1))) == "custom"
 
 
+def _kind_by_comparison(seed):
+    """The seed's kind found by building both reference seeds of its n."""
+    for kind in ("ones", "laguerre"):
+        if seed.values == SeedCoefficients.of_kind(seed.n, kind).values:
+            return kind
+    return "custom"
+
+
+def test_classify_seed_matches_the_reference_seeds(rng):
+    # classify_seed reads the kind off the values; near misses change one
+    # entry of a reference seed by one or flip its sign, in both halves
+    for n in range(1, 301):
+        seeds = [tuple(rng.choice((-3, -1, 1, 2)) for _ in range(n + 1))]
+        for kind in ("ones", "laguerre"):
+            ref = SeedCoefficients.of_kind(n, kind).values
+            seeds += [ref, tuple(-v for v in ref)]
+            for j in {0, 1, n // 2, min(n // 2 + 1, n), n - 1, n,
+                      rng.randint(0, n)}:
+                for v in (ref[j] + 1, ref[j] - 1, -ref[j]):
+                    seeds.append(ref[:j] + (v,) + ref[j + 1:])
+        for values in seeds:
+            if values[0] and values[-1]:
+                seed = SeedCoefficients(values)
+                assert classify_seed(seed) == _kind_by_comparison(seed), \
+                    values
+
+
 def test_certificate_json_shape():
     cert = certified(4, 0, 1, 2)
     blob = cert.to_json_dict()
@@ -412,10 +438,10 @@ def test_certificate_json_shape():
 def test_verify_certificate_detects_tampering():
     cert = certified(3, 0, 1, 5)
     assert verify_certificate(cert)
-    broken = dataclasses.replace(cert, records=cert.records[1:])
+    broken = cert._replace(records=cert.records[1:])
     assert not verify_certificate(broken)
     red = certified(4, 0, 1, 2)
-    gamed = dataclasses.replace(red, residual=())
+    gamed = red._replace(residual=())
     assert not verify_certificate(gamed)
 
 

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -286,12 +288,18 @@ def test_largest_degree_under_the_cap_is_accepted(capsys):
 
 
 def test_certify_and_polygon_leave_numpy_unloaded():
+    # nor dataclasses and inspect, which cost start-up time; whatever the
+    # interpreter's site module loaded before is not counted
     done = _python(
+        "before = set(sys.modules); "
         "from ghlcert.cli import main; "
         "codes = [main(['certify', '--q', '1/3', '--n', '40', '--delta', '3']),"
-        " main(['polygon', '--q', '1/3', '--n', '40', '--prime', '2'])]; "
-        "assert codes == [0, 0], codes; "
-        "assert 'numpy' not in sys.modules, 'numpy was imported'")
+        " main(['polygon', '--q', '1/3', '--n', '40', '--prime', '2']),"
+        " main(['build', '--q', '1/3', '--n', '40'])]; "
+        "assert codes == [0, 0, 0], codes; "
+        "new = set(sys.modules) - before; "
+        "bad = {'numpy', 'dataclasses', 'inspect'} & new; "
+        "assert not bad, f'{sorted(bad)} imported'")
     assert done.returncode == 0, done.stderr
 
 
@@ -302,6 +310,13 @@ def test_sieve_loads_numpy_when_it_runs(capsys):
     assert done.returncode == 0, done.stderr
     _, in_process = run(capsys, "sieve", "p5-pairs", "--limit", "1000")
     assert json.loads(done.stdout) == in_process
+
+
+def test_importing_sieve_after_numpy_adds_no_dataclasses():
+    done = _python("import numpy; before = set(sys.modules); "
+                   "import ghlcert.sieve; "
+                   "assert 'dataclasses' not in set(sys.modules) - before")
+    assert done.returncode == 0, done.stderr
 
 
 def test_importing_sieve_leaves_thread_pools_unloaded():
@@ -615,6 +630,26 @@ def test_sieve_ap_gaps_past_the_exceptions_cap_exits_2(capsys, monkeypatch):
     assert ("error: more than 1,000 pairs exceed the gap bound 0 (the cap "
             "on reported pairs); ask for a larger --gap-bound") in captured.err
     assert peak < 8 << 20             # one block, no pair built past the cap
+
+
+class _WriteLog(io.StringIO):
+    def write(self, text):
+        self.writes = getattr(self, "writes", 0) + 1
+        return super().write(text)
+
+
+def test_sieve_report_is_written_a_chunk_at_a_time(monkeypatch):
+    # --gap-bound 0 near the exceptions cap writes 41 MB: the CLI writes
+    # REPORT_CHUNK pairs at a time, never the whole text at once
+    monkeypatch.setattr(cli, "REPORT_CHUNK", 4)
+    out = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["sieve", "ap-gaps", "--modulus", "4", "--residues", "1,3",
+                 "--limit", "2000", "--gap-bound", "0"]) == 0
+    report = sieve.ap_prime_gaps(4, (1, 3), 2000, 0)
+    assert out.getvalue() == json.dumps(report.to_json_dict(),
+                                        sort_keys=True, indent=2) + "\n"
+    assert out.writes == math.ceil(len(report.exceptions) / 4) + 2
 
 
 def test_config_defaults_and_precedence(tmp_path, capsys):

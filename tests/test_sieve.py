@@ -315,6 +315,21 @@ def test_ap_prime_gaps_exceptions_cap_counts_every_pair(monkeypatch):
         ap_prime_gaps(10000019, (2, 3, 5, 7), 7, 0)
 
 
+def test_sieve_report_json_chunks_match_stdlib_encoder():
+    # the text comes in a head-and-tail piece plus one piece per 5
+    # exceptions: no pair, one chunk, exactly one, several
+    pairs = ap_prime_gaps(4, (1, 3), 2000, 0)
+    ints = verify_gpf_bound(4, 2, 12, 200,
+                            RangeFilter(min_exclusive=8, odd_only=True))
+    for report, count in ((pairs, 0), (pairs, 1), (pairs, 5), (pairs, 6),
+                          (pairs, 23), (ints, 0), (ints, 5)):
+        part = report._replace(exceptions=report.exceptions[:count])
+        pieces = list(part.json_chunks(5))
+        assert "".join(pieces) == json.dumps(part.to_json_dict(),
+                                             sort_keys=True, indent=2)
+        assert len(pieces) == 1 + math.ceil(count / 5)
+
+
 def test_ap_prime_gaps_memory_is_one_block():
     # a whole-range sieve held 40 MB of flags and 20 MB of primes here
     tracemalloc.start()
