@@ -13,6 +13,7 @@ exceptional family, or simply was not closed.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
@@ -302,8 +303,8 @@ def _runs(degrees):
 
 def _witness_entry_template(pad: str) -> str:
     """%-template of one WITNESS_PRIME entry of a certificate written with
-    pad, filled with (k, window low, window high, run low, run high,
-    prime): the entry json_text's generic path writes for such a record."""
+    pad, filled with a row of _witness_rows: (k, window low, window high,
+    run low, run high, prime)."""
     i2 = pad.replace("%", "%%") + "    "
     i3, i4, i5 = i2 + "  ", i2 + "    ", i2 + "      "
     return ("{" + i3 + '"evidence": {' + i4 + '"k": %d,' + i4
@@ -313,22 +314,46 @@ def _witness_entry_template(pad: str) -> str:
             + "," + i3 + '"prime": %d' + i2 + "}")
 
 
-def _witness_numbers(rec: ExclusionRecord):
-    """(k, window low, window high) of a WITNESS_PRIME record whose
-    evidence is exactly {"k": int, "window": [int, int]}, else None.  Each
-    member is tested for type int itself: %d writes True as 1 where JSON
-    writes true."""
+def _witness_rows(rec: ExclusionRecord, params: GhlParams):
+    """The entries of a witness pass's record (witness_stage) as rows
+    (k, window low, window high, run low, run high, prime), one per run of
+    the record's degrees in k's window and its mirror, k = 1..n//2; None
+    unless the record is WITNESS_PRIME with evidence exactly {"delta":
+    params.delta, "primes": n//2 members, each an int or None} and its
+    degrees all lie in the windows of the k with a prime.  Each member is
+    tested for type int itself: %d writes True as 1 where JSON writes
+    true.  Each span (a window, its mirror, or the two joined at the
+    centre) that bisection finds whole is one run; no set is built."""
     ev = rec.evidence
     if (rec.method is not Method.WITNESS_PRIME or type(ev) is not dict
-            or ev.keys() != {"k", "window"}):
+            or ev.keys() != {"delta", "primes"}):
         return None
-    k, window = ev["k"], ev["window"]
-    if type(k) is not int or type(window) is not list or len(window) != 2:
+    delta, primes = ev["delta"], ev["primes"]
+    if (type(delta) is not int or delta != params.delta
+            or type(primes) is not list or len(primes) != params.n // 2
+            or not all(p is None or type(p) is int for p in primes)):
         return None
-    lo, hi = window
-    if type(lo) is not int or type(hi) is not int:
-        return None
-    return k, lo, hi
+    degrees, m = rec.degrees, delta * params.n
+    rows = []
+    covered = 0
+    for k, p in enumerate(primes, 1):
+        if p is None:
+            continue
+        w_lo, w_hi = delta * k - delta + 1, delta * k
+        # the window and its mirror [m-w_hi, m-w_lo] meet or touch at
+        # the centre
+        spans = (((w_lo, m - w_lo),) if m - w_hi <= w_hi + 1
+                 else ((w_lo, w_hi), (m - w_hi, m - w_lo)))
+        for lo, hi in spans:
+            i = bisect_left(degrees, lo)
+            j = bisect_right(degrees, hi, i)
+            covered += j - i
+            if j - i == hi - lo + 1:
+                rows.append((k, w_lo, w_hi, lo, hi, p))
+            else:
+                rows.extend((k, w_lo, w_hi, r_lo, r_hi, p)
+                            for r_lo, r_hi in _runs(degrees[i:j]))
+    return rows if covered == len(degrees) else None
 
 
 class Certificate(namedtuple("Certificate", "params seed_kind seed records "
@@ -350,14 +375,25 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
 
     def to_json_dict(self) -> dict:
         """The certificate as JSON-ready data, one record entry per run of
-        consecutive degrees, entries in order of their low end.  Entries
-        share their record's evidence dict, so treat the result as
+        consecutive degrees, entries in order of their low end.  A witness
+        pass's record (_witness_rows) gives one entry per k and run, with
+        that k's prime and evidence {"k": k, "window": [lo, hi]}; any other
+        record's entries share its evidence dict, so treat the result as
         read-only.  json_text writes this layout without building it."""
-        entries = [{"k_range": k_range, "method": rec.method.value,
-                    "prime": rec.prime, "evidence": rec.evidence}
-                   for rec in self.records for k_range in _runs(rec.degrees)]
-        # the ledger keeps record degree sets disjoint, so no two runs
-        # share a low end
+        entries = []
+        for rec in self.records:
+            rows = _witness_rows(rec, self.params)
+            if rows is not None:
+                entries.extend(
+                    {"k_range": [lo, hi], "method": rec.method.value,
+                     "prime": p, "evidence": {"k": k, "window": [w_lo, w_hi]}}
+                    for k, w_lo, w_hi, lo, hi, p in rows)
+                continue
+            entries.extend({"k_range": k_range, "method": rec.method.value,
+                            "prime": rec.prime, "evidence": rec.evidence}
+                           for k_range in _runs(rec.degrees))
+        # the ledger keeps record degree sets disjoint, and the entries of
+        # one witness record disjoint, so no two runs share a low end
         entries.sort(key=lambda e: e["k_range"][0])
         return {
             "schema_version": 1,
@@ -373,11 +409,10 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
         """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) with
         every newline written as pad (a newline and the indentation the
         certificate sits at), built straight from the records.  A witness
-        record of the usual shape (_witness_numbers) fills one %-template
-        per run of its degrees.  Any other record has its evidence, method
-        and prime encoded once; each run of its degrees then fills the
-        fixed entry layout (evidence, k_range, method, prime: sorted-key
-        order)."""
+        pass's record fills one %-template per row of _witness_rows.  Any
+        other record has its evidence, method and prime encoded once; each
+        run of its degrees then fills the fixed entry layout (evidence,
+        k_range, method, prime: sorted-key order)."""
         i1 = pad + "  "
         i2 = i1 + "  "
         i3 = i2 + "  "
@@ -386,18 +421,15 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
         witness = _witness_entry_template(pad)
         entries = []
         for rec in self.records:
-            numbers = _witness_numbers(rec)
-            if numbers is not None:
-                k, w_lo, w_hi = numbers
-                for lo, hi in _runs(rec.degrees):
-                    entries.append(
-                        (lo, witness % (k, w_lo, w_hi, lo, hi, rec.prime)))
+            rows = _witness_rows(rec, self.params)
+            if rows is not None:
+                entries.extend((row[3], witness % row) for row in rows)
                 continue
             head = ("{" + i3 + '"evidence": ' + encode(rec.evidence, i3)
                     + "," + i3 + '"k_range": [' + i4)
             tail = (i3 + "]," + i3 + '"method": '
                     + encode_str(rec.method.value) + "," + i3 + '"prime": '
-                    + encode_int(rec.prime) + i2 + "}")
+                    + encode(rec.prime, i3) + i2 + "}")
             for lo, hi in _runs(rec.degrees):
                 entries.append(
                     (lo, head + encode_int(lo) + mid + encode_int(hi) + tail))

@@ -159,7 +159,11 @@ def _parse_batch(spec: str, flag: str) -> tuple[int, int]:
     lo, sep, hi = spec.partition(":")
     if not sep:
         raise InvalidParameters(f"{flag} takes lo:hi, got {spec!r}")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise InvalidParameters(
+            f"{flag} takes integers lo:hi, got {spec!r}") from None
     if lo > hi:
         raise InvalidParameters(f"range {spec} is empty: {lo} > {hi}")
     return lo, hi

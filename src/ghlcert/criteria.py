@@ -46,7 +46,11 @@ class ExclusionRecord(namedtuple("ExclusionRecord",
                                   "method degrees prime evidence")):
     """One certified exclusion: these factor degrees (a sorted tuple) are
     impossible, by this method at this prime; evidence is what the method
-    read there.  The four fields are what each certificate entry shows."""
+    read there.  The four fields are what each certificate entry shows,
+    except for the one WITNESS_PRIME record of a witness pass: its prime
+    is None, its evidence {"delta": delta, "primes": [...]} holds the
+    prime of each k = 1..n//2 (None at a gap), and the certificate writes
+    one entry per k and run, each with that k's prime and window."""
 
     __slots__ = ()
 
@@ -60,7 +64,7 @@ class DegreeLedger:
         self.remaining = set(range(1, total))
         self.records: list[ExclusionRecord] = []
 
-    def claim(self, method: Method, degrees, prime: int,
+    def claim(self, method: Method, degrees, prime: int | None,
               evidence: dict) -> ExclusionRecord | None:
         """Exclude degrees and their mirrors total - K, as far as they are
         still open; the record of what that excluded, or None."""
@@ -191,16 +195,19 @@ class PolygonCache:
 # from the run's cache, claims into the ledger, and returns None or a note.
 
 def witness_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
-    """Witness-prime exclusions for k = 1..n//2, each covering the degree
-    window [delta*k-delta+1, delta*k].  The primes come from one pass of
-    witness_primes."""
+    """Witness-prime exclusions for k = 1..n//2 as one claim: the union of
+    the degree windows [delta*k-delta+1, delta*k] of the k that have a
+    prime, with evidence {"delta": delta, "primes": primes}, where
+    primes[k-1] is the prime of k from one pass of witness_primes (None at
+    a gap).  The windows are pairwise disjoint, and so are their mirrors
+    but for the centre degree delta*n/2, so the degrees of k are the
+    record's degrees in its window and that window's mirror."""
     delta = cache.params.delta
-    for k, p in witness_primes(cache.params, cache.seed):
-        if p is None:
-            continue
-        lo, hi = delta * k - delta + 1, delta * k
-        ledger.claim(Method.WITNESS_PRIME, range(lo, hi + 1), p,
-                     {"window": [lo, hi], "k": k})
+    primes = [p for _, p in witness_primes(cache.params, cache.seed)]
+    ledger.claim(Method.WITNESS_PRIME,
+                 [K for k, p in enumerate(primes, 1) if p is not None
+                  for K in range(delta * k - delta + 1, delta * k + 1)],
+                 None, {"delta": delta, "primes": primes})
 
 
 def delta_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:

@@ -17,6 +17,8 @@ from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
 from ghlcert.jsontext import unlimited_int_digits
 from ghlcert.polynomials import GhlParams, SeedCoefficients
 
+from oracles import witness_primes_per_k
+
 W1_FAMILIES = ("1/3", "-1/3", "2/3", "-2/3", "1/4", "-1/4", "3/4", "-3/4")
 
 
@@ -92,20 +94,41 @@ def test_json_text_edge_shapes():
                   "text": "é\n\"\\", "empty": [], "none": {}})
     witness = cert.records[0]
     assert witness.method is Method.WITNESS_PRIME
-    # witness evidence off the {"k": int, "window": [int, int]} template:
-    # %d would write True as 1 where JSON writes true
+    primes = witness.evidence["primes"]
+    assert witness.evidence == {"delta": 3, "primes": primes}
+    # witness evidence off the {"delta": int, "primes": [int | None]}
+    # table, or a per-k {"k": int, "window": [int, int]}, is written as
+    # any other record's: %d would write True as 1 where JSON writes true
     generic = [witness._replace(evidence=evidence) for evidence in (
         {"k": True, "window": [4, 6]}, {"k": 2, "window": [4, False]},
         {"k": 2, "window": [4, 6], "extra": 0}, {"k": 2, "window": (4, 6)},
         {"k": 2, "window": [4, 6, 7]}, {"k": 2.0, "window": [4, 6]},
         {"k": 2}, {"k": [2], "window": [4, 6]},
-        {"k": 2, "window": {4: 0, 6: 0}})]
+        {"k": 2, "window": {4: 0, 6: 0}},
+        {"delta": True, "primes": primes},
+        {"delta": 3, "primes": [True] + primes[1:]},
+        {"delta": 3, "primes": ["7"] + primes[1:]},
+        {"delta": 3, "primes": tuple(primes)},
+        {"delta": 3, "primes": primes, "extra": 0},
+        {"primes": primes},
+        {"delta": 1, "primes": primes},
+        {"delta": 3, "primes": primes + [None]})]
+    # on the table, the degrees of a k need not fill its window and mirror
+    # (a claim keeps only the degrees still open), but each must lie in
+    # the window or mirror of a k with a prime, or the record is written
+    # as any other
+    degrees = witness.degrees
+    trimmed = [witness._replace(degrees=kept) for kept in (
+        tuple(K for K in degrees if K % 2), degrees[1:-1], (degrees[0],))]
+    stray = [witness._replace(evidence={"delta": 3, "primes": [None] * 2}),
+             witness._replace(degrees=degrees[:-1] + (100,))]
     shapes = [
+        cert,
         cert._replace(records=(), residual=tuple(range(1, 15))),
         cert._replace(records=(odd,) + cert.records[1:],
                       notes=("a: line\nbreak", "b: € \U0001f600")),
     ] + [cert._replace(records=(rec,) + cert.records[1:])
-         for rec in generic]
+         for rec in generic + trimmed + stray]
     for shape in shapes:
         assert_text_matches(shape, pads=("\n", "\n  ", "\n" + " " * 7))
 
@@ -157,6 +180,61 @@ def test_json_text_matches_stdlib_encoder(instance, how, notes, indent):
                  "margin": margin_stage}[how]
         cert = stage_alone(stage, params, seed_coeffs, notes)
     assert_text_matches(cert, pads=("\n", "\n" + " " * indent))
+
+
+def oracle_witness_entries(cert, seed_coeffs):
+    """The WITNESS_PRIME entries of a certificate, rebuilt k by k from the
+    oracle's primes: each k with a prime takes what is still open of its
+    window [delta*k-delta+1, delta*k] and the window's mirror, and gives
+    an entry per run of consecutive degrees.  The witness stage runs
+    first, so every degree starts open."""
+    params, m = cert.params, cert.total_degree
+    delta = params.delta
+    open_degrees = set(range(1, m))
+    entries = []
+    for k, p in enumerate(witness_primes_per_k(params, seed_coeffs), 1):
+        if p is None:
+            continue
+        window = range(delta * k - delta + 1, delta * k + 1)
+        taken = {x for K in window for x in (K, m - K)} & open_degrees
+        open_degrees -= taken
+        runs = []
+        for K in sorted(taken):
+            if runs and runs[-1][1] == K - 1:
+                runs[-1][1] = K
+            else:
+                runs.append([K, K])
+        entries += [{"evidence": {"k": k, "window": [window[0], window[-1]]},
+                     "k_range": run, "method": "WITNESS_PRIME", "prime": p}
+                    for run in runs]
+    return sorted(entries, key=lambda e: e["k_range"][0])
+
+
+def assert_witness_entries_match_oracle(cert, seed_coeffs):
+    written = [e for e in cert.to_json_dict()["records"]
+               if e["method"] == "WITNESS_PRIME"]
+    assert written == oracle_witness_entries(cert, seed_coeffs)
+
+
+def test_witness_entries_match_the_oracle_on_the_w1_grid():
+    count = 0
+    for cert in w1_certificates():
+        assert_witness_entries_match_oracle(
+            cert, SeedCoefficients.laguerre(cert.params.n))
+        count += 1
+    assert count == 792
+
+
+@seed(11)
+@settings(max_examples=80, deadline=None, database=None)
+@given(instances())
+def test_witness_entries_match_the_oracle_on_generated_instances(instance):
+    params, seed_coeffs = instance
+    try:
+        cert = full_certify(params, seed_coeffs)
+    except HypothesisViolation:
+        reject()
+    assert_witness_entries_match_oracle(cert, seed_coeffs)
 
 
 def assert_mirror_closed(cert):

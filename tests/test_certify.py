@@ -21,6 +21,7 @@ from ghlcert.certify import (
     verify_break_valuations,
     verify_certificate,
 )
+from ghlcert.cli import main
 from ghlcert.criteria import DegreeLedger, Method, PolygonCache
 from ghlcert.newton import subset_sums
 from ghlcert.polynomials import (
@@ -220,14 +221,35 @@ def test_full_certify_methods_compose():
 
 
 def test_full_certify_witness_only_instance():
-    # q = -3/4, n = 20: witness primes alone close every degree, one record
-    # per k = 1..10
+    # q = -3/4, n = 20: witness primes alone close every degree, in one
+    # record holding a prime for each k = 1..10
     cert = full_certify(GhlParams(d=4, u=-1, alpha=3, n=20, delta=4),
                         SeedCoefficients.laguerre(20))
     assert cert.residual == ()
-    assert {rec.method for rec in cert.records} == {Method.WITNESS_PRIME}
-    assert sorted(rec.evidence["k"] for rec in cert.records) == list(
-        range(1, 11))
+    (rec,) = cert.records
+    assert rec.method is Method.WITNESS_PRIME and rec.prime is None
+    assert rec.evidence.keys() == {"delta", "primes"}
+    assert rec.evidence["delta"] == 4
+    primes = rec.evidence["primes"]
+    assert len(primes) == 10 and None not in primes
+    assert rec.degrees == tuple(range(1, 80))
+
+
+def test_witness_stage_claims_once_per_certificate(capsys, monkeypatch):
+    # the witness pass of each certificate is one ledger claim, whatever
+    # the number of k it finds a prime for
+    calls = Counter()
+    claim = criteria.DegreeLedger.claim
+
+    def counted(self, method, *args):
+        calls[method] += 1
+        return claim(self, method, *args)
+
+    monkeypatch.setattr(criteria.DegreeLedger, "claim", counted)
+    assert main(["certify", "--q", "1/3", "--batch-n", "2:100",
+                 "--delta", "3"]) in (0, 1)
+    assert len(json.loads(capsys.readouterr().out)) == 99
+    assert calls[Method.WITNESS_PRIME] == 99
 
 
 _STAGE_FUNCTIONS = ("witness_stage", "special_2adic_certify",

@@ -726,6 +726,22 @@ def test_range_without_colon_names_its_flag(capsys, argv, flag):
     assert f"{flag} takes lo:hi, got '5'" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag, spec", [
+    (["certify", "--q", "1/3", "--batch-n", "2:x", "--delta", "3"],
+     "--batch-n", "2:x"),
+    (["certify", "--q", "1/3", "--batch-n", "2.5:9", "--delta", "3"],
+     "--batch-n", "2.5:9"),
+    (["sieve", "rset-mismatch", "--k-range", ":5"], "--k-range", ":5"),
+    (["sieve", "rset-mismatch", "--k-range", "2:"], "--k-range", "2:")])
+def test_range_with_a_non_integer_end_names_its_flag(capsys, argv, flag,
+                                                     spec):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} takes integers lo:hi, got '{spec}'\n" in (
+        captured.err)
+
+
 @pytest.mark.parametrize("limit", ["-5", "0"])
 def test_sieve_p5_pairs_rejects_bad_limit(capsys, limit):
     assert main(["sieve", "p5-pairs", "--limit", limit]) == 2
