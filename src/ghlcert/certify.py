@@ -119,9 +119,7 @@ def expected_breaks(params: GhlParams) -> BreakSequence:
 def verify_break_valuations(bs: BreakSequence) -> bool:
     """Closed forms for nu_2((n_i - 1)!) at every predicted break against a
     direct Legendre evaluation."""
-    for i, ni in enumerate(bs.breaks):
-        if i == 0:
-            continue
+    for i, ni in enumerate(bs.breaks[1:], 1):
         if i < bs.s:
             expected = ni - bs.a + i
         else:
@@ -504,11 +502,11 @@ def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
 def _three_adic_stage(cache: PolygonCache,
                       ledger: DegreeLedger) -> str | None:
     """Once the family inequality holds, record the widest flat-tail window
-    at p=3 as a SPECIAL_3ADIC claim."""
+    at p=3 as a SPECIAL_3ADIC claim; with no degree open it builds no polygon."""
     if not special_3adic_check(cache.params):
         return "family inequalities failed"
     best = None
-    for carrier, poly in cache.carriers(3):
+    for carrier, poly in cache.carriers(3) if ledger.remaining else ():
         if poly.ordinates[poly.degree] == 0:
             continue
         k = widest_window(poly, 0)

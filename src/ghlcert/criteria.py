@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import heapq
 from collections import namedtuple
+from itertools import chain
 
 from .newton import (NewtonPolygon, admissible_degrees, polygon_from_params,
                      subset_sums, viable_margin, widest_window)
@@ -66,11 +67,11 @@ class DegreeLedger:
 
     def claim(self, method: Method, degrees, prime: int | None,
               evidence: dict) -> ExclusionRecord | None:
-        """Exclude degrees and their mirrors total - K, as far as they are
-        still open; the record of what that excluded, or None."""
-        total = self.total
-        effective = {x for K in degrees if 1 <= K < total
-                     for x in (K, total - K)} & self.remaining
+        """Exclude degrees and their mirrors total - K as far as still open
+        (a K outside [1, total-1] never is); the record of that, or None."""
+        effective = set(degrees)
+        effective |= {self.total - K for K in effective}
+        effective &= self.remaining
         if not effective:
             return None
         self.remaining -= effective
@@ -146,15 +147,16 @@ def candidate_primes(params: GhlParams) -> list[int]:
 
 class PolygonCache:
     """What the stages of one certification run share: the instance, its
-    candidate primes, and lazily built polygons of the substituted
-    polynomial per prime, both for the actual seed and for the all-ones
-    carrier."""
+    candidate primes, and the polygons of the substituted polynomial per
+    prime for the seed and the all-ones carrier, each built at most once,
+    on demand, and by the stages not at all at a flat prime (see flat)."""
 
     def __init__(self, params: GhlParams, seed: SeedCoefficients):
         self.params = params
         self.seed = seed
         self.primes = candidate_primes(params)
         self.ones = SeedCoefficients.ones(params.n)
+        self._table = term_table(params.d, params.u, params.alpha)
         self._cache: dict[tuple[int, str], NewtonPolygon] = {}
         self._admissible: dict[tuple[int, str], frozenset] = {}
 
@@ -162,6 +164,14 @@ class PolygonCache:
         """Margin/window conclusions carry from the ones carrier to the
         seeded polynomial only when p divides neither seed endpoint."""
         return (self.seed.values[0] * self.seed.values[self.params.n]) % p != 0
+
+    def flat(self, p: int) -> bool:
+        """p divides neither the leading nor the constant coefficient
+        (S_p[n] == 0 and seed_coprime(p), read in O(1)), so either carrier's
+        polygon is one slope-0 edge: every degree admissible, no margin or
+        window."""
+        n = self.params.n
+        return self.seed_coprime(p) and not self._table.valuation_sums(p, n)[n]
 
     def polygon(self, p: int, carrier: str) -> NewtonPolygon:
         key = (p, carrier)
@@ -172,10 +182,10 @@ class PolygonCache:
 
     def carriers(self, p: int):
         """Yield (carrier, polygon) at p for the seeded polynomial and then
-        the ones carrier, lazily: the ones carrier only when seed_coprime(p),
-        and only polygons with leading ordinate 0 (p does not divide the
-        leading coefficient), which every margin and window reading needs."""
-        for carrier in ("self", "ones"):
+        the ones carrier, lazily: none at a flat prime, the ones carrier only
+        when seed_coprime(p), and only polygons with leading ordinate 0,
+        which every margin and window reading needs."""
+        for carrier in () if self.flat(p) else ("self", "ones"):
             if carrier == "ones" and not self.seed_coprime(p):
                 continue
             poly = self.polygon(p, carrier)
@@ -204,21 +214,22 @@ def witness_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     record's degrees in its window and that window's mirror."""
     delta = cache.params.delta
     primes = [p for _, p in witness_primes(cache.params, cache.seed)]
-    ledger.claim(Method.WITNESS_PRIME,
-                 [K for k, p in enumerate(primes, 1) if p is not None
-                  for K in range(delta * k - delta + 1, delta * k + 1)],
-                 None, {"delta": delta, "primes": primes})
+    ledger.claim(Method.WITNESS_PRIME, chain.from_iterable(
+        range(delta * k - delta + 1, delta * k + 1)
+        for k, p in enumerate(primes, 1) if p is not None),
+        None, {"delta": delta, "primes": primes})
 
 
 def delta_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Admissible-degree complements of the seeded polynomial's polygons.
     Sound for the instance itself at any prime: a factor degree must be a
-    subset sum of lattice-segment widths."""
+    subset sum of lattice-segment widths, so a flat prime excludes nothing."""
     for p in cache.primes:
         if not ledger.remaining:
             return
-        admissible = cache.admissible(p, "self")
-        excluded = ledger.remaining - admissible
+        if cache.flat(p):
+            continue
+        excluded = ledger.remaining - cache.admissible(p, "self")
         if excluded:
             poly = cache.polygon(p, "self")
             ledger.claim(
@@ -259,20 +270,13 @@ def margin_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
         if K not in ledger.remaining:
             continue
         kk = min(K, m - K)
-        if kk == 0 or m < 2 * kk:
-            continue
-        hit = False
-        for p in cache.primes:
-            for carrier, poly in cache.carriers(p):
-                r = viable_margin(poly, kk)
-                if r is not None:
-                    ledger.claim(
-                        Method.NEWTON_MARGIN, [kk], p,
-                        {"prime": p, "carrier": carrier, "r": r,
-                         "degree": kk})
-                    hit = True
-                    break
-            if hit:
+        for p, carrier, r in ((p, carrier, viable_margin(poly, kk))
+                              for p in cache.primes
+                              for carrier, poly in cache.carriers(p)):
+            if r is not None:
+                ledger.claim(Method.NEWTON_MARGIN, [kk], p,
+                             {"prime": p, "carrier": carrier, "r": r,
+                              "degree": kk})
                 break
 
 

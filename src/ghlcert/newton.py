@@ -91,26 +91,26 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def polygon_from_ordinates(p: int, ordinates) -> NewtonPolygon:
-    """Build the polygon from precomputed ordinates (leading side at index 0)."""
-    ordinates = tuple(ordinates)
+def _build(p: int, ordinates: tuple, step: int) -> NewtonPolygon:
+    """The polygon of these ordinates, all of whose finite entries sit at
+    multiples of step, so the hull is taken over those points alone."""
     degree = len(ordinates) - 1
     if degree < 1:
         raise PreconditionError("polygon needs degree at least 1")
     if ordinates[0] == INFINITY or ordinates[-1] == INFINITY:
         raise PreconditionError(
             "leading and constant coefficients must be nonzero")
-    finite = [(x, y) for x, y in enumerate(ordinates) if y < INFINITY]
-    hull = _lower_hull(finite)
-    vertices = tuple(hull)
-    edges = tuple(
-        Edge(x0, y0, x1, y1)
-        for (x0, y0), (x1, y1) in zip(hull, hull[1:])
-    )
-    if not edges:
+    points = zip(range(0, degree + 1, step), ordinates[::step])
+    hull = _lower_hull([pt for pt in points if pt[1] < INFINITY])
+    if len(hull) < 2:
         raise PreconditionError("polygon degenerated to a single point")
-    return NewtonPolygon(prime=p, degree=degree, ordinates=ordinates,
-                         vertices=vertices, edges=edges)
+    return NewtonPolygon(p, degree, ordinates, tuple(hull), tuple(
+        Edge(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(hull, hull[1:])))
+
+
+def polygon_from_ordinates(p: int, ordinates) -> NewtonPolygon:
+    """Build the polygon from precomputed ordinates (leading side at index 0)."""
+    return _build(p, tuple(ordinates), 1)
 
 
 def build_polygon(poly: IntegerPolynomial, p: int) -> NewtonPolygon:
@@ -121,9 +121,10 @@ def build_polygon(poly: IntegerPolynomial, p: int) -> NewtonPolygon:
 
 
 def polygon_from_params(p: int, params, seed) -> NewtonPolygon:
-    """Polygon of the seeded, power-substituted polynomial, computed from the
-    factored coefficient form without assembling big integers."""
-    return polygon_from_ordinates(p, coefficient_valuations(p, params, seed))
+    """Polygon of the seeded, power-substituted polynomial from the factored
+    coefficients, its hull over the n+1 ordinates at multiples of delta."""
+    return _build(p, tuple(coefficient_valuations(p, params, seed)),
+                  params.delta)
 
 
 def newton_function(polygon: NewtonPolygon, x) -> Fraction:
@@ -131,8 +132,6 @@ def newton_function(polygon: NewtonPolygon, x) -> Fraction:
     x = Fraction(x)
     if not 0 <= x <= polygon.degree:
         raise ValueError(f"x={x} outside [0, {polygon.degree}]")
-    if x == 0:
-        return Fraction(polygon.vertices[0][1])
     for e in polygon.edges:
         if x <= e.x1:
             return e.y0 + e.slope * (x - e.x0)
@@ -142,11 +141,15 @@ def newton_function(polygon: NewtonPolygon, x) -> Fraction:
 def subset_sums(parts) -> frozenset:
     """Every sum of a sub-multiset of the sizes given as (size, count)
     pairs, via a bitset.  Always contains 0 and the full sum and is closed
-    under k -> full sum - k."""
+    under k -> full sum - k.  The copies of a size go in as chunks of 1, 2,
+    4, ... copies and a remainder: O(log count) shifts, same subset sums."""
     bits = 1
     for size, count in parts:
-        for _ in range(count):
-            bits |= bits << size
+        chunk = 1
+        while count > 0:
+            bits |= bits << (size * min(chunk, count))
+            count -= chunk
+            chunk *= 2
     low_first = bin(bits)[:1:-1]  # bin() writes "0b" and then high bits first
     return frozenset(k for k, bit in enumerate(low_first) if bit == "1")
 
@@ -175,20 +178,15 @@ def viable_margin(polygon: NewtonPolygon, k: int):
 def window_holds(polygon: NewtonPolygon, l: int, k: int) -> bool:
     """True iff p divides every coefficient except the leading block down to
     index m-l, and the rightmost edge is flatter than 1/k."""
-    m = polygon.degree
-    if polygon.ordinates[0] != 0:
-        return False
-    for x in range(l + 1, m + 1):
-        if polygon.ordinates[x] < 1:
-            return False
-    return polygon.max_slope < Fraction(1, k)
+    ordinates = polygon.ordinates
+    return (ordinates[0] == 0 and all(y >= 1 for y in ordinates[l + 1:])
+            and polygon.max_slope < Fraction(1, k))
 
 
 def widest_window(polygon: NewtonPolygon, l: int):
     """Largest k with window_holds(polygon, l, k), or None."""
-    m = polygon.degree
     s = polygon.max_slope
-    k_cap = m // 2
+    k_cap = polygon.degree // 2
     if s > 0:
         k_cap = min(k_cap, math.ceil(Fraction(1, s)) - 1)
     if k_cap <= l:

@@ -247,8 +247,8 @@ def coefficient_valuations(p: int, params: GhlParams, seed: SeedCoefficients) ->
     sums = term_table(params.d, params.u, params.alpha).valuation_sums(p, n)
     top = sums[n]
     ordinates = [INFINITY] * (delta * n + 1)
-    for j in range(n + 1):
-        ordinates[delta * (n - j)] = _nu(p, values[j]) + (top - sums[j])
+    ordinates[::delta] = [top - s if v % p else _nu(p, v) + (top - s)
+                          for v, s in zip(values[::-1], sums[n::-1])]
     return ordinates
 
 

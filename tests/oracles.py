@@ -179,6 +179,16 @@ def distinct_prime_factors(m: int) -> set[int]:
     return out
 
 
+def subset_sums_per_copy(parts) -> set:
+    """Sums of the sub-multisets of the sizes given as (size, count) pairs,
+    as a set of reachable sums grown by one copy of a size at a time."""
+    sums = {0}
+    for size, count in parts:
+        for _ in range(count):
+            sums |= {s + size for s in sums}
+    return sums
+
+
 def witness_primes_per_k(params, seed) -> list:
     """Witness primes for k = 1..n//2, each searched afresh: the largest
     prime dividing one of the k highest linear factors, dividing none of

@@ -289,27 +289,35 @@ def test_full_certify_calls_stages_through_module_names(monkeypatch):
 def test_full_certify_builds_each_polygon_once(monkeypatch):
     # the 2-adic handler, the own-prime handler and the polygon stages read
     # one PolygonCache, so q = -1/3, n = 43 (top factor 2^7) builds each
-    # p = 2 polygon once, and q = 2/3, n = 6 builds its p = 3 polygon once
-    # for the own-prime handler and the delta stage
+    # p = 2 polygon once and its p = 5 polygon once; the stages build none
+    # at a prime dividing neither the leading nor the constant coefficient
+    # (its hull is one flat edge).  q = 2/3, n = 6 builds its flat p = 3
+    # polygon once, for the own-prime handler, which reads it directly
     builds = Counter()
 
     def counted(p, params, seed, _fn=criteria.polygon_from_params):
         builds[p, params, seed.values] += 1
         return _fn(p, params, seed)
+
+    def flat_primes(params, seed):
+        poly = build_substituted(params, seed)
+        return {p for p, _, _ in builds
+                if poly.leading * poly.constant % p != 0}
     monkeypatch.setattr(criteria, "polygon_from_params", counted)
     params = GhlParams(d=3, u=-1, alpha=2, n=43, delta=3)
     cert = full_certify(params, SeedCoefficients.laguerre(43))
     assert Method.SPECIAL_2ADIC in {rec.method for rec in cert.records}
-    assert {key[0] for key in builds} >= {2, 3}
+    assert {key[0] for key in builds} == {2, 5}
     assert max(builds.values()) == 1, builds.most_common(3)
+    assert flat_primes(params, SeedCoefficients.laguerre(43)) == set()
     builds.clear()
-    cert = full_certify(GhlParams(d=3, u=0, alpha=2, n=6, delta=3),
-                        SeedCoefficients.laguerre(6))
+    params = GhlParams(d=3, u=0, alpha=2, n=6, delta=3)
+    cert = full_certify(params, SeedCoefficients.laguerre(6))
     assert any(note.startswith("own-prime handler: degree 3 stays")
                for note in cert.notes), cert.notes
-    assert builds[3, GhlParams(d=3, u=0, alpha=2, n=6, delta=3),
-                  SeedCoefficients.laguerre(6).values] == 1
+    assert builds[3, params, SeedCoefficients.laguerre(6).values] == 1
     assert max(builds.values()) == 1, builds.most_common(3)
+    assert flat_primes(params, SeedCoefficients.laguerre(6)) == {3}
 
 
 def test_full_certify_residual_regressions():

@@ -25,7 +25,7 @@ from ghlcert.polynomials import (
 )
 from ghlcert.valuation import INFINITY, nu
 
-from oracles import poly_mul
+from oracles import poly_mul, subset_sums_per_copy
 
 
 def carrier_polygon(p, d, u, alpha, n, delta):
@@ -114,6 +114,20 @@ def test_subset_sums_match_sub_multiset_enumeration(rng):
                  for _ in range(rng.randint(0, 5))]
         sizes = [size for size, count in parts for _ in range(count)]
         assert subset_sums(iter(parts)) == _all_subset_sums(sizes), parts
+
+
+def test_subset_sums_large_counts_match_per_copy_loop(rng):
+    # counts on both sides of powers of two, where the chunks of 1, 2, 4,
+    # ... copies end in a remainder, and mixed multisets up to 400 copies
+    for count in (0, 1, 2, 3, 4, 5, 7, 8, 9, 127, 128, 129, 255, 256, 400):
+        for size in (1, 3):
+            assert subset_sums([(size, count)]) == \
+                subset_sums_per_copy([(size, count)]), (size, count)
+    for _ in range(40):
+        parts = [(rng.randint(1, 6), rng.choice([rng.randint(0, 400),
+                                                  rng.randint(0, 9)]))
+                 for _ in range(rng.randint(1, 3))]
+        assert subset_sums(iter(parts)) == subset_sums_per_copy(parts), parts
 
 
 def _lattice_segment_widths(polygon):

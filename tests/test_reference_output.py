@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from ghlcert import criteria
 from ghlcert.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +45,29 @@ def test_certify_output_matches_reference(command, expected, capsys):
                          _commands("w3_sweeps", "w4_gpf7"))
 def test_sieve_output_matches_reference(command, expected, capsys):
     _check(command, expected, capsys)
+
+
+def test_w1_polygon_work_is_pinned(monkeypatch, capsys):
+    # the W1 commands build 776 polygons and 708 admissible-degree sets; a
+    # change that builds more (a polygon at a prime dividing neither the
+    # leading nor the constant coefficient, a second build of one polygon,
+    # a p = 3 window read with no degree open) fails here without timing
+    calls = {"polygon_from_params": 0, "admissible_degrees": 0}
+
+    def counted(name):
+        fn = getattr(criteria, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(criteria, name, counted(name))
+    for command, expected in sorted(
+            json.loads(REFERENCE.read_text())["w1_grid"].items()):
+        assert main(command.split()) == expected["exit"]
+        capsys.readouterr()
+    assert calls == {"polygon_from_params": 776, "admissible_degrees": 708}
 
 
 def test_layer_trace_installs():
