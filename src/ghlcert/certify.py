@@ -13,12 +13,11 @@ exceptional family, or simply was not closed.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
                        degree_set_stage, delta_stage, margin_stage,
-                       window_stage, witness_stage)
+                       window_stage, witness_stage, witness_windows)
 from .jsontext import encode, encode_int, encode_str
 from .newton import viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
@@ -143,8 +142,6 @@ def special_2adic_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
     subset of [1, delta]; raises SpecialCaseError when the instance is
     outside the family or nothing at all is certified."""
     params, seed = cache.params, cache.seed
-    if params.d != 3:
-        raise SpecialCaseError(f"2-adic handler needs d=3, got d={params.d}")
     n, delta = params.n, params.delta
     if (seed.values[0] * seed.values[n]) % 2 == 0:
         raise SpecialCaseError("seed endpoints must be odd")
@@ -237,9 +234,6 @@ def laguerre_np_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """
     params = cache.params
     d, n = params.d, params.n
-    if params.u not in (-1, 0) or d not in (3, 4):
-        raise SpecialCaseError(
-            f"own-prime handler needs d in {{3, 4}} and u in {{-1, 0}}")
     if exception_family(params) is None:
         raise SpecialCaseError(
             f"top linear factor {params.top_term} is not of exceptional shape")
@@ -312,46 +306,24 @@ def _witness_entry_template(pad: str) -> str:
             + "," + i3 + '"prime": %d' + i2 + "}")
 
 
-def _witness_rows(rec: ExclusionRecord, params: GhlParams):
-    """The entries of a witness pass's record (witness_stage) as rows
-    (k, window low, window high, run low, run high, prime), one per run of
-    the record's degrees in k's window and its mirror, k = 1..n//2; None
-    unless the record is WITNESS_PRIME with evidence exactly {"delta":
-    params.delta, "primes": n//2 members, each an int or None} and its
-    degrees all lie in the windows of the k with a prime.  Each member is
-    tested for type int itself: %d writes True as 1 where JSON writes
-    true.  Each span (a window, its mirror, or the two joined at the
-    centre) that bisection finds whole is one run; no set is built."""
-    ev = rec.evidence
-    if (rec.method is not Method.WITNESS_PRIME or type(ev) is not dict
-            or ev.keys() != {"delta", "primes"}):
-        return None
-    delta, primes = ev["delta"], ev["primes"]
-    if (type(delta) is not int or delta != params.delta
-            or type(primes) is not list or len(primes) != params.n // 2
-            or not all(p is None or type(p) is int for p in primes)):
-        return None
-    degrees, m = rec.degrees, delta * params.n
+def _witness_rows(rec: ExclusionRecord, params: GhlParams) -> list:
+    """The entries of the witness stage's record as rows (k, window low,
+    window high, run low, run high, prime): for each window of
+    witness_windows over its primes, a row for the window and one for its
+    mirror, or one row where the two meet or touch at the centre.  The
+    stage claims first, on a fresh ledger, so the rows must cover exactly
+    len(rec.degrees) degrees, or CertificationInternalError is raised."""
+    m = params.delta * params.n
     rows = []
-    covered = 0
-    for k, p in enumerate(primes, 1):
-        if p is None:
-            continue
-        w_lo, w_hi = delta * k - delta + 1, delta * k
-        # the window and its mirror [m-w_hi, m-w_lo] meet or touch at
-        # the centre
-        spans = (((w_lo, m - w_lo),) if m - w_hi <= w_hi + 1
-                 else ((w_lo, w_hi), (m - w_hi, m - w_lo)))
-        for lo, hi in spans:
-            i = bisect_left(degrees, lo)
-            j = bisect_right(degrees, hi, i)
-            covered += j - i
-            if j - i == hi - lo + 1:
-                rows.append((k, w_lo, w_hi, lo, hi, p))
-            else:
-                rows.extend((k, w_lo, w_hi, r_lo, r_hi, p)
-                            for r_lo, r_hi in _runs(degrees[i:j]))
-    return rows if covered == len(degrees) else None
+    for k, lo, hi, p in witness_windows(rec.evidence["primes"], params.delta):
+        if m - hi <= hi + 1:
+            rows.append((k, lo, hi, lo, m - lo, p))
+        else:
+            rows += ((k, lo, hi, lo, hi, p), (k, lo, hi, m - hi, m - lo, p))
+    if sum(row[4] - row[3] + 1 for row in rows) != len(rec.degrees):
+        raise CertificationInternalError(
+            f"witness windows miss the record's {len(rec.degrees)} degrees")
+    return rows
 
 
 class Certificate(namedtuple("Certificate", "params seed_kind seed records "
@@ -373,25 +345,26 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
 
     def to_json_dict(self) -> dict:
         """The certificate as JSON-ready data, one record entry per run of
-        consecutive degrees, entries in order of their low end.  A witness
-        pass's record (_witness_rows) gives one entry per k and run, with
-        that k's prime and evidence {"k": k, "window": [lo, hi]}; any other
+        consecutive degrees, entries in order of their low end.  The
+        witness stage's record gives one entry per row of _witness_rows (a
+        window, its mirror, or the two joined at the centre), with that
+        k's prime and evidence {"k": k, "window": [lo, hi]}; any other
         record's entries share its evidence dict, so treat the result as
         read-only.  json_text writes this layout without building it."""
         entries = []
         for rec in self.records:
-            rows = _witness_rows(rec, self.params)
-            if rows is not None:
+            if rec.method is Method.WITNESS_PRIME:
                 entries.extend(
                     {"k_range": [lo, hi], "method": rec.method.value,
                      "prime": p, "evidence": {"k": k, "window": [w_lo, w_hi]}}
-                    for k, w_lo, w_hi, lo, hi, p in rows)
+                    for k, w_lo, w_hi, lo, hi, p
+                    in _witness_rows(rec, self.params))
                 continue
             entries.extend({"k_range": k_range, "method": rec.method.value,
                             "prime": rec.prime, "evidence": rec.evidence}
                            for k_range in _runs(rec.degrees))
-        # the ledger keeps record degree sets disjoint, and the entries of
-        # one witness record disjoint, so no two runs share a low end
+        # the ledger keeps record degree sets disjoint, and the rows of the
+        # witness record disjoint, so no two runs share a low end
         entries.sort(key=lambda e: e["k_range"][0])
         return {
             "schema_version": 1,
@@ -406,8 +379,8 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
     def json_text(self, pad: str = "\n") -> str:
         """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) with
         every newline written as pad (a newline and the indentation the
-        certificate sits at), built straight from the records.  A witness
-        pass's record fills one %-template per row of _witness_rows.  Any
+        certificate sits at), built straight from the records.  The witness
+        stage's record fills one %-template per row of _witness_rows.  Any
         other record has its evidence, method and prime encoded once; each
         run of its degrees then fills the fixed entry layout (evidence,
         k_range, method, prime: sorted-key order)."""
@@ -419,9 +392,9 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
         witness = _witness_entry_template(pad)
         entries = []
         for rec in self.records:
-            rows = _witness_rows(rec, self.params)
-            if rows is not None:
-                entries.extend((row[3], witness % row) for row in rows)
+            if rec.method is Method.WITNESS_PRIME:
+                entries.extend((row[3], witness % row)
+                               for row in _witness_rows(rec, self.params))
                 continue
             head = ("{" + i3 + '"evidence": ' + encode(rec.evidence, i3)
                     + "," + i3 + '"k_range": [' + i4)

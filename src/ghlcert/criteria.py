@@ -48,10 +48,11 @@ class ExclusionRecord(namedtuple("ExclusionRecord",
     """One certified exclusion: these factor degrees (a sorted tuple) are
     impossible, by this method at this prime; evidence is what the method
     read there.  The four fields are what each certificate entry shows,
-    except for the one WITNESS_PRIME record of a witness pass: its prime
-    is None, its evidence {"delta": delta, "primes": [...]} holds the
+    except for the one WITNESS_PRIME record of the witness stage: its
+    prime is None, its evidence {"delta": delta, "primes": [...]} holds the
     prime of each k = 1..n//2 (None at a gap), and the certificate writes
-    one entry per k and run, each with that k's prime and window."""
+    an entry for each window of witness_windows and one for its mirror (one
+    where the two meet at the centre), each with that k's prime and window."""
 
     __slots__ = ()
 
@@ -86,8 +87,8 @@ def witness_primes(params: GhlParams, seed: SeedCoefficients):
     the product of the k highest linear factors while dividing neither the
     k lowest ones, nor the seed endpoints, with p > d and
     p >= min(2k, d(d-1)); p is None when no prime qualifies.  Such a prime
-    rules out a degree-k factor of the unsubstituted polynomial and degrees
-    [d*k-d+1, d*k] after the x -> x^d substitution.
+    rules out a degree-k factor of the unsubstituted polynomial, and so the
+    degrees of k's window (witness_windows) after the substitution.
 
     One incremental scan: every condition is monotone in k (the top block
     only gains primes, the low block only gains primes, the threshold only
@@ -204,19 +205,25 @@ class PolygonCache:
 # stage(cache, ledger): it reads the instance, its primes and its polygons
 # from the run's cache, claims into the ledger, and returns None or a note.
 
+def witness_windows(primes, delta: int):
+    """Yield (k, lo, hi, p) for each k = 1, 2, ... whose prime p =
+    primes[k-1] is not None: a witness prime for k excludes the degree
+    window [lo, hi] = [delta*k-delta+1, delta*k] of G(x^delta)."""
+    for k, p in enumerate(primes, 1):
+        if p is not None:
+            yield k, delta * k - delta + 1, delta * k, p
+
+
 def witness_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Witness-prime exclusions for k = 1..n//2 as one claim: the union of
-    the degree windows [delta*k-delta+1, delta*k] of the k that have a
-    prime, with evidence {"delta": delta, "primes": primes}, where
-    primes[k-1] is the prime of k from one pass of witness_primes (None at
-    a gap).  The windows are pairwise disjoint, and so are their mirrors
-    but for the centre degree delta*n/2, so the degrees of k are the
-    record's degrees in its window and that window's mirror."""
+    the windows of witness_windows, with evidence {"delta": delta,
+    "primes": primes}, where primes[k-1] is the prime of k from one pass
+    of witness_primes (None at a gap).  The windows are pairwise disjoint,
+    and each meets its own mirror at most at the centre degree."""
     delta = cache.params.delta
     primes = [p for _, p in witness_primes(cache.params, cache.seed)]
     ledger.claim(Method.WITNESS_PRIME, chain.from_iterable(
-        range(delta * k - delta + 1, delta * k + 1)
-        for k, p in enumerate(primes, 1) if p is not None),
+        range(lo, hi + 1) for _, lo, hi, _ in witness_windows(primes, delta)),
         None, {"delta": delta, "primes": primes})
 
 

@@ -152,13 +152,6 @@ def prime_factors(m: int) -> list[int]:
     return sorted(factorize(m))
 
 
-def gpf(m: int) -> int:
-    """Greatest prime factor; P(+-1) = 1 by convention."""
-    if m == 0:
-        raise ValueError("P(0) is undefined")
-    return max(factorize(m), default=1)
-
-
 def digit_sum(p: int, m: int) -> int:
     """Sum of the base-p digits of m >= 0."""
     _require_prime(p)

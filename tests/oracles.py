@@ -179,6 +179,14 @@ def distinct_prime_factors(m: int) -> set[int]:
     return out
 
 
+def gpf(m: int) -> int:
+    """Greatest prime factor of m != 0 by trial division; P(+-1) = 1 by
+    convention."""
+    if m == 0:
+        raise ValueError("P(0) is undefined")
+    return max(distinct_prime_factors(m), default=1)
+
+
 def subset_sums_per_copy(parts) -> set:
     """Sums of the sub-multisets of the sizes given as (size, count) pairs,
     as a set of reachable sums grown by one copy of a size at a time."""

@@ -7,11 +7,13 @@ import json
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, reject, seed, settings
 from hypothesis import strategies as st
 
-from ghlcert.certify import (Certificate, HypothesisViolation, Verdict,
-                             certify_instance, classify_seed, full_certify)
+from ghlcert.certify import (Certificate, CertificationInternalError,
+                             HypothesisViolation, Verdict, certify_instance,
+                             classify_seed, full_certify, verify_certificate)
 from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
                               delta_stage, margin_stage, window_stage)
 from ghlcert.jsontext import unlimited_int_digits
@@ -88,49 +90,47 @@ def test_json_text_on_seed_kinds_notes_residuals_and_split_runs():
 
 def test_json_text_edge_shapes():
     cert = certify_instance(3, 0, 1, 5, 3)
-    odd = cert.records[0]._replace(
+    witness, handler = cert.records[:2]
+    assert (witness.method, handler.method) == (Method.WITNESS_PRIME,
+                                                Method.SPECIAL_2ADIC)
+    odd = handler._replace(
         evidence={"float": 0.5, "inf": float("inf"),
                   "tuple": (1, [2, "x"]), "int_keys": {3: "a", 1: [None, True]},
                   "text": "é\n\"\\", "empty": [], "none": {}})
+    shapes = [
+        cert,
+        cert._replace(records=(), residual=tuple(range(1, 15))),
+        cert._replace(records=(witness, odd) + cert.records[2:],
+                      notes=("a: line\nbreak", "b: € \U0001f600")),
+    ]
+    for shape in shapes:
+        assert_text_matches(shape, pads=("\n", "\n  ", "\n" + " " * 7))
+
+
+def test_writers_refuse_a_witness_record_its_windows_do_not_cover():
+    # the witness stage claims first, on a fresh ledger, so the windows of
+    # its primes and their mirrors cover its record's degrees exactly;
+    # either writer raises on a record whose degree count they miss
+    cert = certify_instance(3, 0, 1, 5, 3)
     witness = cert.records[0]
-    assert witness.method is Method.WITNESS_PRIME
-    primes = witness.evidence["primes"]
-    assert witness.evidence == {"delta": 3, "primes": primes}
-    # witness evidence off the {"delta": int, "primes": [int | None]}
-    # table, or a per-k {"k": int, "window": [int, int]}, is written as
-    # any other record's: %d would write True as 1 where JSON writes true
-    generic = [witness._replace(evidence=evidence) for evidence in (
-        {"k": True, "window": [4, 6]}, {"k": 2, "window": [4, False]},
-        {"k": 2, "window": [4, 6], "extra": 0}, {"k": 2, "window": (4, 6)},
-        {"k": 2, "window": [4, 6, 7]}, {"k": 2.0, "window": [4, 6]},
-        {"k": 2}, {"k": [2], "window": [4, 6]},
-        {"k": 2, "window": {4: 0, 6: 0}},
-        {"delta": True, "primes": primes},
-        {"delta": 3, "primes": [True] + primes[1:]},
-        {"delta": 3, "primes": ["7"] + primes[1:]},
-        {"delta": 3, "primes": tuple(primes)},
-        {"delta": 3, "primes": primes, "extra": 0},
-        {"primes": primes},
-        {"delta": 1, "primes": primes},
-        {"delta": 3, "primes": primes + [None]})]
-    # on the table, the degrees of a k need not fill its window and mirror
-    # (a claim keeps only the degrees still open), but each must lie in
-    # the window or mirror of a k with a prime, or the record is written
-    # as any other
     degrees = witness.degrees
     trimmed = [witness._replace(degrees=kept) for kept in (
         tuple(K for K in degrees if K % 2), degrees[1:-1], (degrees[0],))]
     stray = [witness._replace(evidence={"delta": 3, "primes": [None] * 2}),
-             witness._replace(degrees=degrees[:-1] + (100,))]
-    shapes = [
-        cert,
-        cert._replace(records=(), residual=tuple(range(1, 15))),
-        cert._replace(records=(odd,) + cert.records[1:],
-                      notes=("a: line\nbreak", "b: € \U0001f600")),
-    ] + [cert._replace(records=(rec,) + cert.records[1:])
-         for rec in generic + trimmed + stray]
-    for shape in shapes:
-        assert_text_matches(shape, pads=("\n", "\n  ", "\n" + " " * 7))
+             witness._replace(degrees=degrees + (100,))]
+    for rec in trimmed + stray:
+        shape = cert._replace(records=(rec,) + cert.records[1:])
+        with pytest.raises(CertificationInternalError):
+            shape.json_text()
+        with pytest.raises(CertificationInternalError):
+            shape.to_json_dict()
+    # a swapped degree keeps the count: the writers still write the
+    # stage's windows, and the partition invariant refuses the record
+    swapped = cert._replace(records=(
+        witness._replace(degrees=degrees[:-1] + (100,)),) + cert.records[1:])
+    assert swapped.to_json_dict() == cert.to_json_dict()
+    assert_text_matches(swapped)
+    assert not verify_certificate(swapped)
 
 
 def test_json_text_writes_integers_past_the_str_digit_cap():

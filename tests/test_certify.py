@@ -286,6 +286,37 @@ def test_full_certify_calls_stages_through_module_names(monkeypatch):
         assert dict(calls) == {**generic, **special}, params
 
 
+def test_stages_yield_each_handler_only_in_its_family():
+    # the special handlers _stages yields, one instance per row: the 2-adic
+    # one for d = 3 with a top factor 2^a, the 3-adic one for d = 4 in its
+    # two families with 3 dividing the top factor, the own-prime one for a
+    # binomial seed in an exceptional family; none for d = 2 or 5 (u
+    # outside {-1, 0} exits 2 before any stage: test_cli pins that)
+    cases = [
+        ((2, 0, 1, 13, "laguerre"), []),                    # top 27
+        ((5, 0, 1, 3, "laguerre"), []),                     # top 16 = 2^4
+        ((5, -1, 4, 4, "ones"), []),                        # top 19
+        ((3, 0, 1, 2, "laguerre"), []),                     # top 7
+        ((3, -1, 2, 43, "laguerre"), ["2-adic"]),           # top 2^7
+        ((3, 0, 1, 5, "ones"), ["2-adic"]),                 # top 2^4
+        ((3, 0, 1, 5, "laguerre"), ["2-adic", "own-prime"]),
+        ((4, -1, 1, 3, "laguerre"), ["3-adic"]),            # top 9
+        ((4, 0, 3, 3, "ones"), ["3-adic"]),                 # top 15
+        ((4, -1, 1, 4, "laguerre"), []),                    # top 13
+        ((4, -1, 3, 7, "laguerre"), ["own-prime"]),         # top 27
+        ((4, -1, 3, 7, "ones"), []),
+        ((3, 0, 2, 6, "laguerre"), ["own-prime"]),          # top 20
+        ((3, 0, 2, 6, "ones"), []),
+        ((4, 0, 1, 20, "laguerre"), ["own-prime"]),         # top 81
+        ((4, 0, 1, 20, "ones"), []),
+    ]
+    for (d, u, alpha, n, seed_kind), expect in cases:
+        params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=d)
+        names = [name for name, _ in certify._stages(params, seed_kind, False)]
+        assert [name.removesuffix(" handler") for name in names
+                if name.endswith(" handler")] == expect, (params, seed_kind)
+
+
 def test_full_certify_builds_each_polygon_once(monkeypatch):
     # the 2-adic handler, the own-prime handler and the polygon stages read
     # one PolygonCache, so q = -1/3, n = 43 (top factor 2^7) builds each

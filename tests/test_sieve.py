@@ -19,9 +19,9 @@ from ghlcert.sieve import (
     smoothness_bound_exact,
     verify_gpf_bound,
 )
-from ghlcert.valuation import factorize, gpf, prime_factors
+from ghlcert.valuation import factorize, prime_factors
 from oracles import (ap_prime_gap_pairs, ap_prime_gaps_from_prime_list,
-                     distinct_prime_factors, eratosthenes,
+                     distinct_prime_factors, eratosthenes, gpf,
                      progression_prime_set, progression_prime_set_sizes)
 
 
