@@ -34,11 +34,6 @@ class HypothesisViolation(ValueError):
     """The instance does not satisfy the stated seed/parameter hypotheses."""
 
 
-class SpecialCaseError(RuntimeError):
-    """A special handler could not establish its conclusion; the caller may
-    fall back to the generic stages but must not pretend success."""
-
-
 class CertificationInternalError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not an input."""
 
@@ -86,21 +81,17 @@ class BreakSequence(namedtuple("BreakSequence", "eta s a u n breaks")):
 
 
 def expected_breaks(params: GhlParams) -> BreakSequence:
-    if params.d != 3:
-        raise SpecialCaseError(f"2-adic breaks need d=3, got d={params.d}")
+    """The break sequence of an instance with d = 3 whose top linear factor
+    is a power of two 2^a >= 2, the family _stages yields the 2-adic
+    handler for; s may be 0, which leaves only the breaks (0, n)."""
     top = params.top_term
     a = nu(2, top)
-    if top < 2 or (1 << a) != top:
-        raise SpecialCaseError(
-            f"top linear factor {top} is not a power of two >= 2")
     eta = 0 if params.alpha == 1 else 1
     # 2^a = alpha + 3(u+n) forces a = eta (mod 2), so s is integral.
     if (a - eta) % 2 != 0:
         raise CertificationInternalError(
             f"parity mismatch: a={a}, eta={eta} for top={top}")
     s = (a - eta) // 2
-    if s < 1:
-        raise SpecialCaseError(f"top factor {top} too small (s={s})")
     n_formula = -params.u + (1 << eta) * (4 ** s - 1) // 3
     if n_formula != params.n:
         raise CertificationInternalError(
@@ -134,18 +125,21 @@ def verify_break_valuations(bs: BreakSequence) -> bool:
     return True
 
 
-def special_2adic_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
-    """Low-degree exclusions from the 2-adic polygon when the top linear
-    factor is a power of two (witness primes are structurally unavailable
-    there).  The p = 2 polygons and admissible degrees come from the run's
-    cache.  Claims the degrees it could certify, which may be a proper
-    subset of [1, delta]; raises SpecialCaseError when the instance is
-    outside the family or nothing at all is certified."""
-    params, seed = cache.params, cache.seed
+def special_2adic_certify(cache: PolygonCache,
+                          ledger: DegreeLedger) -> str | None:
+    """Low-degree exclusions from the 2-adic polygon when d = 3 and the top
+    linear factor is a power of two (witness primes are structurally
+    unavailable there); odd seed endpoints are a precondition, which
+    full_certify refuses before any stage runs.  The p = 2 polygons and
+    admissible degrees come from the run's cache.  Claims the degrees it
+    could certify, which may be a proper subset of [1, delta]; returns a
+    note when s < 1, when the realized vertices match no expected break
+    pattern, or when nothing at all is certified."""
+    params = cache.params
     n, delta = params.n, params.delta
-    if (seed.values[0] * seed.values[n]) % 2 == 0:
-        raise SpecialCaseError("seed endpoints must be odd")
     bs = expected_breaks(params)
+    if bs.s < 1:
+        return f"top factor {params.top_term} too small (s={bs.s})"
     if not verify_break_valuations(bs):
         raise CertificationInternalError(
             f"break valuation closed forms disagree with Legendre at {bs}")
@@ -157,9 +151,8 @@ def special_2adic_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
         # for this family the next-to-last predicted break is not extremal
         accepted.add(tuple(x for x in full if x != delta * bs.breaks[-2]))
     if realized not in accepted:
-        raise SpecialCaseError(
-            f"2-adic vertex sequence {realized} does not match any expected "
-            f"break pattern {sorted(accepted)}")
+        return (f"2-adic vertex sequence {realized} does not match any "
+                f"expected break pattern {sorted(accepted)}")
     seeded_admissible = cache.admissible(2, "self")
     degrees: set[int] = set()
     margins: dict[int, int] = {}
@@ -171,7 +164,7 @@ def special_2adic_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
         elif K not in seeded_admissible:
             degrees.add(K)
     if not degrees:
-        raise SpecialCaseError("2-adic polygon excluded no low degree")
+        return "2-adic polygon excluded no low degree"
     ledger.claim(Method.SPECIAL_2ADIC, degrees, 2, {
         "prime": 2, "eta": bs.eta, "s": bs.s, "a": bs.a,
         "vertices": list(realized),
@@ -196,16 +189,10 @@ def special_3adic_check(params: GhlParams) -> bool:
     by (s+1)/2 + log_3(l0+4s), so (l0+4s)^2 < 27^(s+1) suffices.  From
     s = 4 on, the left side grows by a factor below 27 per step and the
     right side by exactly 27, so that inequality holds for every s >= 4
-    once it holds at s = 4: (l0+16)^2 < 27^5."""
-    key = (params.u, params.alpha)
-    if params.d != 4 or key not in _THREE_ADIC_FAMILIES:
-        raise SpecialCaseError(
-            f"3-adic handler needs d=4 with (u, alpha) in "
-            f"{sorted(_THREE_ADIC_FAMILIES)}, got {key}")
-    if params.top_term % 3 != 0:
-        raise SpecialCaseError(
-            f"3 does not divide the top linear factor {params.top_term}")
-    j0, l0 = _THREE_ADIC_FAMILIES[key]
+    once it holds at s = 4: (l0+16)^2 < 27^5.  Defined for the instances
+    _stages yields the 3-adic handler for: d = 4, (u, alpha) a key of
+    _THREE_ADIC_FAMILIES, 3 dividing the top linear factor."""
+    j0, l0 = _THREE_ADIC_FAMILIES[params.u, params.alpha]
     for s in range(0, 4):
         j = j0 + 3 * s
         total = sum(nu(3, params.alpha + (params.u + i) * 4)
@@ -219,14 +206,18 @@ def special_3adic_check(params: GhlParams) -> bool:
 # Own-prime polygon handler for binomial-seeded exceptional instances
 # ---------------------------------------------------------------------------
 
-def laguerre_np_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
-    """For a binomial-seeded instance whose top factor has exceptional
-    shape, take the polygon of G(x^d) at the largest prime divisor of n
-    that avoids the top factor and the three lowest linear factors, check
-    the vertex spacing, and exclude every degree outside the
-    lattice-admissible set.  With delta == d that polygon is the instance's
-    own and comes from the run's cache; with delta == 1 it comes from a
-    PolygonCache of the lifted instance.
+def laguerre_np_certify(cache: PolygonCache,
+                        ledger: DegreeLedger) -> str | None:
+    """For a binomial-seeded instance in an exceptional family (the
+    instances _stages yields this handler for), take the polygon of G(x^d)
+    at the largest prime divisor p of n that avoids the top factor and the
+    three lowest linear factors, check the vertex spacing, and exclude
+    every degree outside the lattice-admissible set.  With delta == d that
+    polygon is the instance's own and comes from the run's cache; with
+    delta == 1 it comes from a PolygonCache of the lifted instance.  At a
+    flat p (see PolygonCache.flat) the polygon is one slope-0 edge, so
+    degree d stays admissible and none is built.  Returns a note when no
+    such p exists or nothing can be excluded.
 
     The claim is stated in the degrees of the instance itself: when
     delta == 1 a degree-k factor of the base polynomial would lift to a
@@ -234,9 +225,6 @@ def laguerre_np_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """
     params = cache.params
     d, n = params.d, params.n
-    if exception_family(params) is None:
-        raise SpecialCaseError(
-            f"top linear factor {params.top_term} is not of exceptional shape")
     low = ((params.alpha + (params.u - 1) * d)
            * (params.alpha + params.u * d)
            * (params.alpha + (params.u + 1) * d))
@@ -244,10 +232,13 @@ def laguerre_np_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
     candidates = [p for p in prime_factors(n)
                   if p not in top_primes and low % p != 0]
     if not candidates:
-        raise SpecialCaseError(
-            f"no prime divisor of n={n} avoids the top factor "
-            f"{params.top_term} and the low factors {abs(low)}")
+        return (f"no prime divisor of n={n} avoids the top factor "
+                f"{params.top_term} and the low factors {abs(low)}")
     p = max(candidates)
+    if cache.flat(p):
+        # p | n, so n >= 2 and the one edge passes the spacing check
+        return (f"degree {d} stays lattice-admissible at p={p} "
+                f"(vertices [0, {n}])")
     lift = cache if params.delta == d else PolygonCache(
         GhlParams(params.d, params.u, params.alpha, n, delta=d), cache.seed)
     poly = lift.polygon(p, "self")
@@ -261,17 +252,16 @@ def laguerre_np_certify(cache: PolygonCache, ledger: DegreeLedger) -> None:
     gaps_ok = gaps_ok and all(xs[i + 1] - xs[i] >= 2
                               for i in range(1, len(xs) - 2))
     if not gaps_ok:
-        raise SpecialCaseError(
-            f"vertex spacing too tight at p={p}: {xs}")
+        return f"vertex spacing too tight at p={p}: {xs}"
     if d in admissible:
-        raise SpecialCaseError(
-            f"degree {d} stays lattice-admissible at p={p} (vertices {xs})")
+        return (f"degree {d} stays lattice-admissible at p={p} "
+                f"(vertices {xs})")
     if params.delta == d:
         degrees = [K for K in range(1, d * n) if K not in admissible]
     else:
         degrees = [k for k in range(1, n) if d * k not in admissible]
     if not degrees:
-        raise SpecialCaseError(f"polygon at p={p} excluded nothing")
+        return f"polygon at p={p} excluded nothing"
     ledger.claim(Method.LAGUERRE_NP, degrees, p,
                  {"prime": p, "vertices": xs,
                   "min_slope": str(poly.min_slope),
@@ -505,7 +495,8 @@ def _degree_set_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
 
 def _stages(params: GhlParams, seed_kind: str, degree_sets: bool):
     """Yield (name, stage) for each stage that applies to the instance, in
-    the order full_certify runs them.  Each stage is read from this
+    the order full_certify runs them; this is the one place that decides
+    which special handler applies.  Each stage is read from this
     module's global name when the generator reaches it, so rebinding that
     name (a tracer, a test double) sees the call."""
     d, top = params.d, params.top_term
@@ -528,11 +519,10 @@ def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
                  seed_kind: str | None = None,
                  degree_sets: bool = False) -> Certificate:
     """Run every stage that _stages yields, in order, on one PolygonCache
-    and one DegreeLedger, and assemble a certificate.  A stage's note, or
-    the message of a SpecialCaseError it raises, becomes a certificate
-    note headed by the stage name.  The degree-set stage runs only with
-    degree_sets=True and while degrees remain open; it is off by default,
-    and the CLI leaves it off."""
+    and one DegreeLedger, and assemble a certificate.  A stage's note
+    becomes a certificate note headed by the stage name.  The degree-set
+    stage runs only with degree_sets=True and while degrees remain open;
+    it is off by default, and the CLI leaves it off."""
     if seed is None:
         seed = SeedCoefficients.of_kind(params.n, seed_kind or "ones")
     if seed_kind is None:
@@ -542,10 +532,7 @@ def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
     ledger = DegreeLedger(params.delta * params.n)
     notes: list[str] = []
     for name, stage in _stages(params, seed_kind, degree_sets):
-        try:
-            note = stage(cache, ledger)
-        except SpecialCaseError as exc:
-            note = str(exc)
+        note = stage(cache, ledger)
         if note:
             notes.append(f"{name}: {note}")
 

@@ -79,8 +79,9 @@ def _refuse_above(cap: int, size: int, what: str) -> None:
         raise InvalidParameters(f"{what} is {size:,}, above the cap {cap:,}")
 
 
-def _params_from_args(args) -> GhlParams:
-    if args.n is None:
+def _params_from_args(args, n: int | None) -> GhlParams:
+    """The instance of --q or --d/--u/--alpha, and --delta, at n."""
+    if n is None:
         raise InvalidParameters("--n is required")
     delta = args.delta
     if args.q is not None:
@@ -89,13 +90,13 @@ def _params_from_args(args) -> GhlParams:
         except ZeroDivisionError:
             raise InvalidParameters(
                 f"--q {args.q} has a zero denominator") from None
-        params = GhlParams.from_q(q, args.n, delta=1)
+        params = GhlParams.from_q(q, n, delta=1)
         d, u, alpha = params.d, params.u, params.alpha
     else:
         if args.d is None or args.u is None or args.alpha is None:
             raise InvalidParameters("give either --q or all of --d/--u/--alpha")
         d, u, alpha = args.d, args.u, args.alpha
-    params = GhlParams(d=d, u=u, alpha=alpha, n=args.n,
+    params = GhlParams(d=d, u=u, alpha=alpha, n=n,
                        delta=1 if delta is None else delta)
     _refuse_above(MAX_DEGREE, params.delta * params.n, "degree delta*n")
     return params
@@ -114,7 +115,7 @@ def _cmd_build(args) -> int:
         poly = hermite_polynomial(args.hermite)
         label = f"hermite degree {args.hermite}"
     else:
-        params = _params_from_args(args)
+        params = _params_from_args(args, args.n)
         seed = _seed_from_args(args, params.n)
         poly = build_substituted(params, seed)
         label = (f"d={params.d} u={params.u} alpha={params.alpha} "
@@ -131,7 +132,7 @@ def _cmd_polygon(args) -> int:
     if args.coeff_file:
         polygon = build_polygon(read_coefficients(args.coeff_file), args.prime)
     else:
-        params = _params_from_args(args)
+        params = _params_from_args(args, args.n)
         polygon = polygon_from_params(args.prime, params,
                                       _seed_from_args(args, params.n))
     if args.svg:
@@ -184,9 +185,7 @@ def _cmd_certify(args) -> int:
                     f"{flag} cannot be combined with --batch-n, which "
                     "certifies every n in its range with the --seed kind")
         lo, hi = _parse_batch(args.batch_n, "--batch-n")
-        base = _params_from_args(argparse.Namespace(
-            d=args.d, u=args.u, alpha=args.alpha, q=args.q, n=lo,
-            delta=args.delta))
+        base = _params_from_args(args, lo)
         _refuse_above(MAX_DEGREE, base.delta * hi, "--batch-n top degree")
         _refuse_above(MAX_BATCH_DEGREE,
                       base.delta * (lo + hi) * (hi - lo + 1) // 2,
@@ -199,7 +198,7 @@ def _cmd_certify(args) -> int:
                                delta=base.delta), seed_kind=kind)
                  for n in range(lo, hi + 1)]
     else:
-        params = _params_from_args(args)
+        params = _params_from_args(args, args.n)
         _refuse_above(PRIMALITY_LIMIT - 1, params.top_term,
                       "top linear factor")
         seed = _seed_from_args(args, params.n)

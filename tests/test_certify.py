@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from collections import Counter
@@ -8,7 +9,6 @@ from ghlcert import certify, criteria
 from ghlcert.certify import (
     CertificationInternalError,
     HypothesisViolation,
-    SpecialCaseError,
     Verdict,
     certify_instance,
     classify_seed,
@@ -79,12 +79,14 @@ def test_expected_breaks_prefix_structure():
 
 
 def test_expected_breaks_rejects_non_family():
-    with pytest.raises(SpecialCaseError):
-        expected_breaks(GhlParams(d=4, u=0, alpha=1, n=2))
-    with pytest.raises(SpecialCaseError):
-        expected_breaks(GhlParams(d=3, u=0, alpha=1, n=2))     # top 7
-    with pytest.raises(SpecialCaseError):
-        expected_breaks(GhlParams(d=3, u=-1, alpha=2, n=1))    # top 2, s = 0
+    # top factor 2 = 2^1 (q = -1/3, n = 1) gives s = 0: only the breaks
+    # (0, n), and the 2-adic handler declines with a note.  Outside its
+    # family the handler never runs, which
+    # test_stages_yield_each_handler_only_in_its_family pins
+    bs = expected_breaks(GhlParams(d=3, u=-1, alpha=2, n=1))
+    assert (bs.s, bs.breaks) == (0, (0, 1))
+    cert = certify_instance(3, -1, 2, 1, 3)
+    assert cert.notes == ("2-adic handler: top factor 2 too small (s=0)",)
 
 
 @pytest.mark.parametrize("u,alpha,eta", [(-1, 1, 0), (-1, 2, 1),
@@ -107,10 +109,20 @@ def test_break_valuation_unit_correction():
 
 
 def run_alone(handler, cache):
-    """Run handler(cache, ledger) on a fresh ledger; the ledger's records."""
+    """Run handler(cache, ledger) on a fresh ledger, which must return no
+    note; the ledger's records."""
     ledger = DegreeLedger(cache.params.delta * cache.params.n)
-    handler(cache, ledger)
+    assert handler(cache, ledger) is None
     return ledger.records
+
+
+def declined(handler, cache):
+    """The note handler(cache, ledger) returns on a fresh ledger, which it
+    must leave without a record."""
+    ledger = DegreeLedger(cache.params.delta * cache.params.n)
+    note = handler(cache, ledger)
+    assert ledger.records == []
+    return note
 
 
 def test_special_2adic_record():
@@ -131,28 +143,20 @@ def test_special_2adic_record():
 
 
 def test_special_2adic_rejections():
-    with pytest.raises(SpecialCaseError):
-        run_alone(special_2adic_certify,      # top 7 not a 2-power
-                  PolygonCache(GhlParams(d=3, u=0, alpha=1, n=2, delta=3),
-                               SeedCoefficients.laguerre(2)))
-    with pytest.raises(SpecialCaseError):
-        run_alone(special_2adic_certify,
-                  PolygonCache(GhlParams(d=4, u=0, alpha=1, n=2, delta=4),
-                               SeedCoefficients.laguerre(2)))
-    even = SeedCoefficients((2,) + (1,) * 42 + (2,))
-    with pytest.raises(SpecialCaseError):
-        run_alone(special_2adic_certify,
-                  PolygonCache(GhlParams(d=3, u=-1, alpha=2, n=43, delta=3),
-                               even))
+    # in its family the handler declines with a note; even seed endpoints
+    # are refused before any stage runs (test_hypothesis_violations)
+    assert declined(special_2adic_certify, PolygonCache(      # top 2^2
+        GhlParams(d=3, u=-1, alpha=1, n=2, delta=1),
+        SeedCoefficients.laguerre(2))) == (
+            "2-adic polygon excluded no low degree")
+    assert declined(special_2adic_certify, PolygonCache(      # top 2
+        GhlParams(d=3, u=-1, alpha=2, n=1, delta=3),
+        SeedCoefficients.laguerre(1))) == "top factor 2 too small (s=0)"
 
 
 def test_special_3adic_check():
     assert special_3adic_check(GhlParams(d=4, u=-1, alpha=1, n=3))
     assert special_3adic_check(GhlParams(d=4, u=0, alpha=3, n=3))
-    with pytest.raises(SpecialCaseError):
-        special_3adic_check(GhlParams(d=4, u=-1, alpha=1, n=4))   # 3 ∤ 13
-    with pytest.raises(SpecialCaseError):
-        special_3adic_check(GhlParams(d=4, u=0, alpha=1, n=5))    # other family
     # the bound is uniform in the block count, small caps still pass
     assert special_3adic_check(GhlParams(d=4, u=-1, alpha=1, n=3))
 
@@ -190,14 +194,17 @@ def test_laguerre_np_records():
 
 
 def test_laguerre_np_rejections():
-    with pytest.raises(SpecialCaseError, match="no prime divisor"):
-        run_alone(laguerre_np_certify, binomial_cache(3, 0, 2, 16, 3))
-    with pytest.raises(SpecialCaseError, match="lattice-admissible"):
-        run_alone(laguerre_np_certify, binomial_cache(3, 0, 2, 6, 3))
-    with pytest.raises(SpecialCaseError, match="lattice-admissible"):
-        run_alone(laguerre_np_certify, binomial_cache(4, 0, 1, 20, 4))
-    with pytest.raises(SpecialCaseError, match="exceptional shape"):
-        run_alone(laguerre_np_certify, binomial_cache(3, 0, 1, 2, 3))
+    # in its family the handler declines with a note; the last three at a
+    # flat prime (p = 3 for q = 2/3, n = 6; p = 2 for q = 1/4, n = 20)
+    assert declined(laguerre_np_certify, binomial_cache(3, 0, 2, 16, 3)) == (
+        "no prime divisor of n=16 avoids the top factor 50 and the low "
+        "factors 10")
+    assert declined(laguerre_np_certify, binomial_cache(3, 0, 2, 6, 3)) == (
+        "degree 3 stays lattice-admissible at p=3 (vertices [0, 6])")
+    assert declined(laguerre_np_certify, binomial_cache(3, 0, 2, 6, 1)) == (
+        "degree 3 stays lattice-admissible at p=3 (vertices [0, 6])")
+    assert declined(laguerre_np_certify, binomial_cache(4, 0, 1, 20, 4)) == (
+        "degree 4 stays lattice-admissible at p=2 (vertices [0, 20])")
 
 
 def certified(d, u, alpha, n):
@@ -317,13 +324,37 @@ def test_stages_yield_each_handler_only_in_its_family():
                 if name.endswith(" handler")] == expect, (params, seed_kind)
 
 
+def test_stages_return_the_certificate_notes():
+    # every stage _stages yields returns None or a note and raises
+    # nothing; run in order on one cache and ledger, the notes headed by
+    # the stage names are the certificate's notes
+    for d in (3, 4):
+        for alpha in range(1, d):
+            if math.gcd(alpha, d) != 1:
+                continue
+            for u, n, delta, kind in itertools.product(
+                    (-1, 0), range(1, 201), (1, d), ("laguerre", "ones")):
+                params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=delta)
+                seed = SeedCoefficients.of_kind(n, kind)
+                cache = PolygonCache(params, seed)
+                ledger = DegreeLedger(delta * n)
+                notes = []
+                for name, stage in certify._stages(params, kind, False):
+                    note = stage(cache, ledger)
+                    assert note is None or type(note) is str, (params, name)
+                    if note is not None:
+                        notes.append(f"{name}: {note}")
+                assert tuple(notes) == full_certify(
+                    params, seed, seed_kind=kind).notes, (params, kind)
+
+
 def test_full_certify_builds_each_polygon_once(monkeypatch):
     # the 2-adic handler, the own-prime handler and the polygon stages read
     # one PolygonCache, so q = -1/3, n = 43 (top factor 2^7) builds each
     # p = 2 polygon once and its p = 5 polygon once; the stages build none
     # at a prime dividing neither the leading nor the constant coefficient
-    # (its hull is one flat edge).  q = 2/3, n = 6 builds its flat p = 3
-    # polygon once, for the own-prime handler, which reads it directly
+    # (its hull is one flat edge), and neither does the own-prime handler,
+    # whose prime for q = 2/3, n = 6 is the flat p = 3
     builds = Counter()
 
     def counted(p, params, seed, _fn=criteria.polygon_from_params):
@@ -346,9 +377,8 @@ def test_full_certify_builds_each_polygon_once(monkeypatch):
     cert = full_certify(params, SeedCoefficients.laguerre(6))
     assert any(note.startswith("own-prime handler: degree 3 stays")
                for note in cert.notes), cert.notes
-    assert builds[3, params, SeedCoefficients.laguerre(6).values] == 1
     assert max(builds.values()) == 1, builds.most_common(3)
-    assert flat_primes(params, SeedCoefficients.laguerre(6)) == {3}
+    assert flat_primes(params, SeedCoefficients.laguerre(6)) == set()
 
 
 def test_full_certify_residual_regressions():

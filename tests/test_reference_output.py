@@ -48,7 +48,7 @@ def test_sieve_output_matches_reference(command, expected, capsys):
 
 
 def test_w1_polygon_work_is_pinned(monkeypatch, capsys):
-    # the W1 commands build 776 polygons and 708 admissible-degree sets; a
+    # the W1 commands build 772 polygons and 704 admissible-degree sets; a
     # change that builds more (a polygon at a prime dividing neither the
     # leading nor the constant coefficient, a second build of one polygon,
     # a p = 3 window read with no degree open) fails here without timing
@@ -67,7 +67,7 @@ def test_w1_polygon_work_is_pinned(monkeypatch, capsys):
             json.loads(REFERENCE.read_text())["w1_grid"].items()):
         assert main(command.split()) == expected["exit"]
         capsys.readouterr()
-    assert calls == {"polygon_from_params": 776, "admissible_degrees": 708}
+    assert calls == {"polygon_from_params": 772, "admissible_degrees": 704}
 
 
 def test_layer_trace_installs():
