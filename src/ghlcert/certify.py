@@ -16,9 +16,9 @@ import enum
 from collections import namedtuple
 
 from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
-                       degree_set_stage, delta_stage, margin_stage,
-                       window_stage, witness_stage, witness_windows)
-from .jsontext import encode, encode_int, encode_str
+                       degree_set_stage, delta_stage, witness_stage,
+                       witness_windows)
+from .jsontext import encode, encode_str
 from .newton import viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
 from .valuation import nu, ord_factorial, prime_factors
@@ -283,19 +283,6 @@ def _runs(degrees):
     return out
 
 
-def _witness_entry_template(pad: str) -> str:
-    """%-template of one WITNESS_PRIME entry of a certificate written with
-    pad, filled with a row of _witness_rows: (k, window low, window high,
-    run low, run high, prime)."""
-    i2 = pad.replace("%", "%%") + "    "
-    i3, i4, i5 = i2 + "  ", i2 + "    ", i2 + "      "
-    return ("{" + i3 + '"evidence": {' + i4 + '"k": %d,' + i4
-            + '"window": [' + i5 + "%d," + i5 + "%d" + i4 + "]" + i3 + "},"
-            + i3 + '"k_range": [' + i4 + "%d," + i4 + "%d" + i3 + "],"
-            + i3 + '"method": ' + encode_str(Method.WITNESS_PRIME.value)
-            + "," + i3 + '"prime": %d' + i2 + "}")
-
-
 def _witness_rows(rec: ExclusionRecord, params: GhlParams) -> list:
     """The entries of the witness stage's record as rows (k, window low,
     window high, run low, run high, prime): for each window of
@@ -369,31 +356,31 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
     def json_text(self, pad: str = "\n") -> str:
         """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) with
         every newline written as pad (a newline and the indentation the
-        certificate sits at), built straight from the records.  The witness
-        stage's record fills one %-template per row of _witness_rows.  Any
-        other record has its evidence, method and prime encoded once; each
-        run of its degrees then fills the fixed entry layout (evidence,
-        k_range, method, prime: sorted-key order)."""
+        certificate sits at, so no %), built straight from the records.
+        A record fills one %-template of the entry layout (evidence,
+        k_range, method, prime: sorted-key order) per entry: the witness
+        stage's record once per row of _witness_rows, any other record
+        once per run (lo, hi) of its degrees, its evidence and prime
+        encoded once with % escaped."""
         i1 = pad + "  "
         i2 = i1 + "  "
-        i3 = i2 + "  "
-        i4 = i3 + "  "
-        mid = "," + i4
-        witness = _witness_entry_template(pad)
+        i3, i4 = i2 + "  ", i2 + "    "
         entries = []
         for rec in self.records:
             if rec.method is Method.WITNESS_PRIME:
-                entries.extend((row[3], witness % row)
-                               for row in _witness_rows(rec, self.params))
-                continue
-            head = ("{" + i3 + '"evidence": ' + encode(rec.evidence, i3)
-                    + "," + i3 + '"k_range": [' + i4)
-            tail = (i3 + "]," + i3 + '"method": '
-                    + encode_str(rec.method.value) + "," + i3 + '"prime": '
-                    + encode(rec.prime, i3) + i2 + "}")
-            for lo, hi in _runs(rec.degrees):
-                entries.append(
-                    (lo, head + encode_int(lo) + mid + encode_int(hi) + tail))
+                rows, at = _witness_rows(rec, self.params), 3
+                evidence = ("{" + i4 + '"k": %d,' + i4 + '"window": [' + i4
+                            + "  %d," + i4 + "  %d" + i4 + "]" + i3 + "}")
+                prime = "%d"
+            else:
+                rows, at = map(tuple, _runs(rec.degrees)), 0
+                evidence, prime = (encode(v, i3).replace("%", "%%")
+                                   for v in (rec.evidence, rec.prime))
+            template = ("{" + i3 + '"evidence": ' + evidence + "," + i3
+                        + '"k_range": [' + i4 + "%d," + i4 + "%d" + i3 + "],"
+                        + i3 + '"method": ' + encode_str(rec.method.value)
+                        + "," + i3 + '"prime": ' + prime + i2 + "}")
+            entries.extend((row[at], template % row) for row in rows)
         # sorted on the low end alone, as to_json_dict sorts
         entries.sort(key=lambda e: e[0])
         records = ("[" + i2 + ("," + i2).join(text for _, text in entries)
@@ -509,8 +496,6 @@ def _stages(params: GhlParams, seed_kind: str, degree_sets: bool):
     if seed_kind == "laguerre" and exception_family(params) is not None:
         yield "own-prime handler", laguerre_np_certify
     yield "delta", delta_stage
-    yield "window", window_stage
-    yield "margin", margin_stage
     if degree_sets:
         yield "degree-set", _degree_set_stage
 

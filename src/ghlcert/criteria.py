@@ -12,6 +12,11 @@ A factor-degree exclusion for the substituted polynomial comes from one of:
   the degrees in its distinct-degree factorisation; Musser's test), or
 * one of the special handlers in the certify module.
 
+The margin and window stages are not pipeline stages: a degree they
+exclude at p is no subset sum of the lattice-segment widths of the seeded
+polygon at p (Dumas), so the admissible-degree stage at the same p has
+already excluded it.  They stay as the reference for that lemma's test.
+
 Every exclusion of degree K is also an exclusion of degree (total - K):
 the statements all rule out one side of a two-way split f = g1 * g2 where
 neither part is required to be irreducible.  The ledger below adds the
@@ -249,7 +254,7 @@ def delta_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
 def window_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Flat-tail slope windows: if p divides every coefficient below the
     top block and the rightmost slope is below 1/k, degrees [l+1, k] are
-    impossible."""
+    impossible.  Covered by delta_stage, so the pipeline does not run it."""
     m = ledger.total
     for p in cache.primes:
         if not ledger.remaining:
@@ -271,7 +276,8 @@ def window_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
 def margin_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Per-degree two-sided margins.  For each still-open degree K (taken
     on the small side of the mirror symmetry), search the prime list and
-    both carriers for an integer r with g(K) > r and g(m) - g(m-K) < r+1."""
+    both carriers for an integer r with g(K) > r and g(m) - g(m-K) < r+1.
+    Covered by delta_stage, so the pipeline does not run it."""
     m = ledger.total
     for K in sorted(ledger.remaining):
         if K not in ledger.remaining:

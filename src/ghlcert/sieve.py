@@ -203,18 +203,18 @@ class SieveReport(namedtuple("SieveReport",
 
     def json_chunks(self, size: int):
         """Yield json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-        in pieces, the exceptions (the first key) size at a time, so that
-        their whole text never exists at once: ap-gaps may report a
-        million pairs."""
-        rest = encode({"extremal": self.extremal, "params": self.params,
-                       "query": self.query}, "\n")
+        in pieces of size exceptions (ints or (p, q) pairs, one %-template
+        each), so that ap-gaps' million pairs never exist as one text."""
+        ex = self.exceptions
+        row = ("\n    [\n      %d,\n      %d\n    ]" if ex
+               and type(ex[0]) is tuple else "\n    %d")
         head = '{\n  "exceptions": ['
-        for lo in range(0, len(self.exceptions), size):
-            yield head + "\n    " + ",\n    ".join(
-                encode(list(e) if isinstance(e, tuple) else e, "\n    ")
-                for e in self.exceptions[lo:lo + size])
+        for lo in range(0, len(ex), size):
+            yield head + ",".join(map(row.__mod__, ex[lo:lo + size]))
             head = ","
-        yield ("\n  " if self.exceptions else head) + "]," + rest[1:]
+        yield ("\n  " if ex else head) + "]," + encode({
+            "extremal": self.extremal, "params": self.params,
+            "query": self.query}, "\n")[1:]
 
 
 def _now_ms() -> float:

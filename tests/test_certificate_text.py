@@ -89,6 +89,8 @@ def test_json_text_on_seed_kinds_notes_residuals_and_split_runs():
 
 
 def test_json_text_edge_shapes():
+    # the writer fills a %-template per entry, so a % in a record's
+    # evidence must be written as itself
     cert = certify_instance(3, 0, 1, 5, 3)
     witness, handler = cert.records[:2]
     assert (witness.method, handler.method) == (Method.WITNESS_PRIME,
@@ -96,7 +98,8 @@ def test_json_text_edge_shapes():
     odd = handler._replace(
         evidence={"float": 0.5, "inf": float("inf"),
                   "tuple": (1, [2, "x"]), "int_keys": {3: "a", 1: [None, True]},
-                  "text": "é\n\"\\", "empty": [], "none": {}})
+                  "text": "é\n\"\\", "empty": [], "none": {},
+                  "percent": ["100%", "%d", "%s%%", "%(k)d"], "%d": "%"})
     shapes = [
         cert,
         cert._replace(records=(), residual=tuple(range(1, 15))),

@@ -268,17 +268,19 @@ _STAGE_FUNCTIONS = ("witness_stage", "special_2adic_certify",
 def test_full_certify_calls_stages_through_module_names(monkeypatch):
     # the pipeline must reach every stage function through its module-level
     # name at call time, as a tracer that rebinds those names relies on;
-    # each applicable stage runs exactly once, the others not at all
+    # each applicable stage runs exactly once, the others (the window and
+    # margin stages among them) not at all
     calls = Counter()
     for name in _STAGE_FUNCTIONS:
-        def counted(*args, _name=name, _fn=getattr(certify, name), **kwargs):
+        def counted(*args, _name=name,
+                    _fn=getattr(certify, name, getattr(criteria, name, None)),
+                    **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         for module in (certify, criteria):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
-    generic = {"witness_stage": 1, "delta_stage": 1, "window_stage": 1,
-               "margin_stage": 1}
+    generic = {"witness_stage": 1, "delta_stage": 1}
     cases = [
         (GhlParams(d=3, u=0, alpha=1, n=5, delta=3), None, False,
          {"special_2adic_certify": 1}),

@@ -9,7 +9,10 @@ from ghlcert.criteria import (
     PolygonCache,
     candidate_primes,
     degree_set_stage,
+    delta_stage,
     find_exclusion_prime,
+    margin_stage,
+    window_stage,
     witness_primes,
 )
 from ghlcert.polynomials import (GhlParams, IntegerPolynomial,
@@ -89,6 +92,58 @@ def test_find_exclusion_prime_reads_the_scan():
     seed = SeedCoefficients.laguerre(43)
     assert [find_exclusion_prime(params, k, seed) for k in range(1, 22)] == \
         [p for _, p in witness_primes(params, seed)]
+
+
+def _lemma_cases():
+    """Fixed-seed sample for the lattice lemma: 60 random (d, u, alpha, n,
+    delta) with d = 2..7 and n <= 12, each with the ones, binomial and a
+    custom seed whose interior has zeros and whose endpoints carry 2, 3,
+    5 or 7."""
+    rng = random.Random(0x1E44A)
+    for _ in range(60):
+        d = rng.randint(2, 7)
+        alpha = rng.choice([a for a in range(1, d) if math.gcd(a, d) == 1])
+        n = rng.randint(1, 12)
+        params = GhlParams(d=d, u=rng.choice((-1, 0)), alpha=alpha, n=n,
+                           delta=rng.choice((1, d)))
+        ends = [rng.choice((1, -1)) * rng.choice((1, 2, 3, 4, 6, 9, 12, 35))
+                for _ in range(2)]
+        middle = tuple(rng.choice((0, 0, 1, -1, rng.randint(-30, 30)))
+                       for _ in range(n - 1))
+        yield params, SeedCoefficients.ones(n)
+        yield params, SeedCoefficients.laguerre(n)
+        yield params, SeedCoefficients((ends[0],) + middle + (ends[1],))
+
+
+def test_window_and_margin_readings_are_lattice_inadmissible():
+    # a factor degree is a subset sum of the lattice-segment widths of the
+    # seeded polygon (Dumas), and every window or margin the two stages
+    # read at p, on either carrier, excludes only degrees that are no such
+    # sum; so after delta_stage, which excludes all of those, neither
+    # stage claims anything, and the pipeline does not run them
+    claimed = 0
+    for params, seed in _lemma_cases():
+        cache = PolygonCache(params, seed)
+        primes = cache.primes
+        for p in (p for p in primes if not cache.flat(p)):
+            admissible = cache.admissible(p, "self")
+            cache.primes = [p]          # one prime per fresh ledger
+            for stage in (window_stage, margin_stage):
+                ledger = DegreeLedger(params.delta * params.n)
+                stage(cache, ledger)
+                for rec in ledger.records:
+                    assert rec.prime == p
+                    assert admissible.isdisjoint(rec.degrees), \
+                        (params, seed.values, rec)
+                    claimed += len(rec.degrees)
+        cache.primes = primes
+        ledger = DegreeLedger(params.delta * params.n)
+        delta_stage(cache, ledger)
+        left = set(ledger.remaining)
+        window_stage(cache, ledger)
+        margin_stage(cache, ledger)
+        assert ledger.remaining == left, (params, seed.values)
+    assert claimed > 10000              # the stages are not vacuous here
 
 
 def test_candidate_primes():
