@@ -18,7 +18,7 @@ from collections import namedtuple
 from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
                        degree_set_stage, delta_stage, witness_stage,
                        witness_windows)
-from .jsontext import encode, encode_str
+from .jsontext import encode, encode_int, encode_str
 from .newton import viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
 from .valuation import nu, ord_factorial, prime_factors
@@ -391,11 +391,28 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
             '"records": ' + records,
             '"residual": ' + encode(list(self.residual), i1),
             '"schema_version": 1',
-            '"seed": ' + encode({"kind": self.seed_kind,
-                                 "values": list(self.seed)}, i1),
+            self._seed_text(i1),
             '"verdict": ' + encode_str(self.verdict.value),
         )
         return "{" + i1 + ("," + i1).join(members) + pad + "}"
+
+    def _seed_text(self, i1: str) -> str:
+        """The "seed" member as encode writes it after i1, in one join.
+        C(n, j) = C(n, n-j), so a_j for j > n/2 takes the digits of
+        a_{n-j} when a_j = +-a_{n-j}, and each magnitude is converted once."""
+        seed, i2 = self.seed, i1 + "  "
+        n = len(seed) - 1
+        digits = [encode_int(v) for v in seed[:n // 2 + 1]]
+        for j in range(n // 2 + 1, n + 1):
+            v, w, s = seed[j], seed[n - j], digits[n - j]
+            if v != w:
+                s = (s[1:] if w < 0 else "-" + s) if v == -w else encode_int(v)
+            digits.append(s)
+        values = (("[", i2 + "  ", ("," + i2 + "  ").join(digits), i2, "]")
+                  if digits else ("[]",))
+        return "".join(('"seed": {', i2, '"kind": ',
+                        encode_str(self.seed_kind), ",", i2, '"values": ',
+                        *values, i1, "}"))
 
 
 def verify_certificate(cert: Certificate) -> bool:

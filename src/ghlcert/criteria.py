@@ -99,9 +99,9 @@ def witness_primes(params: GhlParams, seed: SeedCoefficients):
     only gains primes, the low block only gains primes, the threshold only
     rises, the endpoints are fixed), so a prime that fails once fails for
     every larger k.  The candidates sit in a max-heap; a failing top is
-    popped for good and never pushed again.  The linear factors'
-    factorisations come from the family's TermTable, so each is
-    factorised once per process, whatever n."""
+    popped for good and never pushed again.  Since the threshold is
+    always above d, only primes above d matter: they come from the
+    family's TermTable.large_primes, built once per process, whatever n."""
     if params.u not in (-1, 0):
         raise ValueError(f"witness search needs u in {{-1, 0}}, got {params.u}")
     n, d = params.n, params.d
@@ -109,13 +109,13 @@ def witness_primes(params: GhlParams, seed: SeedCoefficients):
     heap: list[int] = []          # negated primes of the top block
     seen: set[int] = set()
     low: set[int] = set()
-    factors = term_table(d, params.u, params.alpha).factors(n)
+    large = term_table(d, params.u, params.alpha).large_primes(n)
     for k in range(1, n // 2 + 1):
-        for p in factors[n - k + 1]:
+        for p in large[n - k + 1]:
             if p not in seen:
                 seen.add(p)
                 heapq.heappush(heap, -p)
-        low.update(factors[k])
+        low.update(large[k])
         threshold = max(d + 1, min(2 * k, d * (d - 1)))
         while heap:
             p = -heap[0]
@@ -143,11 +143,12 @@ _SMALL_PRIMES = tuple(p for p in range(SMALL_PRIME_LIMIT + 1) if is_prime(p))
 
 def candidate_primes(params: GhlParams) -> list[int]:
     """Primes worth building polygons at: the primes up to
-    SMALL_PRIME_LIMIT plus every divisor of the top linear factor and of n."""
-    n = params.n
+    SMALL_PRIME_LIMIT plus every divisor of the top linear factor and of n.
+    The top term is factorised in full, once per call: its prime factors
+    at or below d also give polygons, which matter for d > 50."""
     out = set(_SMALL_PRIMES)
-    out.update(term_table(params.d, params.u, params.alpha).factors(n)[n])
-    out.update(prime_factors(n))
+    out.update(prime_factors(params.top_term))
+    out.update(prime_factors(params.n))
     return sorted(out)
 
 

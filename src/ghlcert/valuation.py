@@ -7,7 +7,9 @@ coefficient products of the generalized polynomials.  Valuations of huge
 coefficients are always computed from the factored form (sums over the small
 linear factors), never by dividing the assembled big integer.  The linear
 factors' arithmetic belongs to their family (d, u, alpha), not to one
-degree n, so it sits in a per-family TermTable that every n shares.
+degree n, so it sits in a per-family TermTable that every n shares; it
+finds each term's primes above d by striking residue classes, without
+factorising a term.
 """
 
 from __future__ import annotations
@@ -172,30 +174,71 @@ def ord_factorial(p: int, m: int) -> int:
     return (m - digit_sum(p, m)) // (p - 1)
 
 
+@functools.lru_cache(maxsize=1)
+def _primes_up_to(n: int) -> list[int]:
+    """The primes up to n, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"  # n >= 1
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), flags))
+
+
 class TermTable:
     """The linear factors term(i) = alpha + (u+i)*d, i >= 1, of one family
     (d, u, alpha), whose arithmetic every degree n of the family shares:
-    the factorisation of each term, and per prime p the prefix sums
-    S_p[i] = nu_p(term(1)) + ... + nu_p(term(i)), S_p[0] = 0.  Both grow
-    on demand to the largest n asked for.  A term is never 0 (d does not
-    divide alpha) but is negative for u <= -2; factorize takes |term|.
-
-    The prefix sums take nu_p of each term directly rather than reading
-    the factorisations: the polygon command accepts any d, and factorize
-    cannot decide a term at or above PRIMALITY_LIMIT."""
+    the primes above d that divide each term, and per prime p the prefix
+    sums S_p[i] = nu_p(term(1)) + ... + nu_p(term(i)), S_p[0] = 0.  Both
+    grow on demand: the primes by doubling, the sums to the largest n
+    asked for.  A term is never 0 (d does not divide alpha) but is
+    negative for u <= -2.  No term is factorised: the prefix sums take
+    nu_p of each term directly, for any d and u the polygon command
+    accepts."""
 
     def __init__(self, d: int, u: int, alpha: int):
         self._family = GhlParams(d=d, u=u, alpha=alpha, n=1)
-        self._factors: list[dict] = [{}]
+        self._large: list[tuple] = [()]
         self._sums: dict[int, list[int]] = {}
 
-    def factors(self, n: int) -> list[dict]:
-        """Entry i, for 1 <= i <= n, is the factorisation {prime: exponent}
-        of term(i); entry 0 is empty.  Shared by every caller: read only."""
-        factors, term = self._factors, self._family.term
-        for i in range(len(factors), n + 1):
-            factors.append(factorize(term(i)))
-        return factors
+    def large_primes(self, n: int) -> list[tuple]:
+        """Entry i, for 1 <= i <= n, is the sorted tuple of the primes
+        above d that divide term(i); entry 0 is empty.  Needs u in {-1, 0}.
+        Shared by every caller: read only.
+
+        No term is factorised.  Up to the table's length N, every prime
+        q <= N that does not divide d is struck out of the terms it
+        divides, the indices i = -alpha/d - u mod q.  term(i) < (i+1)d, so
+        a prime p > d dividing it leaves term(i)/p <= i: the cofactor c
+        left is a prime when c < (N+1)^2 or is_prime(c), and otherwise has
+        no prime factor above d.  N grows by doubling, but past n only up
+        to the last term below PRIMALITY_LIMIT."""
+        large, (d, u, alpha) = self._large, self._family[:3]
+        lo = len(large) - 1
+        if n <= lo:
+            return large
+        if u not in (-1, 0):
+            raise ValueError(f"large_primes needs u in {{-1, 0}}, got {u}")
+        hi = max(n, min(2 * lo, (PRIMALITY_LIMIT - 1 - alpha) // d - u))
+        term = self._family.term
+        rest = list(range(term(lo + 1), term(hi) + 1, d))
+        found: list[tuple] = [()] * len(rest)
+        for q in _primes_up_to(hi):
+            if d % q == 0:
+                continue
+            for j in range((-alpha * pow(d, -1, q) - u - lo - 1) % q,
+                           len(rest), q):
+                c = rest[j] // q
+                while c % q == 0:
+                    c //= q
+                rest[j] = c
+                if q > d:
+                    found[j] += (q,)
+        for j, c in enumerate(rest):
+            if c > d and (c <= hi * (hi + 2) or is_prime(c)):
+                found[j] += (c,)
+        large += found
+        return large
 
     def valuation_sums(self, p: int, n: int) -> list[int]:
         """S_p[0..n], for a prime p the caller has checked.  Shared by every

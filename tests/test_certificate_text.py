@@ -143,6 +143,27 @@ def test_json_text_writes_integers_past_the_str_digit_cap():
         assert_text_matches(big)
 
 
+def test_seed_writer_reuses_mirrored_digits_only_where_they_match():
+    cert = certify_instance(3, 0, 1, 5, 3)
+    big = (10 ** 5000 + 1, -(7 ** 6000))
+    seeds = [SeedCoefficients.ones(6).values,
+             SeedCoefficients.laguerre(7).values,
+             SeedCoefficients.laguerre(8).values,
+             (5, -12, 0, 7, 0, 12, -5),
+             (-5, 12, 3, -12, 5),
+             (3, -4, 4, 0, -3, 9),
+             (1, 1), (2, -2), (-3, 3),
+             big, big[::-1], (big[1], -big[1])]
+    for seed in seeds:
+        with unlimited_int_digits():
+            assert_text_matches(cert._replace(seed=seed))
+    for kind, n in (("ones", 6), ("laguerre", 7), ("laguerre", 8),
+                    ("ones", 1), ("laguerre", 1)):
+        assert_text_matches(certify_instance(3, 0, 1, n, 3, seed_kind=kind))
+    assert '"values": []' in cert._replace(seed=()).json_text()
+    assert_text_matches(cert._replace(seed=()))
+
+
 @st.composite
 def instances(draw):
     d = draw(st.sampled_from((2, 3, 4, 5)))

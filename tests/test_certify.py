@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from ghlcert import certify, criteria
+from ghlcert import certify, criteria, valuation
 from ghlcert.certify import (
     CertificationInternalError,
     HypothesisViolation,
@@ -555,6 +555,23 @@ def test_certificates_do_not_depend_on_table_order():
         term_table.cache_clear()
         certs = [certify_instance(*f, n, f[0]) for f, n in order]
         assert certs == [fresh[(*f, n)] for f, n in order], name
+
+
+def test_large_d_factorises_only_the_top_term_and_n(monkeypatch):
+    # the witness primes of terms near 3*10^23 come from striking residue
+    # classes; factorising each term took rho about 13 s
+    calls, original = [], valuation.factorize
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(valuation, "factorize", counted)
+    term_table.cache_clear()
+    params = GhlParams(d=3 * 10 ** 20, u=0, alpha=1, n=1000, delta=1)
+    cert = full_certify(params)
+    assert verify_certificate(cert)
+    assert sorted(calls) == sorted([params.top_term, 1000])
 
 
 def test_term_tables_stay_bounded():

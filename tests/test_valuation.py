@@ -8,6 +8,7 @@ from ghlcert.valuation import (
     INFINITY,
     PRIMALITY_LIMIT,
     TRIAL_DIVISION_BOUND,
+    TermTable,
     coefficient_valuations,
     digit_sum,
     factorize,
@@ -98,6 +99,44 @@ def test_coefficient_valuations_match_polynomial(rng):
         assert analytic == direct
 
 
+def test_large_primes_match_the_trial_division_oracle(rng):
+    # n is asked for in shuffled order: a table doubles past a small n,
+    # grows to n itself past twice its length, and answers a smaller n
+    # from what it holds
+    for d in (2, 3, 4, 5, 6, 7, 12, 97, 1000):
+        for u in (-1, 0):
+            for alpha in (a for a in range(1, d) if math.gcd(a, d) == 1):
+                table = TermTable(d, u, alpha)
+                expected = [()] + [
+                    tuple(sorted(p for p in distinct_prime_factors(
+                        alpha + (u + i) * d) if p > d)) for i in range(1, 61)]
+                for n in rng.sample(range(1, 31), 5):
+                    large = table.large_primes(n)
+                    assert len(large) > n
+                    assert large == expected[:len(large)], (d, u, alpha, n)
+
+
+def test_large_primes_stop_doubling_at_the_primality_limit():
+    # terms past index 12 are at or above PRIMALITY_LIMIT, so the table
+    # doubles from 5 to 10, and then to 12 rather than to 20
+    d = (PRIMALITY_LIMIT - 2) // 12
+    assert 1 + 12 * d < PRIMALITY_LIMIT <= 1 + 13 * d
+    table = TermTable(d, 0, 1)
+    assert [len(table.large_primes(n)) - 1 for n in (5, 6, 11, 4)] == \
+        [5, 10, 12, 12]
+    for i, primes in enumerate(table.large_primes(12)[1:], 1):
+        rest = 1 + i * d
+        assert list(primes) == sorted(primes)
+        for p in primes:
+            assert p > d and is_prime(p) and rest % p == 0
+            rest //= p ** nu(p, rest)
+        # rest < 13d: a prime factor above d would leave a quotient m < 13
+        assert not any(rest % m == 0 and rest // m > d and is_prime(rest // m)
+                       for m in range(1, 13)), i
+    with pytest.raises(ValueError, match="u in"):
+        TermTable(3, -2, 1).large_primes(4)
+
+
 def test_coefficient_valuations_do_not_depend_on_table_order(rng):
     # each family's term table is first grown past every n checked, and
     # other families' tables are built in between; u = -2 gives negative
@@ -108,7 +147,8 @@ def test_coefficient_valuations_do_not_depend_on_table_order(rng):
     term_table.cache_clear()
     for d, u, alpha in families:
         table = term_table(d, u, alpha)
-        table.factors(30)
+        if u in (-1, 0):
+            table.large_primes(30)
         warm = GhlParams(d=d, u=u, alpha=alpha, n=30)
         for p in primes:
             coefficient_valuations(p, warm, SeedCoefficients.ones(30))
