@@ -21,7 +21,7 @@ from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
 from .jsontext import encode, encode_int, encode_str
 from .newton import viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
-from .valuation import nu, ord_factorial, prime_factors
+from .valuation import nu, ord_factorial
 
 
 class Verdict(str, enum.Enum):
@@ -228,9 +228,9 @@ def laguerre_np_certify(cache: PolygonCache,
     low = ((params.alpha + (params.u - 1) * d)
            * (params.alpha + params.u * d)
            * (params.alpha + (params.u + 1) * d))
-    top_primes = set(prime_factors(params.top_term))
-    candidates = [p for p in prime_factors(n)
-                  if p not in top_primes and low % p != 0]
+    # the run's candidate primes hold every prime divisor of n
+    candidates = [p for p in cache.primes
+                  if n % p == 0 and params.top_term % p and low % p]
     if not candidates:
         return (f"no prime divisor of n={n} avoids the top factor "
                 f"{params.top_term} and the low factors {abs(low)}")
@@ -429,23 +429,6 @@ def verify_certificate(cert: Certificate) -> bool:
     return count == m - 1 and seen == set(range(1, m))
 
 
-def classify_seed(seed: SeedCoefficients) -> str:
-    """"ones" or "laguerre" when the seed is SeedCoefficients.ones(n) or
-    .laguerre(n), else "custom", read off its values: a_0 = 1 and
-    a_{j+1} (j+1) = -a_j (n-j) fix the binomial seed up to a_{n//2}, and
-    its symmetry C(n, j) = C(n, n-j) fixes the rest."""
-    values, n = seed.values, seed.n
-    if values.count(1) == n + 1:
-        return "ones"
-    half, sign = n // 2, (-1) ** n
-    if values[0] == 1 and all(
-            values[j + 1] * (j + 1) == -values[j] * (n - j)
-            for j in range(half)) and all(
-            values[j] == sign * values[n - j] for j in range(half + 1, n + 1)):
-        return "laguerre"
-    return "custom"
-
-
 def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
     if params.u not in (-1, 0):
         raise HypothesisViolation(f"u must be -1 or 0, got {params.u}")
@@ -517,23 +500,18 @@ def _stages(params: GhlParams, seed_kind: str, degree_sets: bool):
         yield "degree-set", _degree_set_stage
 
 
-def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
-                 seed_kind: str | None = None,
+def full_certify(params: GhlParams, seed: SeedCoefficients, *,
                  degree_sets: bool = False) -> Certificate:
     """Run every stage that _stages yields, in order, on one PolygonCache
     and one DegreeLedger, and assemble a certificate.  A stage's note
     becomes a certificate note headed by the stage name.  The degree-set
     stage runs only with degree_sets=True and while degrees remain open;
     it is off by default, and the CLI leaves it off."""
-    if seed is None:
-        seed = SeedCoefficients.of_kind(params.n, seed_kind or "ones")
-    if seed_kind is None:
-        seed_kind = classify_seed(seed)
     _check_hypotheses(params, seed)
     cache = PolygonCache(params, seed)
     ledger = DegreeLedger(params.delta * params.n)
     notes: list[str] = []
-    for name, stage in _stages(params, seed_kind, degree_sets):
+    for name, stage in _stages(params, seed.kind, degree_sets):
         note = stage(cache, ledger)
         if note:
             notes.append(f"{name}: {note}")
@@ -545,7 +523,7 @@ def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
         verdict = Verdict.EXCEPTIONAL_FAMILY
     else:
         verdict = Verdict.EXCLUSIONS_ONLY
-    return Certificate(params=params, seed_kind=seed_kind,
+    return Certificate(params=params, seed_kind=seed.kind,
                        seed=tuple(seed.values), records=tuple(ledger.records),
                        residual=residual, verdict=verdict, notes=tuple(notes))
 
@@ -553,5 +531,6 @@ def full_certify(params: GhlParams, seed: SeedCoefficients | None = None, *,
 def certify_instance(d: int, u: int, alpha: int, n: int, delta: int,
                      seed_kind: str = "laguerre", **kwargs) -> Certificate:
     params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=delta)
-    return full_certify(params, seed_kind=seed_kind, **kwargs)
+    return full_certify(params, SeedCoefficients.of_kind(n, seed_kind),
+                        **kwargs)
 

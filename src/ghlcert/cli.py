@@ -32,8 +32,8 @@ from .valuation import PRIMALITY_LIMIT
 MAX_DEGREE = 25_000          # delta * n of one instance; --hermite's degree
 MAX_BATCH_DEGREE = 250_000   # delta * n summed over a --batch-n range
 REPORT_CHUNK = 4096          # sieve report exceptions per write to stdout
-# certify factorises every linear factor, and is_prime decides only below
-# valuation.PRIMALITY_LIMIT: a top linear factor at or above it is refused
+# certify factorises only the top linear factor and n; is_prime decides only
+# below valuation.PRIMALITY_LIMIT: a top linear factor not below it is refused
 
 
 def decimal_digits(n: int) -> int:
@@ -178,6 +178,7 @@ def _job_count(jobs: int) -> int:
 
 
 def _cmd_certify(args) -> int:
+    """Certify every n in --batch-n's lo:hi, or lo = hi = --n."""
     if args.batch_n:
         for flag, value in (("--n", args.n), ("--seed-file", args.seed_file)):
             if value is not None:
@@ -185,24 +186,21 @@ def _cmd_certify(args) -> int:
                     f"{flag} cannot be combined with --batch-n, which "
                     "certifies every n in its range with the --seed kind")
         lo, hi = _parse_batch(args.batch_n, "--batch-n")
-        base = _params_from_args(args, lo)
-        _refuse_above(MAX_DEGREE, base.delta * hi, "--batch-n top degree")
-        _refuse_above(MAX_BATCH_DEGREE,
-                      base.delta * (lo + hi) * (hi - lo + 1) // 2,
-                      "--batch-n summed degree")
-        _refuse_above(PRIMALITY_LIMIT - 1, base.term(hi),
-                      "--batch-n top linear factor")
-        kind = args.seed or "laguerre"
-        certs = [certify_mod.full_certify(
-                     GhlParams(d=base.d, u=base.u, alpha=base.alpha, n=n,
-                               delta=base.delta), seed_kind=kind)
-                 for n in range(lo, hi + 1)]
     else:
-        params = _params_from_args(args, args.n)
-        _refuse_above(PRIMALITY_LIMIT - 1, params.top_term,
-                      "top linear factor")
-        seed = _seed_from_args(args, params.n)
-        certs = [certify_mod.full_certify(params, seed)]
+        lo = hi = args.n
+    base = _params_from_args(args, lo)
+    # with lo = hi neither degree cap can fire: base has delta*lo capped
+    _refuse_above(MAX_DEGREE, base.delta * hi, "--batch-n top degree")
+    _refuse_above(MAX_BATCH_DEGREE,
+                  base.delta * (lo + hi) * (hi - lo + 1) // 2,
+                  "--batch-n summed degree")
+    _refuse_above(PRIMALITY_LIMIT - 1, base.term(hi),
+                  "--batch-n top linear factor" if args.batch_n
+                  else "top linear factor")
+    certs = [certify_mod.full_certify(
+                 GhlParams(d=base.d, u=base.u, alpha=base.alpha, n=n,
+                           delta=base.delta), _seed_from_args(args, n))
+             for n in range(lo, hi + 1)]
     _write_certificates(certs, batch=bool(args.batch_n))
     return 1 if any(cert.residual for cert in certs) else 0
 

@@ -68,21 +68,45 @@ class GhlParams(namedtuple("GhlParams", "d u alpha n delta")):
         return self.term(self.n)
 
 
-class SeedCoefficients(namedtuple("SeedCoefficients", "values")):
-    """Integer seed a_0..a_n (values); both endpoints must be nonzero."""
+def _seed_kind(values: tuple[int, ...]) -> str:
+    """"ones" or "laguerre" when the values are those of
+    SeedCoefficients.ones(n) or .laguerre(n), else "custom": a_0 = 1 and
+    a_{j+1} (j+1) = -a_j (n-j) fix the binomial seed up to a_{n//2}, and
+    its symmetry C(n, j) = C(n, n-j) fixes the rest."""
+    n = len(values) - 1
+    if values.count(1) == n + 1:
+        return "ones"
+    half, sign = n // 2, (-1) ** n
+    if values[0] == 1 and all(
+            values[j + 1] * (j + 1) == -values[j] * (n - j)
+            for j in range(half)) and all(
+            values[j] == sign * values[n - j] for j in range(half + 1, n + 1)):
+        return "laguerre"
+    return "custom"
+
+
+class SeedCoefficients(namedtuple("SeedCoefficients", "values kind")):
+    """Integer seed a_0..a_n (values), both endpoints nonzero, and its kind:
+    "ones", "laguerre" or "custom".  The named constructors state their
+    kind; a seed built from values alone gets the kind its values have
+    (_seed_kind), once, so no seed carries a kind its values do not have."""
 
     __slots__ = ()
 
     def __new__(cls, values: tuple[int, ...]):
+        return cls._build(values, None)
+
+    @classmethod
+    def _build(cls, values: tuple[int, ...], kind: str | None):
         if len(values) < 2:
             raise InvalidParameters("seed needs at least two coefficients")
         if values[0] == 0 or values[-1] == 0:
             raise InvalidParameters("seed endpoints a_0 and a_n must be nonzero")
-        return super().__new__(cls, values)
+        return super().__new__(cls, values, kind or _seed_kind(values))
 
     @classmethod
     def ones(cls, n: int) -> "SeedCoefficients":
-        return cls((1,) * (n + 1))
+        return cls._build((1,) * (n + 1), "ones")
 
     @classmethod
     def laguerre(cls, n: int) -> "SeedCoefficients":
@@ -93,16 +117,14 @@ class SeedCoefficients(namedtuple("SeedCoefficients", "values")):
         for j in range(n + 1):
             values.append(-c if j % 2 else c)
             c = c * (n - j) // (j + 1)
-        return cls(tuple(values))
+        return cls._build(tuple(values), "laguerre")
 
     @classmethod
     def of_kind(cls, n: int, kind: str) -> "SeedCoefficients":
         """The named seed of degree n: "ones" or "laguerre"."""
-        if kind == "ones":
-            return cls.ones(n)
-        if kind == "laguerre":
-            return cls.laguerre(n)
-        raise InvalidParameters(f"unknown seed kind {kind!r}")
+        if kind not in ("ones", "laguerre"):
+            raise InvalidParameters(f"unknown seed kind {kind!r}")
+        return getattr(cls, kind)(n)
 
     @property
     def n(self) -> int:

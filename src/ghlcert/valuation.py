@@ -174,7 +174,6 @@ def ord_factorial(p: int, m: int) -> int:
     return (m - digit_sum(p, m)) // (p - 1)
 
 
-@functools.lru_cache(maxsize=1)
 def _primes_up_to(n: int) -> list[int]:
     """The primes up to n, by the sieve of Eratosthenes."""
     flags = bytearray([1]) * (n + 1)

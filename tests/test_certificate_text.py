@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ghlcert.certify import (Certificate, CertificationInternalError,
                              HypothesisViolation, Verdict, certify_instance,
-                             classify_seed, full_certify, verify_certificate)
+                             full_certify, verify_certificate)
 from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
                               delta_stage, margin_stage, window_stage)
 from ghlcert.jsontext import unlimited_int_digits
@@ -36,7 +36,7 @@ def stage_alone(stage, params, seed, notes=()):
     pipeline runs, because the stages before them leave them no degree."""
     ledger = DegreeLedger(params.delta * params.n)
     stage(PolygonCache(params, seed), ledger)
-    return Certificate(params=params, seed_kind=classify_seed(seed),
+    return Certificate(params=params, seed_kind=seed.kind,
                        seed=tuple(seed.values), records=tuple(ledger.records),
                        residual=tuple(sorted(ledger.remaining)),
                        verdict=Verdict.EXCLUSIONS_ONLY, notes=tuple(notes))

@@ -5,13 +5,12 @@ from collections import Counter
 
 import pytest
 
-from ghlcert import certify, criteria, valuation
+from ghlcert import certify, criteria, polynomials, valuation
 from ghlcert.certify import (
     CertificationInternalError,
     HypothesisViolation,
     Verdict,
     certify_instance,
-    classify_seed,
     exception_family,
     expected_breaks,
     full_certify,
@@ -207,6 +206,35 @@ def test_laguerre_np_rejections():
         "degree 4 stays lattice-admissible at p=2 (vertices [0, 20])")
 
 
+def test_laguerre_np_reads_the_prime_divisors_of_n_from_the_cache(
+        monkeypatch):
+    # the run's candidate primes already hold every prime factor of n, so
+    # the handler factorises nothing; its note or record stays as before
+    calls = []
+    original = valuation.factorize
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    caches = [binomial_cache(3, 0, 2, n, 3) for n in (16, 26, 66)]
+    monkeypatch.setattr(valuation, "factorize", counted)
+    assert declined(laguerre_np_certify, caches[0]) == (
+        "no prime divisor of n=16 avoids the top factor 50 and the low "
+        "factors 10")
+    for cache, p, admissible in ((caches[1], 13, [39]),
+                                 (caches[2], 11, [33, 66, 99, 132, 165])):
+        [rec] = run_alone(laguerre_np_certify, cache)
+        m = cache.params.delta * cache.params.n
+        assert rec.prime == p and rec.evidence == {
+            "prime": p, "vertices": [0, cache.params.n],
+            "min_slope": f"1/{admissible[0]}",
+            "max_slope": f"1/{admissible[0]}"}
+        assert rec.degrees == tuple(k for k in range(1, m)
+                                    if k not in admissible)
+    assert calls == []
+
+
 def certified(d, u, alpha, n):
     return certify_instance(d, u, alpha, n, d)
 
@@ -282,9 +310,9 @@ def test_full_certify_calls_stages_through_module_names(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     generic = {"witness_stage": 1, "delta_stage": 1}
     cases = [
-        (GhlParams(d=3, u=0, alpha=1, n=5, delta=3), None, False,
+        (GhlParams(d=3, u=0, alpha=1, n=5, delta=3), SeedCoefficients.ones(5), False,
          {"special_2adic_certify": 1}),
-        (GhlParams(d=4, u=0, alpha=3, n=3, delta=4), None, False,
+        (GhlParams(d=4, u=0, alpha=3, n=3, delta=4), SeedCoefficients.ones(3), False,
          {"special_3adic_check": 1}),
         (GhlParams(d=3, u=0, alpha=2, n=16, delta=3), SeedCoefficients.laguerre(16), True,
          {"laguerre_np_certify": 1, "degree_set_stage": 1}),
@@ -346,8 +374,8 @@ def test_stages_return_the_certificate_notes():
                     assert note is None or type(note) is str, (params, name)
                     if note is not None:
                         notes.append(f"{name}: {note}")
-                assert tuple(notes) == full_certify(
-                    params, seed, seed_kind=kind).notes, (params, kind)
+                assert tuple(notes) == full_certify(params, seed).notes, \
+                    (params, kind)
 
 
 def test_full_certify_builds_each_polygon_once(monkeypatch):
@@ -466,7 +494,8 @@ def test_residual_instances_match_reality():
 
 def test_hypothesis_violations():
     with pytest.raises(HypothesisViolation):
-        full_certify(GhlParams(d=3, u=1, alpha=1, n=4))
+        full_certify(GhlParams(d=3, u=1, alpha=1, n=4),
+                     SeedCoefficients.ones(4))
     with pytest.raises(HypothesisViolation):
         full_certify(GhlParams(d=3, u=0, alpha=1, n=4),
                      SeedCoefficients((7, 1, 1, 1, 1)))
@@ -481,9 +510,11 @@ def test_hypothesis_violations():
 
 
 def test_classify_seed():
-    assert classify_seed(SeedCoefficients.ones(4)) == "ones"
-    assert classify_seed(SeedCoefficients.laguerre(4)) == "laguerre"
-    assert classify_seed(SeedCoefficients((2, 1, 1))) == "custom"
+    # a seed built from values gets the kind its values have
+    for named, kind in ((SeedCoefficients.ones(4), "ones"),
+                        (SeedCoefficients.laguerre(4), "laguerre")):
+        assert SeedCoefficients(named.values).kind == kind
+    assert SeedCoefficients((2, 1, 1)).kind == "custom"
 
 
 def _kind_by_comparison(seed):
@@ -495,7 +526,7 @@ def _kind_by_comparison(seed):
 
 
 def test_classify_seed_matches_the_reference_seeds(rng):
-    # classify_seed reads the kind off the values; near misses change one
+    # a seed built from values reads its kind off them; near misses change one
     # entry of a reference seed by one or flip its sign, in both halves
     for n in range(1, 301):
         seeds = [tuple(rng.choice((-3, -1, 1, 2)) for _ in range(n + 1))]
@@ -509,8 +540,25 @@ def test_classify_seed_matches_the_reference_seeds(rng):
         for values in seeds:
             if values[0] and values[-1]:
                 seed = SeedCoefficients(values)
-                assert classify_seed(seed) == _kind_by_comparison(seed), \
+                assert seed.kind == _kind_by_comparison(seed), \
                     values
+
+
+def test_named_seeds_state_their_kind_without_classifying(monkeypatch):
+    # ones, laguerre and of_kind give the kind themselves; only a seed
+    # built from values alone is classified
+    def refuse(values):
+        raise AssertionError("a named seed was classified")
+
+    monkeypatch.setattr(polynomials, "_seed_kind", refuse)
+    for n in range(1, 51):
+        for kind in ("ones", "laguerre"):
+            assert getattr(SeedCoefficients, kind)(n).kind == kind
+            assert SeedCoefficients.of_kind(n, kind).kind == kind
+    cert = certify_instance(3, 0, 1, 5, 3)
+    assert cert.seed_kind == "laguerre" and verify_certificate(cert)
+    with pytest.raises(AssertionError):
+        SeedCoefficients((1, 1))
 
 
 def test_certificate_json_shape():
@@ -569,7 +617,7 @@ def test_large_d_factorises_only_the_top_term_and_n(monkeypatch):
     monkeypatch.setattr(valuation, "factorize", counted)
     term_table.cache_clear()
     params = GhlParams(d=3 * 10 ** 20, u=0, alpha=1, n=1000, delta=1)
-    cert = full_certify(params)
+    cert = full_certify(params, SeedCoefficients.ones(1000))
     assert verify_certificate(cert)
     assert sorted(calls) == sorted([params.top_term, 1000])
 

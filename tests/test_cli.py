@@ -394,6 +394,24 @@ def test_certify_batch_entry_is_the_single_certificate(capsys, q, lo, hi,
     assert code == (1 if any(b["residual"] for b in blobs) else 0)
 
 
+def test_certify_n_and_seed_file_match_the_batch_of_one(tmp_path, capsys):
+    # --n runs the --batch-n loop with lo = hi; a seed file holding the
+    # binomial seed's values is classified "laguerre" and gives the same
+    # certificate text
+    flags = ["certify", "--q", "1/3", "--delta", "3"]
+    assert main([*flags, "--batch-n", "7:7"]) == 0
+    batch = json.loads(capsys.readouterr().out)
+    assert main([*flags, "--n", "7"]) == 0
+    single = capsys.readouterr().out
+    assert [json.loads(single)] == batch
+    assert batch[0]["seed"]["kind"] == "laguerre"
+    path = tmp_path / "seed.txt"
+    path.write_text("".join(f"{v}\n"
+                            for v in SeedCoefficients.laguerre(7).values))
+    assert main([*flags, "--n", "7", "--seed-file", str(path)]) == 0
+    assert capsys.readouterr().out == single
+
+
 def test_sieve_p5_pairs(capsys):
     code, blob = run(capsys, "sieve", "p5-pairs", "--limit", "2000")
     assert code == 0
