@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
+from itertools import chain
 
 from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
                        degree_set_stage, delta_stage, witness_stage,
                        witness_windows)
 from .jsontext import encode, encode_int, encode_str
-from .newton import viable_margin, widest_window
+from .newton import degrees_of, viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
 from .valuation import nu, ord_factorial
 
@@ -154,15 +155,14 @@ def special_2adic_certify(cache: PolygonCache,
         return (f"2-adic vertex sequence {realized} does not match any "
                 f"expected break pattern {sorted(accepted)}")
     seeded_admissible = cache.admissible(2, "self")
-    degrees: set[int] = set()
+    degrees = 0
     margins: dict[int, int] = {}
     for K in range(1, delta + 1):
         r = viable_margin(carrier_poly, K)
         if r is not None:
             margins[K] = r
-            degrees.add(K)
-        elif K not in seeded_admissible:
-            degrees.add(K)
+        if r is not None or not (seeded_admissible >> K) & 1:
+            degrees |= 1 << K
     if not degrees:
         return "2-adic polygon excluded no low degree"
     ledger.claim(Method.SPECIAL_2ADIC, degrees, 2, {
@@ -240,26 +240,25 @@ def laguerre_np_certify(cache: PolygonCache,
         return (f"degree {d} stays lattice-admissible at p={p} "
                 f"(vertices [0, {n}])")
     lift = cache if params.delta == d else PolygonCache(
-        GhlParams(params.d, params.u, params.alpha, n, delta=d), cache.seed)
+        GhlParams(d, params.u, params.alpha, n, d), cache.seed, cache.primes)
     poly = lift.polygon(p, "self")
     admissible = lift.admissible(p, "self")
     if any(x % d for x in poly.vertex_xs()):
         raise CertificationInternalError(
             f"vertex abscissa not a multiple of d: {poly.vertex_xs()}")
     xs = [x // d for x in poly.vertex_xs()]
-    gaps_ok = (xs[1] >= 2 if len(xs) >= 2 else True)
-    gaps_ok = gaps_ok and (xs[-2] <= n - 2 if len(xs) >= 2 else True)
-    gaps_ok = gaps_ok and all(xs[i + 1] - xs[i] >= 2
-                              for i in range(1, len(xs) - 2))
-    if not gaps_ok:
+    # a polygon has two vertices at least; the inner gaps need 2 apiece
+    if not (xs[1] >= 2 and xs[-2] <= n - 2 and all(
+            b - a >= 2 for a, b in zip(xs[1:-2], xs[2:-1]))):
         return f"vertex spacing too tight at p={p}: {xs}"
-    if d in admissible:
+    if (admissible >> d) & 1:
         return (f"degree {d} stays lattice-admissible at p={p} "
                 f"(vertices {xs})")
     if params.delta == d:
-        degrees = [K for K in range(1, d * n) if K not in admissible]
+        degrees = ((1 << d * n) - 2) & ~admissible
     else:
-        degrees = [k for k in range(1, n) if d * k not in admissible]
+        degrees = sum(1 << k for k in range(1, n)
+                      if not (admissible >> d * k) & 1)
     if not degrees:
         return f"polygon at p={p} excluded nothing"
     ledger.claim(Method.LAGUERRE_NP, degrees, p,
@@ -418,15 +417,9 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
 def verify_certificate(cert: Certificate) -> bool:
     """Partition invariant: every degree in [1, total-1] appears in exactly
     one record's degree set or in the residual."""
-    m = cert.total_degree
-    seen: set[int] = set()
-    count = 0
-    for rec in cert.records:
-        seen.update(rec.degrees)
-        count += len(rec.degrees)
-    seen.update(cert.residual)
-    count += len(cert.residual)
-    return count == m - 1 and seen == set(range(1, m))
+    degrees = sorted(chain(cert.residual,
+                           *(rec.degrees for rec in cert.records)))
+    return degrees == list(range(1, cert.total_degree))
 
 
 def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
@@ -465,7 +458,7 @@ def _three_adic_stage(cache: PolygonCache,
     if best is not None:
         k, carrier, poly = best
         if ledger.claim(
-                Method.SPECIAL_3ADIC, range(1, k + 1), 3,
+                Method.SPECIAL_3ADIC, (2 << k) - 2, 3,
                 {"prime": 3, "carrier": carrier, "k": k,
                  "max_slope": str(poly.max_slope)}) is not None:
             return None
@@ -516,7 +509,7 @@ def full_certify(params: GhlParams, seed: SeedCoefficients, *,
         if note:
             notes.append(f"{name}: {note}")
 
-    residual = tuple(sorted(ledger.remaining))
+    residual = degrees_of(ledger.remaining)
     if not residual:
         verdict = Verdict.IRREDUCIBLE_CERTIFIED
     elif exception_family(params) is not None:

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import certify as certify_mod
 from .jsontext import encode, unlimited_int_digits
-from .newton import (admissible_degrees, build_polygon, polygon_from_params,
-                     polygon_svg, polygon_tsv)
+from .newton import (admissible_degrees, build_polygon, degrees_of,
+                     polygon_from_params, polygon_svg, polygon_tsv)
 from .polynomials import (GhlParams, InvalidParameters, SeedCoefficients,
                           build_substituted, hermite_polynomial,
                           read_coefficients, write_coefficients)
@@ -151,7 +151,7 @@ def _cmd_polygon(args) -> int:
         "vertices": [[x, polygon.ordinates[x]] for x in polygon.vertex_xs()],
         "min_slope": str(polygon.min_slope),
         "max_slope": str(polygon.max_slope),
-        "admissible_degrees": sorted(admissible_degrees(polygon)),
+        "admissible_degrees": list(degrees_of(admissible_degrees(polygon))),
     })
     return 0
 

@@ -21,7 +21,8 @@ Every exclusion of degree K is also an exclusion of degree (total - K):
 the statements all rule out one side of a two-way split f = g1 * g2 where
 neither part is required to be irreducible.  The ledger below adds the
 mirror of every claimed degree and trims each claim to the still-open
-degrees, so that record degree sets stay disjoint.
+degrees, so that record degree sets stay disjoint.  Every degree set the
+stages handle is an int bitmask: bit K is set when degree K is in it.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from __future__ import annotations
 import enum
 import heapq
 from collections import namedtuple
-from itertools import chain
 
-from .newton import (NewtonPolygon, admissible_degrees, polygon_from_params,
-                     subset_sums, viable_margin, widest_window)
+from .newton import (NewtonPolygon, admissible_degrees, degrees_of,
+                     polygon_from_params, subset_sums, viable_margin,
+                     widest_window)
 from .polynomials import GhlParams, IntegerPolynomial, SeedCoefficients
 from .valuation import is_prime, prime_factors, term_table
 
@@ -63,25 +64,27 @@ class ExclusionRecord(namedtuple("ExclusionRecord",
 
 
 class DegreeLedger:
-    """Tracks which degrees in [1, total-1] are still unexcluded and trims
-    incoming claims so that all recorded degree sets are pairwise disjoint."""
+    """Tracks the still-open degrees in [1, total-1] as the bitmask remaining
+    and trims incoming claims so that recorded degree sets stay disjoint."""
 
     def __init__(self, total: int):
         self.total = total
-        self.remaining = set(range(1, total))
+        self.remaining = (1 << total) - 2
         self.records: list[ExclusionRecord] = []
 
-    def claim(self, method: Method, degrees, prime: int | None,
+    def claim(self, method: Method, degrees: int, prime: int | None,
               evidence: dict) -> ExclusionRecord | None:
-        """Exclude degrees and their mirrors total - K as far as still open
-        (a K outside [1, total-1] never is); the record of that, or None."""
-        effective = set(degrees)
-        effective |= {self.total - K for K in effective}
-        effective &= self.remaining
+        """Exclude the bitmask's degrees and their mirrors total - K as far
+        as still open (a K outside [1, total-1] never is); the record of
+        that, or None.  Reversing the low total+1 bits gives the mirrors."""
+        degrees &= (1 << self.total) - 2
+        mirrors = int(bin(degrees)[:1:-1], 2) << (
+            self.total + 1 - degrees.bit_length())
+        effective = (degrees | mirrors) & self.remaining
         if not effective:
             return None
-        self.remaining -= effective
-        rec = ExclusionRecord(method, tuple(sorted(effective)), prime,
+        self.remaining ^= effective
+        rec = ExclusionRecord(method, degrees_of(effective), prime,
                               evidence)
         self.records.append(rec)
         return rec
@@ -156,16 +159,17 @@ class PolygonCache:
     """What the stages of one certification run share: the instance, its
     candidate primes, and the polygons of the substituted polynomial per
     prime for the seed and the all-ones carrier, each built at most once,
-    on demand, and by the stages not at all at a flat prime (see flat)."""
+    on demand, and by the stages not at all at a flat prime (see flat).
+    The primes do not depend on delta: a lift to delta = d may take them."""
 
-    def __init__(self, params: GhlParams, seed: SeedCoefficients):
+    def __init__(self, params: GhlParams, seed: SeedCoefficients, primes=None):
         self.params = params
         self.seed = seed
-        self.primes = candidate_primes(params)
+        self.primes = primes or candidate_primes(params)
         self.ones = SeedCoefficients.ones(params.n)
         self._table = term_table(params.d, params.u, params.alpha)
         self._cache: dict[tuple[int, str], NewtonPolygon] = {}
-        self._admissible: dict[tuple[int, str], frozenset] = {}
+        self._admissible: dict[tuple[int, str], int] = {}
 
     def seed_coprime(self, p: int) -> bool:
         """Margin/window conclusions carry from the ones carrier to the
@@ -199,7 +203,8 @@ class PolygonCache:
             if poly.ordinates[0] == 0:
                 yield carrier, poly
 
-    def admissible(self, p: int, carrier: str) -> frozenset:
+    def admissible(self, p: int, carrier: str) -> int:
+        """admissible_degrees of the carrier's polygon at p, a bitmask."""
         key = (p, carrier)
         if key not in self._admissible:
             self._admissible[key] = admissible_degrees(
@@ -209,7 +214,8 @@ class PolygonCache:
 
 # Every stage below, and every special handler of the certify module, is
 # stage(cache, ledger): it reads the instance, its primes and its polygons
-# from the run's cache, claims into the ledger, and returns None or a note.
+# from the run's cache, claims degree bitmasks into the ledger, and returns
+# None or a note.
 
 def witness_windows(primes, delta: int):
     """Yield (k, lo, hi, p) for each k = 1, 2, ... whose prime p =
@@ -221,16 +227,17 @@ def witness_windows(primes, delta: int):
 
 
 def witness_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
-    """Witness-prime exclusions for k = 1..n//2 as one claim: the union of
-    the windows of witness_windows, with evidence {"delta": delta,
-    "primes": primes}, where primes[k-1] is the prime of k from one pass
-    of witness_primes (None at a gap).  The windows are pairwise disjoint,
-    and each meets its own mirror at most at the centre degree."""
+    """Witness-prime exclusions for k = 1..n//2 as one claim, the bitmask
+    of the windows of witness_windows (pairwise disjoint, so summed), with
+    evidence {"delta": delta, "primes": primes}, where primes[k-1] is the
+    prime of k from one pass of witness_primes (None at a gap).  Each
+    window meets its own mirror at most at the centre degree."""
     delta = cache.params.delta
     primes = [p for _, p in witness_primes(cache.params, cache.seed)]
-    ledger.claim(Method.WITNESS_PRIME, chain.from_iterable(
-        range(lo, hi + 1) for _, lo, hi, _ in witness_windows(primes, delta)),
-        None, {"delta": delta, "primes": primes})
+    windows = sum(((1 << delta) - 1) << lo
+                  for _, lo, _, _ in witness_windows(primes, delta))
+    ledger.claim(Method.WITNESS_PRIME, windows, None,
+                 {"delta": delta, "primes": primes})
 
 
 def delta_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
@@ -242,7 +249,7 @@ def delta_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
             return
         if cache.flat(p):
             continue
-        excluded = ledger.remaining - cache.admissible(p, "self")
+        excluded = ledger.remaining & ~cache.admissible(p, "self")
         if excluded:
             poly = cache.polygon(p, "self")
             ledger.claim(
@@ -269,7 +276,7 @@ def window_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
             if k_max is None or k_max <= l_min:
                 continue
             ledger.claim(
-                Method.SLOPE_WINDOW, range(l_min + 1, k_max + 1), p,
+                Method.SLOPE_WINDOW, (2 << k_max) - (2 << l_min), p,
                 {"prime": p, "carrier": carrier, "l": l_min, "k": k_max,
                  "max_slope": str(poly.max_slope)})
 
@@ -280,15 +287,15 @@ def margin_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     both carriers for an integer r with g(K) > r and g(m) - g(m-K) < r+1.
     Covered by delta_stage, so the pipeline does not run it."""
     m = ledger.total
-    for K in sorted(ledger.remaining):
-        if K not in ledger.remaining:
+    for K in degrees_of(ledger.remaining):
+        if not (ledger.remaining >> K) & 1:
             continue
         kk = min(K, m - K)
         for p, carrier, r in ((p, carrier, viable_margin(poly, kk))
                               for p in cache.primes
                               for carrier, poly in cache.carriers(p)):
             if r is not None:
-                ledger.claim(Method.NEWTON_MARGIN, [kk], p,
+                ledger.claim(Method.NEWTON_MARGIN, 1 << kk, p,
                              {"prime": p, "carrier": carrier, "r": r,
                               "degree": kk})
                 break
@@ -313,6 +320,6 @@ def degree_set_stage(poly: IntegerPolynomial, ledger: DegreeLedger,
             continue
         counts = gfp.factor_degree_counts(f, p)
         ledger.claim(
-            Method.DEGREE_SET, ledger.remaining - subset_sums(counts.items()),
+            Method.DEGREE_SET, ledger.remaining & ~subset_sums(counts.items()),
             p, {"prime": p, "factor_degrees": {
                 str(i): c for i, c in sorted(counts.items())}})

@@ -138,11 +138,11 @@ def newton_function(polygon: NewtonPolygon, x) -> Fraction:
     raise AssertionError("unreachable: x within range but no edge found")
 
 
-def subset_sums(parts) -> frozenset:
-    """Every sum of a sub-multiset of the sizes given as (size, count)
-    pairs, via a bitset.  Always contains 0 and the full sum and is closed
-    under k -> full sum - k.  The copies of a size go in as chunks of 1, 2,
-    4, ... copies and a remainder: O(log count) shifts, same subset sums."""
+def subset_sums(parts) -> int:
+    """Sums of the sub-multisets of the sizes given as (size, count) pairs
+    as a bitmask: bit K is set when K is one.  It holds 0 and the full sum
+    and is closed under k -> full sum - k.  The copies of a size go in as
+    chunks of 1, 2, 4, ... and a remainder: O(log count) shifts."""
     bits = 1
     for size, count in parts:
         chunk = 1
@@ -150,13 +150,25 @@ def subset_sums(parts) -> frozenset:
             bits |= bits << (size * min(chunk, count))
             count -= chunk
             chunk *= 2
-    low_first = bin(bits)[:1:-1]  # bin() writes "0b" and then high bits first
-    return frozenset(k for k, bit in enumerate(low_first) if bit == "1")
+    return bits
 
 
-def admissible_degrees(polygon: NewtonPolygon) -> frozenset:
-    """Degrees a hypothetical factor could have, per the lattice-segment
-    subset-sum rule: subset sums of minimal lattice-segment widths."""
+def degrees_of(mask: int) -> tuple[int, ...]:
+    """The degrees of a bitmask (bit K set when degree K is in it),
+    ascending, read one run of set bits at a time off its bit string."""
+    bits = bin(mask)[:1:-1] + "0"  # low bit first; bin() writes "0b" first
+    out: list[int] = []
+    lo = bits.find("1")
+    while lo >= 0:
+        hi = bits.find("0", lo)
+        out += range(lo, hi)
+        lo = bits.find("1", hi)
+    return tuple(out)
+
+
+def admissible_degrees(polygon: NewtonPolygon) -> int:
+    """Degrees a hypothetical factor could have, as a bitmask, by the
+    lattice-segment rule: subset sums of minimal lattice-segment widths."""
     return subset_sums((e.segment_width, e.lattice_length)
                        for e in polygon.edges)
 

@@ -187,6 +187,38 @@ def gpf(m: int) -> int:
     return max(distinct_prime_factors(m), default=1)
 
 
+def mask_of(degrees) -> int:
+    """The bitmask of a collection of non-negative degrees: bit K is set
+    when K is among them, built one degree at a time."""
+    mask = 0
+    for k in degrees:
+        mask |= 1 << k
+    return mask
+
+
+class SetLedger:
+    """The degree ledger's claim rule over Python sets: a claim adds the
+    mirror total - K of each degree K, keeps what is still open in
+    [1, total-1], and records it as (method, sorted degrees, prime,
+    evidence), or returns None when nothing is left."""
+
+    def __init__(self, total: int):
+        self.total = total
+        self.remaining = set(range(1, total))
+        self.records = []
+
+    def claim(self, method, degrees, prime, evidence):
+        effective = set(degrees)
+        effective |= {self.total - K for K in effective}
+        effective &= self.remaining
+        if not effective:
+            return None
+        self.remaining -= effective
+        rec = (method, tuple(sorted(effective)), prime, evidence)
+        self.records.append(rec)
+        return rec
+
+
 def subset_sums_per_copy(parts) -> set:
     """Sums of the sub-multisets of the sizes given as (size, count) pairs,
     as a set of reachable sums grown by one copy of a size at a time."""

@@ -12,7 +12,7 @@ import time
 
 from ghlcert.certify import Verdict, certify_instance, expected_breaks, \
     verify_break_valuations, verify_certificate
-from ghlcert.newton import admissible_degrees, build_polygon
+from ghlcert.newton import admissible_degrees, build_polygon, degrees_of
 from ghlcert.polynomials import (GhlParams, IntegerPolynomial,
                                  SeedCoefficients, build_substituted)
 from ghlcert.sieve import (RangeFilter, ap_prime_gaps, exact_p5_pairs,
@@ -168,7 +168,8 @@ def _dumas_soundness():
         p = rng.choice([2, 3, 5, 7, 11, 13])
         if prod[0] == 0 or (prod[0] * prod[-1]) % p == 0:
             continue
-        adm = admissible_degrees(build_polygon(IntegerPolynomial(tuple(prod)), p))
+        adm = degrees_of(admissible_degrees(
+            build_polygon(IntegerPolynomial(tuple(prod)), p)))
         if da not in adm or db not in adm:
             bad.append((a, b, p))
         checked += 1

@@ -17,6 +17,7 @@ from ghlcert.certify import (Certificate, CertificationInternalError,
 from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
                               delta_stage, margin_stage, window_stage)
 from ghlcert.jsontext import unlimited_int_digits
+from ghlcert.newton import degrees_of
 from ghlcert.polynomials import GhlParams, SeedCoefficients
 
 from oracles import witness_primes_per_k
@@ -38,7 +39,7 @@ def stage_alone(stage, params, seed, notes=()):
     stage(PolygonCache(params, seed), ledger)
     return Certificate(params=params, seed_kind=seed.kind,
                        seed=tuple(seed.values), records=tuple(ledger.records),
-                       residual=tuple(sorted(ledger.remaining)),
+                       residual=degrees_of(ledger.remaining),
                        verdict=Verdict.EXCLUSIONS_ONLY, notes=tuple(notes))
 
 

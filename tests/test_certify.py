@@ -22,7 +22,7 @@ from ghlcert.certify import (
 )
 from ghlcert.cli import main
 from ghlcert.criteria import DegreeLedger, Method, PolygonCache
-from ghlcert.newton import subset_sums
+from ghlcert.newton import degrees_of, subset_sums
 from ghlcert.polynomials import (
     GhlParams,
     SeedCoefficients,
@@ -31,7 +31,7 @@ from ghlcert.polynomials import (
 from ghlcert.valuation import TERM_TABLES, ord_factorial, term_table
 
 from oracles import (factor_of_degree, irreducible_over_z,
-                     three_adic_check_loop)
+                     subset_sums_per_copy, three_adic_check_loop)
 
 
 def test_exception_family_tags():
@@ -233,6 +233,15 @@ def test_laguerre_np_reads_the_prime_divisors_of_n_from_the_cache(
         assert rec.degrees == tuple(k for k in range(1, m)
                                     if k not in admissible)
     assert calls == []
+    # with delta = 1 the handler reads a lift to delta = d, which shares
+    # the run's primes: only the run's own cache factorises, the top
+    # factor 256 and n = 85 once each
+    [rec] = run_alone(laguerre_np_certify, binomial_cache(3, 0, 1, 85, 1))
+    assert calls == [256, 85]
+    assert rec.prime == 17 and rec.evidence == {
+        "prime": 17, "vertices": [0, 85], "min_slope": "1/51",
+        "max_slope": "1/51"}
+    assert rec.degrees == tuple(k for k in range(1, 85) if k % 17)
 
 
 def certified(d, u, alpha, n):
@@ -448,7 +457,8 @@ def test_degree_sets_close_the_irreducible_residuals():
                 counts = {int(i): c
                           for i, c in rec.evidence["factor_degrees"].items()}
                 assert sum(i * c for i, c in counts.items()) == d * n
-                impossible = set(range(1, d * n)) - subset_sums(counts.items())
+                impossible = set(range(1, d * n)) - set(
+                    degrees_of(subset_sums(counts.items())))
                 assert set(rec.degrees) == impossible - earlier
             earlier.update(rec.degrees)
         blob = cert.to_json_dict()
@@ -630,6 +640,35 @@ def test_term_tables_stay_bounded():
     for d, u, alpha in families:
         certify_instance(d, u, alpha, 6, d)
     assert term_table.cache_info().currsize == TERM_TABLES
+
+
+def test_exclusions_are_sound_against_a_factoriser():
+    # every degree a record excludes must be no sum of the degrees of a
+    # sub-multiset of the factors sympy finds, over d = 2..6, every alpha
+    # coprime to d, u in {-1, 0}, delta in {1, d} with delta*n <= 12,
+    # both named seeds, degree sets on
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    certificates = reducible = 0
+    for d in range(2, 7):
+        for alpha, u, delta, kind in itertools.product(
+                range(1, d), (-1, 0), sorted({1, d}), ("ones", "laguerre")):
+            if math.gcd(alpha, d) != 1:
+                continue
+            for n in range(1, 12 // delta + 1):
+                cert = certify_instance(d, u, alpha, n, delta, kind,
+                                        degree_sets=True)
+                coeffs = build_substituted(
+                    cert.params, SeedCoefficients.of_kind(n, kind)).coeffs
+                _, factors = sympy.Poly(coeffs[::-1], x).factor_list()
+                sums = subset_sums_per_copy(
+                    (f.degree(), mult) for f, mult in factors)
+                for rec in cert.records:
+                    assert sums.isdisjoint(rec.degrees), (cert.params, kind,
+                                                          rec)
+                certificates += 1
+                reducible += len(factors) > 1 or factors[0][1] > 1
+    assert (certificates, reducible) == (656, 12)
 
 
 def test_exclusions_are_sound_for_small_degrees():

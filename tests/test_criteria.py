@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ghlcert.criteria import (
     DegreeLedger,
@@ -15,10 +17,11 @@ from ghlcert.criteria import (
     window_stage,
     witness_primes,
 )
+from ghlcert.newton import degrees_of
 from ghlcert.polynomials import (GhlParams, IntegerPolynomial,
                                  SeedCoefficients)
 
-from oracles import poly_mul, witness_primes_per_k
+from oracles import SetLedger, mask_of, poly_mul, witness_primes_per_k
 
 
 def test_find_exclusion_prime_known_values():
@@ -133,13 +136,13 @@ def test_window_and_margin_readings_are_lattice_inadmissible():
                 stage(cache, ledger)
                 for rec in ledger.records:
                     assert rec.prime == p
-                    assert admissible.isdisjoint(rec.degrees), \
+                    assert not admissible & mask_of(rec.degrees), \
                         (params, seed.values, rec)
                     claimed += len(rec.degrees)
         cache.primes = primes
         ledger = DegreeLedger(params.delta * params.n)
         delta_stage(cache, ledger)
-        left = set(ledger.remaining)
+        left = ledger.remaining
         window_stage(cache, ledger)
         margin_stage(cache, ledger)
         assert ledger.remaining == left, (params, seed.values)
@@ -157,18 +160,51 @@ def test_candidate_primes():
 
 def test_degree_ledger_claims_and_mirrors():
     ledger = DegreeLedger(10)
-    assert ledger.remaining == set(range(1, 10))
-    rec = ledger.claim(Method.NEWTON_MARGIN, [2], 3, {"degree": 2})
+    assert degrees_of(ledger.remaining) == tuple(range(1, 10))
+    rec = ledger.claim(Method.NEWTON_MARGIN, mask_of([2]), 3, {"degree": 2})
     assert rec is not None and set(rec.degrees) == {2, 8}
-    assert 2 not in ledger.remaining and 8 not in ledger.remaining
+    left = degrees_of(ledger.remaining)
+    assert 2 not in left and 8 not in left
     # a second claim on the same degrees is a no-op
-    assert ledger.claim(Method.NEWTON_MARGIN, [2], 3, {"degree": 2}) is None
+    assert ledger.claim(Method.NEWTON_MARGIN, mask_of([2]), 3,
+                        {"degree": 2}) is None
+
+
+def _ledger_cases():
+    """A total in 1..400 and a claim sequence for it: lists that may be
+    empty, repeat a degree, or hold 0 or degrees at and above total, and
+    whole runs lo..hi-1 like the windows the stages claim."""
+    def claims(total):
+        degree = st.integers(0, 2 * total + 1)
+        return st.lists(st.one_of(
+            st.lists(degree, max_size=12),
+            st.builds(lambda a, b: list(range(min(a, b), max(a, b))),
+                      degree, degree)), max_size=10)
+    return st.integers(1, 400).flatmap(
+        lambda total: st.tuples(st.just(total), claims(total)))
+
+
+@seed(29)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_ledger_cases())
+def test_degree_ledger_matches_the_set_oracle(case):
+    # the bitmask ledger against the set-based SetLedger, claim by claim:
+    # a wrong mirror (bit K to total - K) or range mask shows here
+    total, claims = case
+    ledger, oracle = DegreeLedger(total), SetLedger(total)
+    for i, degrees in enumerate(claims):
+        rec = ledger.claim(Method.DEGREE_SET, mask_of(degrees), i, {"i": i})
+        want = oracle.claim(Method.DEGREE_SET, degrees, i, {"i": i})
+        assert (rec is None) == (want is None), (total, degrees)
+        assert rec is None or tuple(rec) == want, (total, degrees)
+        assert degrees_of(ledger.remaining) == tuple(sorted(oracle.remaining))
+    assert [tuple(rec) for rec in ledger.records] == oracle.records
 
 
 def test_degree_ledger_records_partition():
     ledger = DegreeLedger(12)
-    ledger.claim(Method.NEWTON_MARGIN, [1, 2, 3], 3, {"degree": 1})
-    ledger.claim(Method.SLOPE_WINDOW, range(1, 6), 5, {"k": 5})
+    ledger.claim(Method.NEWTON_MARGIN, mask_of([1, 2, 3]), 3, {"degree": 1})
+    ledger.claim(Method.SLOPE_WINDOW, mask_of(range(1, 6)), 5, {"k": 5})
     seen = []
     for rec in ledger.records:
         seen.extend(rec.degrees)
@@ -185,7 +221,7 @@ def test_polygon_cache_consistency():
                            SeedCoefficients((43, 1, 1, 1, 1)))
     assert not blocked.seed_coprime(43)
     adm = cache.admissible(2, "self")
-    assert isinstance(adm, frozenset) and 0 in adm
+    assert isinstance(adm, int) and 0 in degrees_of(adm)
 
 
 def test_degree_set_stage_never_excludes_a_real_factor_degree():
@@ -203,7 +239,8 @@ def test_degree_set_stage_never_excludes_a_real_factor_degree():
         prod = IntegerPolynomial(tuple(poly_mul(a, b)))
         ledger = DegreeLedger(prod.degree)
         degree_set_stage(prod, ledger, primes)
-        assert {da, db} <= ledger.remaining, (a, b, ledger.records)
+        assert {da, db} <= set(degrees_of(ledger.remaining)), \
+            (a, b, ledger.records)
         for rec in ledger.records:
             assert rec.method == Method.DEGREE_SET
             assert prod.leading % rec.evidence["prime"] != 0
@@ -216,7 +253,7 @@ def test_degree_set_stage_closes_an_irreducible_sextic():
     ledger = DegreeLedger(6)
     degree_set_stage(IntegerPolynomial((4, 0, 0, -8, 0, 0, 1)), ledger,
                      [2, 3, 5, 7])
-    assert ledger.remaining == set()
+    assert degrees_of(ledger.remaining) == ()
     [rec] = ledger.records
     assert rec.evidence == {"prime": 5, "factor_degrees": {"6": 1}}
     assert rec.degrees == (1, 2, 3, 4, 5)

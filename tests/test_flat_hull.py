@@ -7,8 +7,9 @@ import math
 
 from ghlcert.certify import full_certify
 from ghlcert.criteria import PolygonCache
-from ghlcert.newton import (admissible_degrees, polygon_from_params,
-                            viable_margin, widest_window)
+from ghlcert.newton import (admissible_degrees, degrees_of,
+                            polygon_from_params, viable_margin,
+                            widest_window)
 from ghlcert.polynomials import GhlParams, SeedCoefficients
 
 W1_FAMILIES = [(3, -1, 1), (3, -1, 2), (3, 0, 1), (3, 0, 2),
@@ -71,7 +72,8 @@ def test_flat_primes_build_flat_polygons(rng):
                 if m in checked_m:
                     continue
                 checked_m.add(m)
-                assert admissible_degrees(poly) == frozenset(range(m + 1))
+                assert degrees_of(admissible_degrees(poly)) == tuple(
+                    range(m + 1))
                 assert all(viable_margin(poly, k) is None
                            for k in range(1, m + 1))
     assert flat_seen > 1000

@@ -7,6 +7,7 @@ from ghlcert.newton import (
     PreconditionError,
     admissible_degrees,
     build_polygon,
+    degrees_of,
     newton_function,
     polygon_from_ordinates,
     polygon_from_params,
@@ -25,7 +26,7 @@ from ghlcert.polynomials import (
 )
 from ghlcert.valuation import INFINITY, nu
 
-from oracles import poly_mul, subset_sums_per_copy
+from oracles import mask_of, poly_mul, subset_sums_per_copy
 
 
 def carrier_polygon(p, d, u, alpha, n, delta):
@@ -41,7 +42,7 @@ def test_hull_of_perfect_square():
     assert polygon.vertices == ((0, 0), (2, 2))
     edge = polygon.edges[0]
     assert (edge.width, edge.height, edge.lattice_length, edge.segment_width) == (2, 2, 2, 1)
-    assert sorted(admissible_degrees(polygon)) == [0, 1, 2]
+    assert degrees_of(admissible_degrees(polygon)) == (0, 1, 2)
 
 
 def test_collinear_points_are_merged():
@@ -93,12 +94,20 @@ def test_admissible_degrees_multi_edge():
     polygon = carrier_polygon(2, 3, -1, 2, 43, 3)
     widths = [(e.lattice_length, e.segment_width) for e in polygon.edges]
     assert widths == [(3, 32), (3, 8), (1, 9)]
-    adm = admissible_degrees(polygon)
-    degrees = sorted(adm)
-    assert len(degrees) == 32
+    adm = set(degrees_of(admissible_degrees(polygon)))
+    assert len(adm) == 32
     assert 0 in adm and 129 in adm
     assert 8 in adm and 9 in adm and 17 in adm
     assert 1 not in adm and 3 not in adm
+
+
+def test_degrees_of_lists_the_set_bits(rng):
+    # runs of set bits at either end, single bits, and the empty mask
+    masks = [0, 1, 2, 3, (1 << 70) - 2, 1 << 200, (1 << 9) | (1 << 300)]
+    masks += [rng.getrandbits(rng.randint(1, 400)) for _ in range(200)]
+    for mask in masks:
+        assert degrees_of(mask) == tuple(
+            k for k in range(mask.bit_length()) if mask >> k & 1), mask
 
 
 def _all_subset_sums(sizes):
@@ -113,7 +122,8 @@ def test_subset_sums_match_sub_multiset_enumeration(rng):
         parts = [(rng.randint(1, 12), rng.randint(0, 3))
                  for _ in range(rng.randint(0, 5))]
         sizes = [size for size, count in parts for _ in range(count)]
-        assert subset_sums(iter(parts)) == _all_subset_sums(sizes), parts
+        assert subset_sums(iter(parts)) == mask_of(_all_subset_sums(sizes)), \
+            parts
 
 
 def test_subset_sums_large_counts_match_per_copy_loop(rng):
@@ -121,13 +131,14 @@ def test_subset_sums_large_counts_match_per_copy_loop(rng):
     # ... copies end in a remainder, and mixed multisets up to 400 copies
     for count in (0, 1, 2, 3, 4, 5, 7, 8, 9, 127, 128, 129, 255, 256, 400):
         for size in (1, 3):
-            assert subset_sums([(size, count)]) == \
-                subset_sums_per_copy([(size, count)]), (size, count)
+            assert subset_sums([(size, count)]) == mask_of(
+                subset_sums_per_copy([(size, count)])), (size, count)
     for _ in range(40):
         parts = [(rng.randint(1, 6), rng.choice([rng.randint(0, 400),
                                                   rng.randint(0, 9)]))
                  for _ in range(rng.randint(1, 3))]
-        assert subset_sums(iter(parts)) == subset_sums_per_copy(parts), parts
+        assert subset_sums(iter(parts)) == mask_of(
+            subset_sums_per_copy(parts)), parts
 
 
 def _lattice_segment_widths(polygon):
@@ -152,8 +163,8 @@ def test_admissible_degrees_match_brute_force_subset_sums(rng):
         polygon = polygon_from_ordinates(2, ordinates)
         widths = _lattice_segment_widths(polygon)
         assert sum(widths) == m
-        assert admissible_degrees(polygon) == _all_subset_sums(widths), \
-            ordinates
+        assert admissible_degrees(polygon) == mask_of(
+            _all_subset_sums(widths)), ordinates
 
 
 def test_margins_on_carrier():
@@ -209,7 +220,7 @@ def test_admissible_contains_true_factor_degrees(rng):
         if prod[0] == 0 or prod[0] % p == 0 or prod[-1] % p == 0:
             continue
         polygon = build_polygon(IntegerPolynomial(tuple(prod)), p)
-        adm = admissible_degrees(polygon)
+        adm = degrees_of(admissible_degrees(polygon))
         assert da in adm and db in adm
 
 
