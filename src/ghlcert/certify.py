@@ -22,7 +22,7 @@ from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
 from .jsontext import encode, encode_int, encode_str
 from .newton import degrees_of, viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
-from .valuation import nu, ord_factorial
+from .valuation import nu, ord_factorial, term_table
 
 
 class Verdict(str, enum.Enum):
@@ -191,15 +191,12 @@ def special_3adic_check(params: GhlParams) -> bool:
     right side by exactly 27, so that inequality holds for every s >= 4
     once it holds at s = 4: (l0+16)^2 < 27^5.  Defined for the instances
     _stages yields the 3-adic handler for: d = 4, (u, alpha) a key of
-    _THREE_ADIC_FAMILIES, 3 dividing the top linear factor."""
+    _THREE_ADIC_FAMILIES, 3 dividing the top linear factor.  The block
+    contents are the prefix sums of the family's TermTable at p = 3."""
     j0, l0 = _THREE_ADIC_FAMILIES[params.u, params.alpha]
-    for s in range(0, 4):
-        j = j0 + 3 * s
-        total = sum(nu(3, params.alpha + (params.u + i) * 4)
-                    for i in range(1, j + 1))
-        if not total < 3 * (s + 1):
-            return False
-    return (l0 + 16) ** 2 < 27 ** 5
+    sums = term_table(4, params.u, params.alpha).valuation_sums(3, j0 + 9)
+    return (all(sums[j0 + 3 * s] < 3 * (s + 1) for s in range(4))
+            and (l0 + 16) ** 2 < 27 ** 5)
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +205,15 @@ def special_3adic_check(params: GhlParams) -> bool:
 
 def laguerre_np_certify(cache: PolygonCache,
                         ledger: DegreeLedger) -> str | None:
-    """For a binomial-seeded instance in an exceptional family (the
-    instances _stages yields this handler for), take the polygon of G(x^d)
-    at the largest prime divisor p of n that avoids the top factor and the
-    three lowest linear factors, check the vertex spacing, and exclude
-    every degree outside the lattice-admissible set.  With delta == d that
-    polygon is the instance's own and comes from the run's cache; with
-    delta == 1 it comes from a PolygonCache of the lifted instance.  At a
+    """For a binomial-seeded instance in an exceptional family with
+    delta == d (the instances _stages yields this handler for), take the
+    polygon of G(x^d) at the largest prime divisor p of n that avoids the
+    top factor and the three lowest linear factors, check the vertex
+    spacing, and exclude every degree outside the lattice-admissible set.
+    The polygon and its admissible set come from the run's cache.  At a
     flat p (see PolygonCache.flat) the polygon is one slope-0 edge, so
     degree d stays admissible and none is built.  Returns a note when no
-    such p exists or nothing can be excluded.
-
-    The claim is stated in the degrees of the instance itself: when
-    delta == 1 a degree-k factor of the base polynomial would lift to a
-    degree d*k factor of the substituted one, so exclusions transfer down.
-    """
+    such p exists or nothing can be excluded."""
     params = cache.params
     d, n = params.d, params.n
     low = ((params.alpha + (params.u - 1) * d)
@@ -239,10 +230,8 @@ def laguerre_np_certify(cache: PolygonCache,
         # p | n, so n >= 2 and the one edge passes the spacing check
         return (f"degree {d} stays lattice-admissible at p={p} "
                 f"(vertices [0, {n}])")
-    lift = cache if params.delta == d else PolygonCache(
-        GhlParams(d, params.u, params.alpha, n, d), cache.seed, cache.primes)
-    poly = lift.polygon(p, "self")
-    admissible = lift.admissible(p, "self")
+    poly = cache.polygon(p, "self")
+    admissible = cache.admissible(p, "self")
     if any(x % d for x in poly.vertex_xs()):
         raise CertificationInternalError(
             f"vertex abscissa not a multiple of d: {poly.vertex_xs()}")
@@ -254,11 +243,7 @@ def laguerre_np_certify(cache: PolygonCache,
     if (admissible >> d) & 1:
         return (f"degree {d} stays lattice-admissible at p={p} "
                 f"(vertices {xs})")
-    if params.delta == d:
-        degrees = ((1 << d * n) - 2) & ~admissible
-    else:
-        degrees = sum(1 << k for k in range(1, n)
-                      if not (admissible >> d * k) & 1)
+    degrees = ((1 << d * n) - 2) & ~admissible
     if not degrees:
         return f"polygon at p={p} excluded nothing"
     ledger.claim(Method.LAGUERRE_NP, degrees, p,
@@ -423,6 +408,8 @@ def verify_certificate(cert: Certificate) -> bool:
 
 
 def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
+    """The d = 3, 4 endpoint checks are the special handlers' hypotheses,
+    still applied at delta == 1, where no handler runs."""
     if params.u not in (-1, 0):
         raise HypothesisViolation(f"u must be -1 or 0, got {params.u}")
     if len(seed.values) != params.n + 1:
@@ -476,18 +463,21 @@ def _degree_set_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
 def _stages(params: GhlParams, seed_kind: str, degree_sets: bool):
     """Yield (name, stage) for each stage that applies to the instance, in
     the order full_certify runs them; this is the one place that decides
-    which special handler applies.  Each stage is read from this
-    module's global name when the generator reaches it, so rebinding that
-    name (a tracer, a test double) sees the call."""
+    which special handler applies.  The handlers argue about G(x^d), so
+    they run at delta == d only; at delta == 1 the delta stage excludes at
+    the same prime what they would (README, "the lift inclusion").  Each
+    stage is read from this module's global name when the generator
+    reaches it, so rebinding that name (a tracer, a test double) sees it."""
     d, top = params.d, params.top_term
     yield "witness", witness_stage
-    if d == 3 and _is_power_of(top, 2):
-        yield "2-adic handler", special_2adic_certify
-    if (d == 4 and (params.u, params.alpha) in _THREE_ADIC_FAMILIES
-            and top % 3 == 0):
-        yield "3-adic handler", _three_adic_stage
-    if seed_kind == "laguerre" and exception_family(params) is not None:
-        yield "own-prime handler", laguerre_np_certify
+    if params.delta == d:
+        if d == 3 and _is_power_of(top, 2):
+            yield "2-adic handler", special_2adic_certify
+        if (d == 4 and (params.u, params.alpha) in _THREE_ADIC_FAMILIES
+                and top % 3 == 0):
+            yield "3-adic handler", _three_adic_stage
+        if seed_kind == "laguerre" and exception_family(params) is not None:
+            yield "own-prime handler", laguerre_np_certify
     yield "delta", delta_stage
     if degree_sets:
         yield "degree-set", _degree_set_stage

@@ -375,8 +375,8 @@ def _apply_config(argv) -> list[str]:
         if isinstance(value, bool):
             if value:
                 injected.append(flag)
-        else:
-            injected.extend([flag, str(value)])
+        else:  # one token, so a value such as -2/3 is not read as a flag
+            injected.append(f"{flag}={value}")
     # flags go right after the subcommand name (the first non-flag token)
     for pos, tok in enumerate(head):
         if not tok.startswith("-"):

@@ -159,13 +159,12 @@ class PolygonCache:
     """What the stages of one certification run share: the instance, its
     candidate primes, and the polygons of the substituted polynomial per
     prime for the seed and the all-ones carrier, each built at most once,
-    on demand, and by the stages not at all at a flat prime (see flat).
-    The primes do not depend on delta: a lift to delta = d may take them."""
+    on demand, and by the stages not at all at a flat prime (see flat)."""
 
-    def __init__(self, params: GhlParams, seed: SeedCoefficients, primes=None):
+    def __init__(self, params: GhlParams, seed: SeedCoefficients):
         self.params = params
         self.seed = seed
-        self.primes = primes or candidate_primes(params)
+        self.primes = candidate_primes(params)
         self.ones = SeedCoefficients.ones(params.n)
         self._table = term_table(params.d, params.u, params.alpha)
         self._cache: dict[tuple[int, str], NewtonPolygon] = {}

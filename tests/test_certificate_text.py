@@ -63,7 +63,7 @@ def test_json_text_covers_every_method():
     laguerre = SeedCoefficients.laguerre(2)
     certs = [
         certify_instance(3, 0, 1, 5, 3),        # witness, 2-adic, own prime
-        certify_instance(4, -1, 1, 3, 1, "ones"),   # 3-adic handler
+        certify_instance(4, -1, 1, 3, 4, "ones"),   # 3-adic handler
         certify_instance(3, -1, 1, 3, 3, "ones"),   # delta
         certify_instance(3, 0, 2, 2, 3, degree_sets=True),
         stage_alone(window_stage, params, laguerre),

@@ -21,7 +21,8 @@ from ghlcert.certify import (
     verify_certificate,
 )
 from ghlcert.cli import main
-from ghlcert.criteria import DegreeLedger, Method, PolygonCache
+from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
+                              delta_stage, witness_stage)
 from ghlcert.newton import degrees_of, subset_sums
 from ghlcert.polynomials import (
     GhlParams,
@@ -188,19 +189,15 @@ def test_laguerre_np_records():
     [rec] = run_alone(laguerre_np_certify, binomial_cache(4, -1, 3, 7, 4))
     assert rec.evidence["prime"] == 7
     assert sorted(rec.degrees) == list(range(1, 28))
-    [rec] = run_alone(laguerre_np_certify, binomial_cache(3, 0, 1, 5, 1))
-    assert sorted(rec.degrees) == [1, 2, 3, 4]
 
 
 def test_laguerre_np_rejections():
-    # in its family the handler declines with a note; the last three at a
+    # in its family the handler declines with a note; the last two at a
     # flat prime (p = 3 for q = 2/3, n = 6; p = 2 for q = 1/4, n = 20)
     assert declined(laguerre_np_certify, binomial_cache(3, 0, 2, 16, 3)) == (
         "no prime divisor of n=16 avoids the top factor 50 and the low "
         "factors 10")
     assert declined(laguerre_np_certify, binomial_cache(3, 0, 2, 6, 3)) == (
-        "degree 3 stays lattice-admissible at p=3 (vertices [0, 6])")
-    assert declined(laguerre_np_certify, binomial_cache(3, 0, 2, 6, 1)) == (
         "degree 3 stays lattice-admissible at p=3 (vertices [0, 6])")
     assert declined(laguerre_np_certify, binomial_cache(4, 0, 1, 20, 4)) == (
         "degree 4 stays lattice-admissible at p=2 (vertices [0, 20])")
@@ -233,15 +230,14 @@ def test_laguerre_np_reads_the_prime_divisors_of_n_from_the_cache(
         assert rec.degrees == tuple(k for k in range(1, m)
                                     if k not in admissible)
     assert calls == []
-    # with delta = 1 the handler reads a lift to delta = d, which shares
-    # the run's primes: only the run's own cache factorises, the top
-    # factor 256 and n = 85 once each
-    [rec] = run_alone(laguerre_np_certify, binomial_cache(3, 0, 1, 85, 1))
+    # with delta = 1 no handler runs: the run's cache factorises the top
+    # factor 256 and n = 85 once each, and the witness and delta stages
+    # write every record
+    cert = full_certify(GhlParams(d=3, u=0, alpha=1, n=85, delta=1),
+                        SeedCoefficients.laguerre(85))
     assert calls == [256, 85]
-    assert rec.prime == 17 and rec.evidence == {
-        "prime": 17, "vertices": [0, 85], "min_slope": "1/51",
-        "max_slope": "1/51"}
-    assert rec.degrees == tuple(k for k in range(1, 85) if k % 17)
+    assert {rec.method for rec in cert.records} == {
+        Method.WITNESS_PRIME, Method.DELTA_DIVISIBILITY}
 
 
 def certified(d, u, alpha, n):
@@ -337,7 +333,9 @@ def test_stages_yield_each_handler_only_in_its_family():
     # one for d = 3 with a top factor 2^a, the 3-adic one for d = 4 in its
     # two families with 3 dividing the top factor, the own-prime one for a
     # binomial seed in an exceptional family; none for d = 2 or 5 (u
-    # outside {-1, 0} exits 2 before any stage: test_cli pins that)
+    # outside {-1, 0} exits 2 before any stage: test_cli pins that), and
+    # none at delta = 1, where only the witness and delta stages run, and
+    # the degree-set stage when it is on
     cases = [
         ((2, 0, 1, 13, "laguerre"), []),                    # top 27
         ((5, 0, 1, 3, "laguerre"), []),                     # top 16 = 2^4
@@ -361,6 +359,45 @@ def test_stages_yield_each_handler_only_in_its_family():
         names = [name for name, _ in certify._stages(params, seed_kind, False)]
         assert [name.removesuffix(" handler") for name in names
                 if name.endswith(" handler")] == expect, (params, seed_kind)
+        params = params._replace(delta=1)
+        for degree_sets, tail in ((False, []), (True, ["degree-set"])):
+            assert [name for name, _ in certify._stages(
+                params, seed_kind, degree_sets)] == [
+                    "witness", "delta", *tail], (params, seed_kind)
+
+
+def test_handlers_exclude_nothing_new_at_delta_1():
+    # at delta = 1 the 2-adic and 3-adic handlers' readings are margins
+    # and windows, which the delta stage covers at the same prime (the
+    # Dumas lemma of test_criteria): run between the witness and delta
+    # stages, a handler leaves the same degrees open as those two alone,
+    # and so it does before the delta stage alone
+    handlers = {3: special_2adic_certify, 4: certify._three_adic_stage}
+    claimed = 0
+    for d, u, alpha in ((3, -1, 1), (3, -1, 2), (3, 0, 1), (3, 0, 2),
+                        (4, -1, 1), (4, 0, 3)):
+        for n in range(1, 101):
+            params = GhlParams(d=d, u=u, alpha=alpha, n=n)
+            if d == 3 and not certify._is_power_of(params.top_term, 2):
+                continue
+            if d == 4 and params.top_term % 3:
+                continue
+            for kind in ("ones", "laguerre"):
+                seed = SeedCoefficients.of_kind(n, kind)
+                for first in ((witness_stage,), ()):
+                    ledgers = []
+                    for stages in (first + (handlers[d], delta_stage),
+                                   first + (delta_stage,)):
+                        cache = PolygonCache(params, seed)
+                        ledger = DegreeLedger(n)
+                        for stage in stages:
+                            stage(cache, ledger)
+                        ledgers.append(ledger)
+                    assert ledgers[0].remaining == ledgers[1].remaining, (
+                        params, kind, first)
+                    claimed += any(rec.method.value.startswith("SPECIAL")
+                                   for rec in ledgers[0].records)
+    assert claimed == 180               # the handlers are not vacuous here
 
 
 def test_stages_return_the_certificate_notes():

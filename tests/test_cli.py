@@ -677,6 +677,10 @@ def test_config_defaults_and_precedence(tmp_path, capsys):
     assert code == 0 and blob["params"]["n"] == 5
     code, blob = run(capsys, "certify", "--config", str(cfg), "--n", "6")
     assert blob["params"]["n"] == 6          # explicit flag wins
+    # a negative value is spliced as one --flag=value token
+    cfg.write_text(json.dumps({"q": "-2/3", "n": 4, "delta": 3}))
+    code, blob = run(capsys, "certify", "--config", str(cfg))
+    assert code == 0 and blob["params"]["q"] == "-2/3"
     missing = main(["certify", "--config", str(tmp_path / "nope.json")])
     assert missing == 2
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -147,6 +148,30 @@ def test_window_and_margin_readings_are_lattice_inadmissible():
         margin_stage(cache, ledger)
         assert ledger.remaining == left, (params, seed.values)
     assert claimed > 10000              # the stages are not vacuous here
+
+
+def test_lift_to_delta_d_keeps_every_admissible_degree():
+    # an edge (w, h) of G's polygon at p is the edge (d*w, h) of
+    # G(x^d)'s, and gcd(w, h) divides gcd(d*w, h), so d times a degree
+    # admissible for G is admissible for G(x^d): a degree d*k the lift
+    # excludes, k is excluded at delta = 1 already, at the same prime
+    polygons = 0
+    for d in (3, 4):
+        for alpha in (a for a in range(1, d) if math.gcd(a, d) == 1):
+            for u, n in itertools.product((-1, 0), range(1, 61)):
+                for seed in (SeedCoefficients.ones(n),
+                             SeedCoefficients.laguerre(n)):
+                    base = PolygonCache(
+                        GhlParams(d=d, u=u, alpha=alpha, n=n), seed)
+                    lift = PolygonCache(
+                        GhlParams(d=d, u=u, alpha=alpha, n=n, delta=d), seed)
+                    for p in (p for p in base.primes if not base.flat(p)):
+                        admissible = lift.admissible(p, "self")
+                        for k in degrees_of(base.admissible(p, "self")):
+                            assert (admissible >> d * k) & 1, (
+                                d, u, alpha, n, seed.kind, p, k)
+                        polygons += 1
+    assert polygons == 11402
 
 
 def test_candidate_primes():
