@@ -130,8 +130,8 @@ def special_2adic_certify(cache: PolygonCache,
                           ledger: DegreeLedger) -> str | None:
     """Low-degree exclusions from the 2-adic polygon when d = 3 and the top
     linear factor is a power of two (witness primes are structurally
-    unavailable there); odd seed endpoints are a precondition, which
-    full_certify refuses before any stage runs.  The p = 2 polygons and
+    unavailable there); its margins are read on the ones carrier, so
+    _stages yields it only for odd seed endpoints.  The p = 2 polygons and
     admissible degrees come from the run's cache.  Claims the degrees it
     could certify, which may be a proper subset of [1, delta]; returns a
     note when s < 1, when the realized vertices match no expected break
@@ -408,25 +408,13 @@ def verify_certificate(cert: Certificate) -> bool:
 
 
 def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
-    """The d = 3, 4 endpoint checks are the special handlers' hypotheses,
-    still applied at delta == 1, where no handler runs."""
+    """u in {-1, 0} and a seed of n + 1 values; any nonzero endpoints, at
+    every d (a handler's own precondition is a runs-when test of _stages)."""
     if params.u not in (-1, 0):
         raise HypothesisViolation(f"u must be -1 or 0, got {params.u}")
     if len(seed.values) != params.n + 1:
         raise HypothesisViolation(
             f"seed length {len(seed.values)} does not match n={params.n}")
-    endpoints, top = seed.values[0] * seed.values[params.n], params.top_term
-    if params.d in (3, 4) and _cofactor(endpoints, (2, 3)) != 1:
-        raise HypothesisViolation(
-            f"seed endpoint product {endpoints} has a prime factor > 3")
-    if params.d == 3 and _is_power_of(top, 2) and endpoints % 2 == 0:
-        raise HypothesisViolation(
-            "seed endpoints must be odd when the top factor is a power "
-            "of two")
-    if params.d == 4 and _is_power_of(top, 3) and endpoints % 3 == 0:
-        raise HypothesisViolation(
-            "seed endpoints must avoid the prime 3 when the top factor "
-            "is a power of three")
 
 
 def _three_adic_stage(cache: PolygonCache,
@@ -460,23 +448,25 @@ def _degree_set_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
                          ledger, cache.primes)
 
 
-def _stages(params: GhlParams, seed_kind: str, degree_sets: bool):
-    """Yield (name, stage) for each stage that applies to the instance, in
-    the order full_certify runs them; this is the one place that decides
-    which special handler applies.  The handlers argue about G(x^d), so
-    they run at delta == d only; at delta == 1 the delta stage excludes at
-    the same prime what they would (README, "the lift inclusion").  Each
-    stage is read from this module's global name when the generator
-    reaches it, so rebinding that name (a tracer, a test double) sees it."""
+def _stages(cache: PolygonCache, degree_sets: bool):
+    """Yield (name, stage) for each stage that applies to the run, in the
+    order full_certify runs them: the one place that decides which special
+    handler applies.  The handlers argue about G(x^d), so they run at
+    delta == d only (at delta == 1 the delta stage covers them: README,
+    "the lift inclusion"); the 2-adic one reads margins on the ones
+    carrier, so it runs only when cache.seed_coprime(2).  Each stage is
+    read from this module's global name when the generator reaches it, so
+    rebinding that name (a tracer, a test double) sees it."""
+    params = cache.params
     d, top = params.d, params.top_term
     yield "witness", witness_stage
     if params.delta == d:
-        if d == 3 and _is_power_of(top, 2):
+        if d == 3 and _is_power_of(top, 2) and cache.seed_coprime(2):
             yield "2-adic handler", special_2adic_certify
         if (d == 4 and (params.u, params.alpha) in _THREE_ADIC_FAMILIES
                 and top % 3 == 0):
             yield "3-adic handler", _three_adic_stage
-        if seed_kind == "laguerre" and exception_family(params) is not None:
+        if cache.seed.kind == "laguerre" and exception_family(params):
             yield "own-prime handler", laguerre_np_certify
     yield "delta", delta_stage
     if degree_sets:
@@ -494,7 +484,7 @@ def full_certify(params: GhlParams, seed: SeedCoefficients, *,
     cache = PolygonCache(params, seed)
     ledger = DegreeLedger(params.delta * params.n)
     notes: list[str] = []
-    for name, stage in _stages(params, seed.kind, degree_sets):
+    for name, stage in _stages(cache, degree_sets):
         note = stage(cache, ledger)
         if note:
             notes.append(f"{name}: {note}")

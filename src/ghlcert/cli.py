@@ -84,7 +84,13 @@ def _params_from_args(args, n: int | None) -> GhlParams:
     if n is None:
         raise InvalidParameters("--n is required")
     delta = args.delta
+    given = [flag for flag, value in (("--d", args.d), ("--u", args.u),
+                                      ("--alpha", args.alpha))
+             if value is not None]
     if args.q is not None:
+        if given:
+            raise InvalidParameters(
+                f"--q cannot be combined with {', '.join(given)}")
         try:
             q = Fraction(args.q)
         except ZeroDivisionError:
@@ -93,7 +99,7 @@ def _params_from_args(args, n: int | None) -> GhlParams:
         params = GhlParams.from_q(q, n, delta=1)
         d, u, alpha = params.d, params.u, params.alpha
     else:
-        if args.d is None or args.u is None or args.alpha is None:
+        if len(given) < 3:
             raise InvalidParameters("give either --q or all of --d/--u/--alpha")
         d, u, alpha = args.d, args.u, args.alpha
     params = GhlParams(d=d, u=u, alpha=alpha, n=n,
@@ -104,6 +110,9 @@ def _params_from_args(args, n: int | None) -> GhlParams:
 
 def _seed_from_args(args, n: int) -> SeedCoefficients:
     if args.seed_file:
+        if args.seed is not None:
+            raise InvalidParameters(
+                "--seed cannot be combined with --seed-file")
         poly = read_coefficients(args.seed_file)
         return SeedCoefficients(values=tuple(poly.coeffs))
     return SeedCoefficients.of_kind(n, args.seed or "laguerre")

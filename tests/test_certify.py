@@ -143,8 +143,9 @@ def test_special_2adic_record():
 
 
 def test_special_2adic_rejections():
-    # in its family the handler declines with a note; even seed endpoints
-    # are refused before any stage runs (test_hypothesis_violations)
+    # in its family the handler declines with a note; with an even seed
+    # endpoint _stages does not yield it (its ones-carrier margins would
+    # not hold for the seed: test_stages_yield_each_handler_only_in_its_family)
     assert declined(special_2adic_certify, PolygonCache(      # top 2^2
         GhlParams(d=3, u=-1, alpha=1, n=2, delta=1),
         SeedCoefficients.laguerre(2))) == (
@@ -330,12 +331,12 @@ def test_full_certify_calls_stages_through_module_names(monkeypatch):
 
 def test_stages_yield_each_handler_only_in_its_family():
     # the special handlers _stages yields, one instance per row: the 2-adic
-    # one for d = 3 with a top factor 2^a, the 3-adic one for d = 4 in its
-    # two families with 3 dividing the top factor, the own-prime one for a
-    # binomial seed in an exceptional family; none for d = 2 or 5 (u
-    # outside {-1, 0} exits 2 before any stage: test_cli pins that), and
-    # none at delta = 1, where only the witness and delta stages run, and
-    # the degree-set stage when it is on
+    # one for d = 3 with a top factor 2^a and odd seed endpoints, the
+    # 3-adic one for d = 4 in its two families with 3 dividing the top
+    # factor, the own-prime one for a binomial seed in an exceptional
+    # family; none for d = 2 or 5 (u outside {-1, 0} exits 2 before any
+    # stage: test_cli pins that), and none at delta = 1, where only the
+    # witness and delta stages run, and the degree-set stage when it is on
     cases = [
         ((2, 0, 1, 13, "laguerre"), []),                    # top 27
         ((5, 0, 1, 3, "laguerre"), []),                     # top 16 = 2^4
@@ -344,8 +345,12 @@ def test_stages_yield_each_handler_only_in_its_family():
         ((3, -1, 2, 43, "laguerre"), ["2-adic"]),           # top 2^7
         ((3, 0, 1, 5, "ones"), ["2-adic"]),                 # top 2^4
         ((3, 0, 1, 5, "laguerre"), ["2-adic", "own-prime"]),
+        ((3, 0, 2, 2, (3, 4, -5)), ["2-adic"]),             # top 2^3
+        ((3, 0, 2, 2, (4, 4, -2)), []),                     # even a_0
+        ((3, 0, 1, 5, (1, 1, 1, 1, 1, 6)), []),             # even a_n
         ((4, -1, 1, 3, "laguerre"), ["3-adic"]),            # top 9
         ((4, 0, 3, 3, "ones"), ["3-adic"]),                 # top 15
+        ((4, 0, 3, 3, (6, 1, 1, 2)), ["3-adic"]),           # 3 | a_0 too
         ((4, -1, 1, 4, "laguerre"), []),                    # top 13
         ((4, -1, 3, 7, "laguerre"), ["own-prime"]),         # top 27
         ((4, -1, 3, 7, "ones"), []),
@@ -354,16 +359,19 @@ def test_stages_yield_each_handler_only_in_its_family():
         ((4, 0, 1, 20, "laguerre"), ["own-prime"]),         # top 81
         ((4, 0, 1, 20, "ones"), []),
     ]
-    for (d, u, alpha, n, seed_kind), expect in cases:
+    for (d, u, alpha, n, seed), expect in cases:
+        seed = (SeedCoefficients.of_kind(n, seed) if type(seed) is str
+                else SeedCoefficients(seed))
         params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=d)
-        names = [name for name, _ in certify._stages(params, seed_kind, False)]
+        names = [name for name, _ in certify._stages(
+            PolygonCache(params, seed), False)]
         assert [name.removesuffix(" handler") for name in names
-                if name.endswith(" handler")] == expect, (params, seed_kind)
-        params = params._replace(delta=1)
+                if name.endswith(" handler")] == expect, (params, seed)
+        cache = PolygonCache(params._replace(delta=1), seed)
         for degree_sets, tail in ((False, []), (True, ["degree-set"])):
             assert [name for name, _ in certify._stages(
-                params, seed_kind, degree_sets)] == [
-                    "witness", "delta", *tail], (params, seed_kind)
+                cache, degree_sets)] == ["witness", "delta", *tail], (
+                    params, seed)
 
 
 def test_handlers_exclude_nothing_new_at_delta_1():
@@ -415,7 +423,7 @@ def test_stages_return_the_certificate_notes():
                 cache = PolygonCache(params, seed)
                 ledger = DegreeLedger(delta * n)
                 notes = []
-                for name, stage in certify._stages(params, kind, False):
+                for name, stage in certify._stages(cache, False):
                     note = stage(cache, ledger)
                     assert note is None or type(note) is str, (params, name)
                     if note is not None:
@@ -540,20 +548,26 @@ def test_residual_instances_match_reality():
 
 
 def test_hypothesis_violations():
+    # u outside {-1, 0} and a seed of the wrong length are refused; seed
+    # endpoints the d = 3, 4 checks once refused (a prime above 3, even
+    # ones at a top factor 2^a, 3 | a_0 at a top factor 3^a) are accepted,
+    # at both deltas, and certified soundly
     with pytest.raises(HypothesisViolation):
         full_certify(GhlParams(d=3, u=1, alpha=1, n=4),
                      SeedCoefficients.ones(4))
     with pytest.raises(HypothesisViolation):
         full_certify(GhlParams(d=3, u=0, alpha=1, n=4),
-                     SeedCoefficients((7, 1, 1, 1, 1)))
-    with pytest.raises(HypothesisViolation):
-        # 2-power top with even seed endpoints
-        full_certify(GhlParams(d=3, u=0, alpha=1, n=5),
-                     SeedCoefficients((2, 1, 1, 1, 1, 2)))
-    with pytest.raises(HypothesisViolation):
-        # 3-power top (81) with a 3-divisible endpoint
-        full_certify(GhlParams(d=4, u=0, alpha=1, n=20),
-                     SeedCoefficients((3,) + (1,) * 20))
+                     SeedCoefficients.ones(5))
+    sympy = pytest.importorskip("sympy")
+    for (d, u, alpha, n), values in (((3, 0, 1, 4), (7, 1, 1, 1, 1)),
+                                     ((3, 0, 1, 5), (2, 1, 1, 1, 1, 2)),
+                                     ((4, 0, 1, 20), (3,) + (1,) * 20)):
+        seed = SeedCoefficients(values)
+        for delta in (1, d):
+            cert = full_certify(
+                GhlParams(d=d, u=u, alpha=alpha, n=n, delta=delta), seed)
+            assert verify_certificate(cert)
+            assert_sound(sympy, cert, seed)
 
 
 def test_classify_seed():
@@ -679,33 +693,75 @@ def test_term_tables_stay_bounded():
     assert term_table.cache_info().currsize == TERM_TABLES
 
 
-def test_exclusions_are_sound_against_a_factoriser():
+def assert_sound(sympy, cert, seed):
+    """Every degree a record of cert excludes is no sum of the degrees of
+    a sub-multiset of the factors sympy finds; whether it found two
+    factors or more (counted with multiplicity)."""
+    coeffs = build_substituted(cert.params, seed).coeffs
+    _, factors = sympy.Poly(coeffs[::-1], sympy.Symbol("x")).factor_list()
+    sums = subset_sums_per_copy((f.degree(), mult) for f, mult in factors)
+    for rec in cert.records:
+        assert sums.isdisjoint(rec.degrees), (cert.params, seed, rec)
+    return len(factors) > 1 or factors[0][1] > 1
+
+
+def _old_checks_refuse(params, endpoints):
+    """The seed endpoint products the d = 3, 4 hypothesis checks refused:
+    a prime factor above 3, an even one at d = 3 with a top factor 2^a,
+    one divisible by 3 at d = 4 with a top factor 3^a."""
+    top = params.top_term
+    return (certify._cofactor(endpoints, (2, 3)) != 1
+            or (params.d == 3 and certify._is_power_of(top, 2)
+                and endpoints % 2 == 0)
+            or (params.d == 4 and certify._is_power_of(top, 3)
+                and endpoints % 3 == 0))
+
+
+def _refused_seed(rng, params):
+    """Random seed values for params, endpoints from 2, 3, 5 and 7 and
+    refused by the old checks, the others in [-9, 9]."""
+    while True:
+        a0, an = (rng.choice((-1, 1)) * rng.choice(
+            (1, 2, 3, 4, 5, 6, 7, 10, 14, 15, 21)) for _ in range(2))
+        if _old_checks_refuse(params, a0 * an):
+            return (a0, *(rng.randint(-9, 9) for _ in range(params.n - 1)),
+                    an)
+
+
+def test_exclusions_are_sound_against_a_factoriser(rng):
     # every degree a record excludes must be no sum of the degrees of a
-    # sub-multiset of the factors sympy finds, over d = 2..6, every alpha
-    # coprime to d, u in {-1, 0}, delta in {1, d} with delta*n <= 12,
-    # both named seeds, degree sets on
+    # sub-multiset of the factors sympy finds, with degree sets on, over
+    # d = 2..6, every alpha coprime to d, u in {-1, 0}, delta in {1, d}
+    # with delta*n <= 12 and both named seeds; and at d = 3, 4 over two
+    # custom seeds per instance whose endpoints the old d = 3, 4 checks
+    # refused, with 2, 3, 5 and 7 in them, and q = 2/3, n = 2 with seed
+    # (4, 4, -2): G(x^3) = -2(x^3 - 20)(x^3 + 4), where the 2-adic
+    # handler's ones-carrier margin would exclude degree 3
     sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
     certificates = reducible = 0
+    custom = [(GhlParams(d=3, u=0, alpha=2, n=2, delta=3), (4, 4, -2))]
     for d in range(2, 7):
-        for alpha, u, delta, kind in itertools.product(
-                range(1, d), (-1, 0), sorted({1, d}), ("ones", "laguerre")):
+        for alpha, u, delta in itertools.product(range(1, d), (-1, 0),
+                                                 sorted({1, d})):
             if math.gcd(alpha, d) != 1:
                 continue
             for n in range(1, 12 // delta + 1):
-                cert = certify_instance(d, u, alpha, n, delta, kind,
-                                        degree_sets=True)
-                coeffs = build_substituted(
-                    cert.params, SeedCoefficients.of_kind(n, kind)).coeffs
-                _, factors = sympy.Poly(coeffs[::-1], x).factor_list()
-                sums = subset_sums_per_copy(
-                    (f.degree(), mult) for f, mult in factors)
-                for rec in cert.records:
-                    assert sums.isdisjoint(rec.degrees), (cert.params, kind,
-                                                          rec)
-                certificates += 1
-                reducible += len(factors) > 1 or factors[0][1] > 1
-    assert (certificates, reducible) == (656, 12)
+                params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=delta)
+                for kind in ("ones", "laguerre"):
+                    seed = SeedCoefficients.of_kind(n, kind)
+                    reducible += assert_sound(
+                        sympy, full_certify(params, seed, degree_sets=True),
+                        seed)
+                    certificates += 1
+                if d in (3, 4):
+                    custom += ((params, _refused_seed(rng, params))
+                               for _ in range(2))
+    for params, values in custom:
+        seed = SeedCoefficients(values)
+        reducible += assert_sound(
+            sympy, full_certify(params, seed, degree_sets=True), seed)
+        certificates += 1
+    assert (certificates, reducible) == (905, 15)
 
 
 def test_exclusions_are_sound_for_small_degrees():

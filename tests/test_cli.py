@@ -246,16 +246,19 @@ def _python(code: str, timeout: float = 60) -> subprocess.CompletedProcess:
 
 
 def test_large_seed_endpoints_fail_fast(tmp_path):
-    # the {2, 3}-smoothness hypothesis on the endpoint product is checked by
-    # dividing out 2 and 3, not by trial division up to its square root
+    # seed endpoints near 10^30 are read by valuation at the stages' primes
+    # and by divisibility in the witness scan, never factorised
     path = tmp_path / "seed.txt"
     path.write_text(f"{10 ** 30 + 57}\n1\n1\n{10 ** 30 + 57}\n")
     argv = ["certify", "--q", "1/3", "--n", "3", "--delta", "3",
             "--seed-file", str(path)]
     done = _python(f"from ghlcert.cli import main; sys.exit(main({argv!r}))",
                    timeout=2)
-    assert done.returncode == 2
-    assert "has a prime factor > 3" in done.stderr
+    assert done.returncode == 0, done.stderr
+    cert = json.loads(done.stdout)
+    assert cert["verdict"] == "IRREDUCIBLE_CERTIFIED"
+    assert cert["seed"] == {"kind": "custom",
+                            "values": [10 ** 30 + 57, 1, 1, 10 ** 30 + 57]}
 
 
 @pytest.mark.parametrize("argv", [
@@ -700,16 +703,46 @@ def test_config_equals_form(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag", ["--n", "--seed-file"])
-def test_certify_batch_rejects_per_instance_flags(tmp_path, capsys, flag):
-    seed = tmp_path / "seed.txt"
-    seed.write_text("1\n1\n1\n")
-    value = {"--n": "2", "--seed-file": str(seed)}[flag]
-    assert main(["certify", "--q", "1/3", "--delta", "3", "--batch-n", "2:2",
-                 flag, value]) == 2
+_BATCH = ["certify", "--q", "1/3", "--delta", "3", "--batch-n", "2:2"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    pytest.param(_BATCH + ["--n", "2"], ("--n", "--batch-n"), id="--n"),
+    pytest.param(_BATCH + ["--seed-file", "SEED"], ("--seed-file",
+                                                    "--batch-n"),
+                 id="--seed-file"),
+    pytest.param(["certify", "--q", "1/3", "--n", "3", "--d", "5", "--u",
+                  "7", "--alpha", "2"], ("--q", "--d"), id="q-and-d-u-alpha"),
+    pytest.param(["build", "--q", "1/3", "--n", "2", "--alpha", "1"],
+                 ("--q", "--alpha"), id="build-q-and-alpha"),
+    pytest.param(["polygon", "--q", "1/3", "--n", "2", "--prime", "2",
+                  "--u", "0"], ("--q", "--u"), id="polygon-q-and-u"),
+    pytest.param(["certify", "--q", "1/3", "--n", "2", "--seed", "ones",
+                  "--seed-file", "SEED"], ("--seed", "--seed-file"),
+                 id="certify-seed-and-seed-file"),
+    pytest.param(["build", "--q", "1/3", "--n", "2", "--seed-file", "SEED",
+                  "--seed", "laguerre"], ("--seed", "--seed-file"),
+                 id="build-seed-and-seed-file"),
+    pytest.param(["polygon", "--config", "CFG", "--n", "2", "--prime", "2",
+                  "--seed-file", "SEED"], ("--seed", "--seed-file"),
+                 id="polygon-config-seed-and-seed-file"),
+    pytest.param(["certify", "--config", "CFG", "--n", "2", "--d", "5"],
+                 ("--q", "--d"), id="config-q-and-d"),
+])
+def test_certify_batch_rejects_per_instance_flags(tmp_path, capsys, argv,
+                                                  flags):
+    # two flags that give the same thing (--batch-n and --n or
+    # --seed-file; --q and --d/--u/--alpha; --seed and --seed-file) are a
+    # usage error naming both, in every command that reads them; a
+    # --config value (here {"q": "1/3", "seed": "ones"}) counts as a flag
+    # given first
+    paths = {"SEED": tmp_path / "seed.txt", "CFG": tmp_path / "cfg.json"}
+    paths["SEED"].write_text("1\n1\n1\n")
+    paths["CFG"].write_text(json.dumps({"q": "1/3", "seed": "ones"}))
+    assert main([str(paths.get(tok, tok)) for tok in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert flag in captured.err and "--batch-n" in captured.err
+    assert all(flag in captured.err for flag in flags), captured.err
 
 
 def test_elapsed_goes_to_stderr(capsys):

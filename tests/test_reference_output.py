@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ghlcert import criteria
+from ghlcert import criteria, valuation
 from ghlcert.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,27 +48,35 @@ def test_sieve_output_matches_reference(command, expected, capsys):
 
 
 def test_w1_polygon_work_is_pinned(monkeypatch, capsys):
-    # the W1 commands build 758 polygons and 704 admissible-degree sets; a
-    # change that builds more (a polygon at a prime dividing neither the
-    # leading nor the constant coefficient, a second build of one polygon,
-    # a p = 3 window read with no degree open, a window or margin stage
-    # back in the pipeline) fails here without timing
-    calls = {"polygon_from_params": 0, "admissible_degrees": 0}
+    # the W1 commands build 758 polygons and 704 admissible-degree sets,
+    # factorise 1,584 numbers and make 1,299 ledger claims, 1,264 of which
+    # record; a change that does more work (a polygon at a prime dividing
+    # neither the leading nor the constant coefficient, a second build of
+    # one polygon, a p = 3 window read with no degree open, a window or
+    # margin stage back in the pipeline, a term factorised twice) fails
+    # here without timing
+    calls = {"polygon_from_params": 0, "admissible_degrees": 0,
+             "factorize": 0, "claim": 0, "recorded": 0}
 
-    def counted(name):
-        fn = getattr(criteria, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
-            return fn(*args)
-        return wrapper
-    for name in calls:
-        monkeypatch.setattr(criteria, name, counted(name))
+            out = fn(*args)
+            calls["recorded"] += name == "claim" and out is not None
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+    for name in ("polygon_from_params", "admissible_degrees"):
+        counted(criteria, name)
+    counted(valuation, "factorize")
+    counted(criteria.DegreeLedger, "claim")
     for command, expected in sorted(
             json.loads(REFERENCE.read_text())["w1_grid"].items()):
         assert main(command.split()) == expected["exit"]
         capsys.readouterr()
-    assert calls == {"polygon_from_params": 758, "admissible_degrees": 704}
+    assert calls == {"polygon_from_params": 758, "admissible_degrees": 704,
+                     "factorize": 1584, "claim": 1299, "recorded": 1264}
 
 
 def test_layer_trace_installs():
