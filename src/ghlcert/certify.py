@@ -287,10 +287,9 @@ def _witness_rows(rec: ExclusionRecord, params: GhlParams) -> list:
     return rows
 
 
-class Certificate(namedtuple("Certificate", "params seed_kind seed records "
-                                          "residual verdict notes",
-                             defaults=((),))):
-    """One certification run: its instance, records, residual and verdict."""
+class Certificate(namedtuple("Certificate", "params seed records residual "
+                                          "verdict notes", defaults=((),))):
+    """One certification run: instance, seed, records, residual, verdict."""
 
     __slots__ = ()
 
@@ -330,7 +329,7 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
         return {
             "schema_version": 1,
             "params": self._params_dict(),
-            "seed": {"kind": self.seed_kind, "values": list(self.seed)},
+            "seed": {"kind": self.seed.kind, "values": list(self.seed.values)},
             "records": entries,
             "residual": list(self.residual),
             "verdict": self.verdict.value,
@@ -384,7 +383,7 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
         """The "seed" member as encode writes it after i1, in one join.
         C(n, j) = C(n, n-j), so a_j for j > n/2 takes the digits of
         a_{n-j} when a_j = +-a_{n-j}, and each magnitude is converted once."""
-        seed, i2 = self.seed, i1 + "  "
+        seed, i2 = self.seed.values, i1 + "  "
         n = len(seed) - 1
         digits = [encode_int(v) for v in seed[:n // 2 + 1]]
         for j in range(n // 2 + 1, n + 1):
@@ -395,7 +394,7 @@ class Certificate(namedtuple("Certificate", "params seed_kind seed records "
         values = (("[", i2 + "  ", ("," + i2 + "  ").join(digits), i2, "]")
                   if digits else ("[]",))
         return "".join(('"seed": {', i2, '"kind": ',
-                        encode_str(self.seed_kind), ",", i2, '"values": ',
+                        encode_str(self.seed.kind), ",", i2, '"values": ',
                         *values, i1, "}"))
 
 
@@ -496,8 +495,7 @@ def full_certify(params: GhlParams, seed: SeedCoefficients, *,
         verdict = Verdict.EXCEPTIONAL_FAMILY
     else:
         verdict = Verdict.EXCLUSIONS_ONLY
-    return Certificate(params=params, seed_kind=seed.kind,
-                       seed=tuple(seed.values), records=tuple(ledger.records),
+    return Certificate(params=params, seed=seed, records=tuple(ledger.records),
                        residual=residual, verdict=verdict, notes=tuple(notes))
 
 

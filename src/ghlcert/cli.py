@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import resource
 import sys
 import time
@@ -74,6 +73,23 @@ def _add_param_options(sub: argparse.ArgumentParser) -> None:
                      help="custom seed: one integer per line, lowest first")
 
 
+# the flags _add_param_options adds: build --hermite and polygon --coeff-file
+# read none of them
+INSTANCE_FLAGS = ("--d", "--u", "--alpha", "--q", "--n", "--delta", "--seed",
+                  "--seed-file")
+
+
+def _refuse_combined(args, flag: str, *others: str) -> None:
+    """Refuse flag given with any of others: the two would give the same
+    thing, and one of them would be ignored.  A --config value counts."""
+    def given(name):
+        return getattr(args, name[2:].replace("-", "_")) is not None
+    clash = [other for other in others if given(other)]
+    if clash and given(flag):
+        raise InvalidParameters(
+            f"{flag} cannot be combined with {', '.join(clash)}")
+
+
 def _refuse_above(cap: int, size: int, what: str) -> None:
     if size > cap:
         raise InvalidParameters(f"{what} is {size:,}, above the cap {cap:,}")
@@ -83,14 +99,8 @@ def _params_from_args(args, n: int | None) -> GhlParams:
     """The instance of --q or --d/--u/--alpha, and --delta, at n."""
     if n is None:
         raise InvalidParameters("--n is required")
-    delta = args.delta
-    given = [flag for flag, value in (("--d", args.d), ("--u", args.u),
-                                      ("--alpha", args.alpha))
-             if value is not None]
+    _refuse_combined(args, "--q", "--d", "--u", "--alpha")
     if args.q is not None:
-        if given:
-            raise InvalidParameters(
-                f"--q cannot be combined with {', '.join(given)}")
         try:
             q = Fraction(args.q)
         except ZeroDivisionError:
@@ -99,26 +109,25 @@ def _params_from_args(args, n: int | None) -> GhlParams:
         params = GhlParams.from_q(q, n, delta=1)
         d, u, alpha = params.d, params.u, params.alpha
     else:
-        if len(given) < 3:
+        if None in (args.d, args.u, args.alpha):
             raise InvalidParameters("give either --q or all of --d/--u/--alpha")
         d, u, alpha = args.d, args.u, args.alpha
     params = GhlParams(d=d, u=u, alpha=alpha, n=n,
-                       delta=1 if delta is None else delta)
+                       delta=1 if args.delta is None else args.delta)
     _refuse_above(MAX_DEGREE, params.delta * params.n, "degree delta*n")
     return params
 
 
 def _seed_from_args(args, n: int) -> SeedCoefficients:
-    if args.seed_file:
-        if args.seed is not None:
-            raise InvalidParameters(
-                "--seed cannot be combined with --seed-file")
+    _refuse_combined(args, "--seed-file", "--seed")
+    if args.seed_file is not None:
         poly = read_coefficients(args.seed_file)
         return SeedCoefficients(values=tuple(poly.coeffs))
     return SeedCoefficients.of_kind(n, args.seed or "laguerre")
 
 
 def _cmd_build(args) -> int:
+    _refuse_combined(args, "--hermite", *INSTANCE_FLAGS)
     if args.hermite is not None:
         _refuse_above(MAX_DEGREE, args.hermite, "--hermite")
         poly = hermite_polynomial(args.hermite)
@@ -138,7 +147,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_polygon(args) -> int:
-    if args.coeff_file:
+    _refuse_combined(args, "--coeff-file", *INSTANCE_FLAGS)
+    if args.coeff_file is not None:
         polygon = build_polygon(read_coefficients(args.coeff_file), args.prime)
     else:
         params = _params_from_args(args, args.n)
@@ -179,21 +189,11 @@ def _parse_batch(spec: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _job_count(jobs: int) -> int:
-    """The --jobs value to use: at least 1, clamped to the CPU count."""
-    if jobs < 1:
-        raise InvalidParameters(f"--jobs must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
-
-
 def _cmd_certify(args) -> int:
     """Certify every n in --batch-n's lo:hi, or lo = hi = --n."""
+    # a batch certifies every n in its range with the --seed kind
+    _refuse_combined(args, "--batch-n", "--n", "--seed-file")
     if args.batch_n:
-        for flag, value in (("--n", args.n), ("--seed-file", args.seed_file)):
-            if value is not None:
-                raise InvalidParameters(
-                    f"{flag} cannot be combined with --batch-n, which "
-                    "certifies every n in its range with the --seed kind")
         lo, hi = _parse_batch(args.batch_n, "--batch-n")
     else:
         lo = hi = args.n
@@ -235,7 +235,6 @@ def _sieve_limit(args) -> int:
 
 def _cmd_sieve(args) -> int:
     from . import sieve as sieve_mod  # numpy: loaded for this command only
-    jobs = _job_count(args.jobs)
     query = args.query
     if query == "gpf-bound":
         for name in ("d", "k", "bound"):
@@ -246,7 +245,7 @@ def _cmd_sieve(args) -> int:
             odd_only=bool(args.odd_only),
             not_divisible_by=args.not_divisible_by)
         report = sieve_mod.verify_gpf_bound(
-            args.d, args.k, args.bound, _sieve_limit(args), flt, jobs=jobs)
+            args.d, args.k, args.bound, _sieve_limit(args), flt)
         _report_query(report)
         return 0
     if query == "p5-pairs":
@@ -351,9 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="power-of-two smoothness variant")
     p_sieve.add_argument("--printed-inner-pi", action="store_true")
     p_sieve.add_argument("--k-range", default=None, help="lo:hi")
-    p_sieve.add_argument("--jobs", type=int, default=1,
-                         help="threads for gpf-bound's segmented sieve; "
-                              "every other query ignores it")
     p_sieve.set_defaults(func=_cmd_sieve)
     return parser
 

@@ -1,19 +1,14 @@
-"""Exact range-verification engine for prime-factor statements.
+"""Exact range-verification engine for prime-factor statements: greatest
+prime factors over arithmetic progressions, smooth pairs, prime gaps in
+residue classes, and closed-form counts and bounds, all in exact integer
+arithmetic (floats only at a final root or log).
 
-Backs every prime query with one segmented, odd-only prime sieve,
-odd_blocks, which hands out the flags of one block of DEFAULT_SEGMENT odd
-numbers at a time, and the greatest-prime-factor bounds P(m) <= B with one
-of two sources of smooth numbers.  When few B-smooth numbers can exist up
-to the range's top (their exponent vectors number at most
-DEFAULT_SEGMENT), they are listed outright and each shifted term is looked
-up among them.  Otherwise a segmented smoothness sieve divides the primes
-up to B out of one fixed-size block at a time.  Either way memory is
-O(DEFAULT_SEGMENT), plus O(sqrt(limit)) base primes.  The engine answers
-greatest-prime-factor questions over arithmetic progressions, smooth-pair
-enumerations, prime gaps in residue classes (each class a strided view of
-every block, its successor above the limit found by a primality test), and
-the closed-form counts and bounds, all in exact integer arithmetic (floats
-only at the final root/log step where a real number is the answer).  The
+Every prime query reads one segmented, odd-only prime sieve, odd_blocks,
+one block of DEFAULT_SEGMENT odd numbers at a time.  A bound P(m) <= B
+reads a list of the B-smooth numbers when few can exist up to the range's
+top (_smooth_numbers), else a segmented smoothness sieve whose blocks run
+on one thread per usable CPU (_smooth_sweep).  Either way memory is
+O(DEFAULT_SEGMENT) per thread, plus O(sqrt(limit)) base primes.  The
 smallest-prime-factor table and the full greatest-prime-factor array are
 the reference the tests check both sources against.
 """
@@ -21,6 +16,8 @@ the reference the tests check both sources against.
 from __future__ import annotations
 
 import math
+import os
+import time
 from collections import namedtuple
 
 import numpy as np
@@ -47,6 +44,8 @@ MAX_GAP_EXCEPTIONS = 1_000_000
 
 
 def _check_sieve_limit(limit: int) -> None:
+    if limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
         raise ValueError(
             f"sieve limit {limit:,} is above the cap {MAX_SIEVE_LIMIT:,}")
@@ -54,8 +53,6 @@ def _check_sieve_limit(limit: int) -> None:
 
 def prime_flags(limit: int) -> np.ndarray:
     """Boolean array of length limit+1; entry m is True iff m is prime."""
-    if limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
     _check_sieve_limit(limit)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
@@ -76,8 +73,6 @@ def odd_blocks(limit: int):
     O(DEFAULT_SEGMENT + isqrt(limit)); a limit above MAX_SIEVE_LIMIT is
     refused before anything is sieved.  DEFAULT_SEGMENT is read once per
     call."""
-    if limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
     _check_sieve_limit(limit)
     segment = DEFAULT_SEGMENT
     base = np.flatnonzero(prime_flags(math.isqrt(limit)))[1:]
@@ -217,9 +212,11 @@ class SieveReport(namedtuple("SieveReport",
             "query": self.query}, "\n")[1:]
 
 
-def _now_ms() -> float:
-    import time
-    return time.monotonic() * 1000.0
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (taskset -c 0 leaves one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _smooth_mask(lo: int, hi: int, bound: int, primes) -> np.ndarray:
@@ -287,7 +284,7 @@ def _smooth_numbers(bound: int, top: int) -> np.ndarray | None:
     return np.sort(smooth)
 
 
-def _smooth_sweep(limit: int, halo: int, bound: int, select, jobs: int = 1) -> list:
+def _smooth_sweep(limit: int, halo: int, bound: int, select) -> list:
     """Feeds ``select(xs, smooth_at)`` the n in [0, limit] with P(n) <=
     bound and returns what it returns, concatenated: xs is an ascending
     int64 array of such n, and smooth_at(s, x), for 0 <= s <= halo and x
@@ -297,11 +294,12 @@ def _smooth_sweep(limit: int, halo: int, bound: int, select, jobs: int = 1) -> l
     When _smooth_numbers lists the smooth m up to limit + halo, select runs
     once on that list and looks the shifted terms up in it.  Otherwise the
     range is sieved in blocks of DEFAULT_SEGMENT, and select runs once per
-    block.  A halo up to the block size is sieved with the block as one
-    mask; a longer one, window by window, so memory is O(DEFAULT_SEGMENT)
-    per worker whatever the halo.  The blocks take about 1 s per 10^8 on a
-    2-vCPU host, so a limit above MAX_SIEVE_LIMIT is refused before any of
-    them is sieved; the listing has no such cap, since its cost follows
+    block, on min(blocks, usable CPUs) threads, so it must be thread-safe.
+    A halo up to the block size is sieved with the block as one mask; a
+    longer one, window by window, so memory is O(DEFAULT_SEGMENT) per
+    thread whatever the halo.  A thread sieves about 10^8 a second on a
+    2-vCPU host, so a limit above MAX_SIEVE_LIMIT is refused before any
+    block is sieved; the listing has no such cap, since its cost follows
     the count of smooth numbers, not the limit."""
     smooth = _smooth_numbers(bound, limit + halo)
     if smooth is not None:
@@ -329,17 +327,16 @@ def _smooth_sweep(limit: int, halo: int, bound: int, select, jobs: int = 1) -> l
             lo + s, lo + s + size, bound, primes)[x - lo])
 
     starts = range(0, limit + 1, DEFAULT_SEGMENT)
-    if jobs > 1:
+    threads = min(len(starts), _usable_cpus())
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(block, starts))
-    else:
-        parts = [block(lo) for lo in starts]
-    return [item for part in parts for item in part]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return [x for part in pool.map(block, starts) for x in part]
+    return [x for lo in starts for x in block(lo)]
 
 
 def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
-                     flt: RangeFilter = RangeFilter(), jobs: int = 1) -> SieveReport:
+                     flt: RangeFilter = RangeFilter()) -> SieveReport:
     """All filtered n <= n_limit with P(n (n+d) ... (n+d(k-1))) <= bound."""
     for name, value in (("d", d), ("k", k), ("limit", n_limit)):
         if value < 1:
@@ -349,21 +346,21 @@ def verify_gpf_bound(d: int, k: int, bound: int, n_limit: int,
     top = n_limit + d * (k - 1)
     if top >= 1 << 63:
         raise ValueError(f"limit + d*(k-1) = {top:,} does not fit int64")
-    t0 = _now_ms()
+    t0 = time.monotonic()
 
     def select(xs, smooth_at):
         for i in range(1, k):
             xs = xs[smooth_at(i * d, xs)]
         return xs[flt.mask(xs) & (xs >= 1)].tolist()
 
-    exceptions = _smooth_sweep(n_limit, d * (k - 1), bound, select, jobs)
+    exceptions = _smooth_sweep(n_limit, d * (k - 1), bound, select)
     return SieveReport(
         query="gpf-ap-bound",
         params={"d": d, "k": k, "bound": bound, "n_limit": n_limit,
                 "filter": flt.describe()},
         exceptions=exceptions,
         extremal=max(exceptions, default=None),
-        elapsed_ms=_now_ms() - t0,
+        elapsed_ms=(time.monotonic() - t0) * 1000.0,
     )
 
 
@@ -401,7 +398,7 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
     (Dirichlet: it exists).  A repeated residue, a modulus past int64 or a
     negative gap bound is refused, and more than MAX_GAP_EXCEPTIONS pairs
     over the bound stop the query."""
-    t0 = _now_ms()
+    t0 = time.monotonic()
     residues = tuple(residues)
     if modulus < 1:
         raise ValueError(f"modulus must be at least 1, got {modulus}")
@@ -464,7 +461,7 @@ def ap_prime_gaps(modulus: int, residues, limit: int,
                 "limit": limit, "gap_bound": gap_bound},
         exceptions=exceptions,
         extremal=max_gap,
-        elapsed_ms=_now_ms() - t0,
+        elapsed_ms=(time.monotonic() - t0) * 1000.0,
     )
 
 

@@ -45,8 +45,7 @@ def _run(tag):
 def _gpf_pairs_bound12():
     t0 = time.perf_counter()
     report = verify_gpf_bound(4, 2, 12, 10 ** 6,
-                              RangeFilter(min_exclusive=8, odd_only=True),
-                              jobs=2)
+                              RangeFilter(min_exclusive=8, odd_only=True))
     dt = time.perf_counter() - t0
     ok = report.exceptions == [11, 21, 45, 77, 121] and dt < 10
     return ok, f"exceptions={report.exceptions} elapsed={dt:.2f}s (limit 10s)"
@@ -56,8 +55,7 @@ def _gpf_pairs_bound12():
 def _gpf_triples_bound16():
     t0 = time.perf_counter()
     report = verify_gpf_bound(4, 3, 16, 10 ** 6,
-                              RangeFilter(min_exclusive=12, odd_only=True),
-                              jobs=2)
+                              RangeFilter(min_exclusive=12, odd_only=True))
     dt = time.perf_counter() - t0
     ok = report.exceptions == [117] and dt < 15
     return ok, f"exceptions={report.exceptions} elapsed={dt:.2f}s (limit 15s)"
@@ -66,8 +64,7 @@ def _gpf_triples_bound16():
 @criterion("AC-03")
 def _gpf_pairs_bound8():
     report = verify_gpf_bound(4, 2, 8, 10 ** 6,
-                              RangeFilter(min_exclusive=8, odd_only=True),
-                              jobs=2)
+                              RangeFilter(min_exclusive=8, odd_only=True))
     ok = report.exceptions == [21, 45]
     return ok, f"exceptions={report.exceptions}"
 
@@ -75,8 +72,7 @@ def _gpf_pairs_bound8():
 @criterion("AC-04")
 def _gpf_step3_bound6():
     report = verify_gpf_bound(3, 2, 6, 10 ** 6,
-                              RangeFilter(min_exclusive=6, not_divisible_by=3),
-                              jobs=2)
+                              RangeFilter(min_exclusive=6, not_divisible_by=3))
     ok = report.exceptions == [125]
     return ok, f"exceptions={report.exceptions}"
 

@@ -37,8 +37,7 @@ def stage_alone(stage, params, seed, notes=()):
     pipeline runs, because the stages before them leave them no degree."""
     ledger = DegreeLedger(params.delta * params.n)
     stage(PolygonCache(params, seed), ledger)
-    return Certificate(params=params, seed_kind=seed.kind,
-                       seed=tuple(seed.values), records=tuple(ledger.records),
+    return Certificate(params=params, seed=seed, records=tuple(ledger.records),
                        residual=degrees_of(ledger.remaining),
                        verdict=Verdict.EXCLUSIONS_ONLY, notes=tuple(notes))
 
@@ -81,7 +80,7 @@ def test_json_text_on_seed_kinds_notes_residuals_and_split_runs():
                           SeedCoefficients((3, -7, 0, 11, 5, 2)))
     residual = certify_instance(4, 0, 1, 2, 4)      # (x^4-3)(x^4-15)
     noted = certify_instance(3, 0, 2, 16, 3)        # handler note, residual
-    assert (ones.seed_kind, custom.seed_kind) == ("ones", "custom")
+    assert (ones.seed.kind, custom.seed.kind) == ("ones", "custom")
     assert residual.residual and noted.residual and noted.notes
     # a witness record covers a window and its mirror: two entries
     assert len(custom.to_json_dict()["records"]) > len(custom.records)
@@ -137,9 +136,14 @@ def test_writers_refuse_a_witness_record_its_windows_do_not_cover():
     assert not verify_certificate(swapped)
 
 
+def with_values(cert, values):
+    """cert with its seed's values replaced, the seed's kind kept."""
+    return cert._replace(seed=cert.seed._replace(values=values))
+
+
 def test_json_text_writes_integers_past_the_str_digit_cap():
     cert = certify_instance(3, 0, 1, 5, 3)
-    big = cert._replace(seed=(10 ** 5000 + 1, -(7 ** 6000)))
+    big = with_values(cert, (10 ** 5000 + 1, -(7 ** 6000)))
     with unlimited_int_digits():
         assert_text_matches(big)
 
@@ -157,12 +161,12 @@ def test_seed_writer_reuses_mirrored_digits_only_where_they_match():
              big, big[::-1], (big[1], -big[1])]
     for seed in seeds:
         with unlimited_int_digits():
-            assert_text_matches(cert._replace(seed=seed))
+            assert_text_matches(with_values(cert, seed))
     for kind, n in (("ones", 6), ("laguerre", 7), ("laguerre", 8),
                     ("ones", 1), ("laguerre", 1)):
         assert_text_matches(certify_instance(3, 0, 1, n, 3, seed_kind=kind))
-    assert '"values": []' in cert._replace(seed=()).json_text()
-    assert_text_matches(cert._replace(seed=()))
+    assert '"values": []' in with_values(cert, ()).json_text()
+    assert_text_matches(with_values(cert, ()))
 
 
 @st.composite

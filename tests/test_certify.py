@@ -617,7 +617,7 @@ def test_named_seeds_state_their_kind_without_classifying(monkeypatch):
             assert getattr(SeedCoefficients, kind)(n).kind == kind
             assert SeedCoefficients.of_kind(n, kind).kind == kind
     cert = certify_instance(3, 0, 1, 5, 3)
-    assert cert.seed_kind == "laguerre" and verify_certificate(cert)
+    assert cert.seed.kind == "laguerre" and verify_certificate(cert)
     with pytest.raises(AssertionError):
         SeedCoefficients((1, 1))
 

@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -14,7 +13,7 @@ import pytest
 
 from ghlcert import cli, sieve
 from ghlcert.certify import full_certify
-from ghlcert.cli import _job_count, decimal_digits, main
+from ghlcert.cli import decimal_digits, main
 from ghlcert.jsontext import unlimited_int_digits
 from ghlcert.newton import build_polygon
 from ghlcert.polynomials import GhlParams, SeedCoefficients, build_substituted
@@ -323,9 +322,17 @@ def test_importing_sieve_after_numpy_adds_no_dataclasses():
 
 
 def test_importing_sieve_leaves_thread_pools_unloaded():
-    # only gpf-bound --jobs > 1 starts a thread pool, and it imports one then
-    done = _python("import ghlcert.sieve; "
-                   "assert 'concurrent.futures' not in sys.modules")
+    # only a segmented sweep of two or more blocks on two or more usable
+    # CPUs starts a thread pool, and it imports one then; the listing path
+    # and a one-block sweep run on the calling thread
+    done = _python(
+        "from ghlcert import sieve; sieve._usable_cpus = lambda: 2; "
+        "assert sieve.verify_gpf_bound(4, 2, 12, 10 ** 6).exceptions; "
+        "sieve._smooth_numbers = lambda bound, top: None; "
+        "sieve.verify_gpf_bound(4, 2, 12, sieve.DEFAULT_SEGMENT - 1); "
+        "assert 'concurrent.futures' not in sys.modules; "
+        "sieve.verify_gpf_bound(4, 2, 12, sieve.DEFAULT_SEGMENT); "
+        "assert 'concurrent.futures' in sys.modules")
     assert done.returncode == 0, done.stderr
 
 
@@ -452,23 +459,16 @@ def test_sieve_gpf_bound_rejects_bad_input(capsys, flag, value):
     assert f"{flag[2:]} must be at least 1, got {value}" in err
 
 
-def test_job_count_validates_and_clamps():
-    cpus = os.cpu_count() or 1
-    assert _job_count(1) == 1
-    assert _job_count(cpus) == cpus
-    assert _job_count(cpus + 3) == cpus
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="--jobs must be at least 1"):
-            _job_count(bad)
-
-
 @pytest.mark.parametrize("argv", [
     ["sieve", "gpf-bound", "--d", "4", "--k", "2", "--bound", "12",
-     "--limit", "200", "--jobs", "0"],
-    ["sieve", "p5-pairs", "--limit", "100", "--jobs", "-2"]])
-def test_jobs_below_one_is_usage_error(capsys, argv):
-    assert main(argv) == 2
-    assert "--jobs must be at least 1" in capsys.readouterr().err
+     "--limit", "200", "--jobs", "2"],
+    ["sieve", "p5-pairs", "--limit", "100", "--jobs", "1"]])
+def test_jobs_is_an_unknown_flag(capsys, argv):
+    # the smooth sweep takes its threads from the CPU affinity
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_sieve_smoothness(capsys):
@@ -728,15 +728,26 @@ _BATCH = ["certify", "--q", "1/3", "--delta", "3", "--batch-n", "2:2"]
                  id="polygon-config-seed-and-seed-file"),
     pytest.param(["certify", "--config", "CFG", "--n", "2", "--d", "5"],
                  ("--q", "--d"), id="config-q-and-d"),
+    pytest.param(["build", "--hermite", "3", "--seed-file", "MISSING"],
+                 ("--hermite", "--seed-file"), id="build-hermite-and-seed-file"),
+    pytest.param(["build", "--config", "CFG", "--hermite", "3"],
+                 ("--hermite", "--q"), id="build-hermite-and-config-q"),
+    pytest.param(["polygon", "--coeff-file", "SEED", "--prime", "2", "--n",
+                  "5"], ("--coeff-file", "--n"), id="polygon-coeff-file-and-n"),
+    pytest.param(["polygon", "--config", "CFG", "--coeff-file", "SEED",
+                  "--prime", "2"], ("--coeff-file", "--seed"),
+                 id="polygon-coeff-file-and-config-seed"),
 ])
 def test_certify_batch_rejects_per_instance_flags(tmp_path, capsys, argv,
                                                   flags):
     # two flags that give the same thing (--batch-n and --n or
-    # --seed-file; --q and --d/--u/--alpha; --seed and --seed-file) are a
-    # usage error naming both, in every command that reads them; a
-    # --config value (here {"q": "1/3", "seed": "ones"}) counts as a flag
-    # given first
-    paths = {"SEED": tmp_path / "seed.txt", "CFG": tmp_path / "cfg.json"}
+    # --seed-file; --q and --d/--u/--alpha; --seed and --seed-file;
+    # build --hermite or polygon --coeff-file and any instance flag) are a
+    # usage error naming both, in every command that reads them, before
+    # any file is read; a --config value (here {"q": "1/3", "seed":
+    # "ones"}) counts as a flag given first
+    paths = {"SEED": tmp_path / "seed.txt", "CFG": tmp_path / "cfg.json",
+             "MISSING": tmp_path / "missing.txt"}
     paths["SEED"].write_text("1\n1\n1\n")
     paths["CFG"].write_text(json.dumps({"q": "1/3", "seed": "ones"}))
     assert main([str(paths.get(tok, tok)) for tok in argv]) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -540,13 +541,46 @@ def test_segmented_gpf_bound_edge_bounds(small_segment):
             brute_gpf_bound(1, 1, bound, 1000)
 
 
-def test_segmented_gpf_bound_threads_match_serial(rng, small_segment):
+def test_segmented_gpf_bound_threads_match_serial(monkeypatch, rng,
+                                                  small_segment):
+    # the blocks run on min(blocks, usable CPUs) threads: with one CPU all
+    # on the calling thread, with two on pool threads, to the same report
     flt = RangeFilter(min_exclusive=3, odd_only=True)
+    mask, seen = sieve._smooth_mask, set()
+
+    def noted(*args):
+        seen.add(threading.get_ident())
+        return mask(*args)
+    monkeypatch.setattr(sieve, "_smooth_mask", noted)
     for _ in range(10):
         d, k, bound = rng.randint(1, 6), rng.randint(1, 4), rng.randint(2, 60)
-        one = verify_gpf_bound(d, k, bound, 2000, flt, jobs=1)
-        two = verify_gpf_bound(d, k, bound, 2000, flt, jobs=2)
-        assert two.exceptions == one.exceptions
+        reports = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(sieve, "_usable_cpus", lambda: cpus)
+            seen.clear()
+            reports[cpus] = verify_gpf_bound(d, k, bound, 2000,
+                                             flt)._replace(elapsed_ms=0)
+            assert (threading.get_ident() in seen) == (cpus == 1)
+        assert reports[2] == reports[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_segmented_gpf_bound_memory_is_one_block_per_thread(monkeypatch,
+                                                            sieve_only, cpus):
+    # each thread holds one block's int64 window whatever the limit, so the
+    # peaks at two limits 10x apart differ by less than one block a thread
+    monkeypatch.setattr(sieve, "_usable_cpus", lambda: cpus)
+    peaks = []
+    for limit in (2 * 10 ** 6, 2 * 10 ** 7):
+        tracemalloc.start()
+        try:
+            report = verify_gpf_bound(1, 2, 5, limit)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # Stormer: the last of the ten 5-smooth n(n+1) is 80 * 81
+        assert report.exceptions == [1, 2, 3, 4, 5, 8, 9, 15, 24, 80]
+    assert abs(peaks[1] - peaks[0]) < cpus * 8 * sieve.DEFAULT_SEGMENT, peaks
 
 
 def test_segmented_sieve_refuses_limits_above_the_sieve_cap(monkeypatch):
