@@ -19,7 +19,7 @@ from itertools import chain
 from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
                        degree_set_stage, delta_stage, witness_stage,
                        witness_windows)
-from .jsontext import encode, encode_int, encode_str
+from .jsontext import decimals, encode, encode_int, encode_str
 from .newton import degrees_of, viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
 from .valuation import nu, ord_factorial, term_table
@@ -339,39 +339,65 @@ class Certificate(namedtuple("Certificate", "params seed records residual "
     def json_text(self, pad: str = "\n") -> str:
         """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) with
         every newline written as pad (a newline and the indentation the
-        certificate sits at, so no %), built straight from the records.
-        A record fills one %-template of the entry layout (evidence,
-        k_range, method, prime: sorted-key order) per entry: the witness
-        stage's record once per row of _witness_rows, any other record
-        once per run (lo, hi) of its degrees, its evidence and prime
-        encoded once with % escaped."""
+        certificate sits at), built straight from the records.  Each entry
+        is fixed pieces of the entry layout (evidence, k_range, method,
+        prime: sorted-key order) joined with the digits of its small ints,
+        read from jsontext.decimals(m), into the slot of its run's low end;
+        the filled slots, in order, are the entries in the order to_json_dict
+        sorts them.  The witness stage's record writes its entries straight
+        from its primes, as _witness_rows lists them, under the same count
+        check; any other record has its evidence and prime encoded once and
+        writes one entry per run of its degrees."""
         i1 = pad + "  "
         i2 = i1 + "  "
         i3, i4 = i2 + "  ", i2 + "    "
-        entries = []
+        m = self.total_degree
+        digits = decimals(m)
+        slots = [""] * m
+        # an entry is pre, the run's lo, comma, its hi, post
+        head = "{" + i3 + '"evidence": '
+        k_range, comma = "," + i3 + '"k_range": [' + i4, "," + i4
         for rec in self.records:
-            if rec.method is Method.WITNESS_PRIME:
-                rows, at = _witness_rows(rec, self.params), 3
-                evidence = ("{" + i4 + '"k": %d,' + i4 + '"window": [' + i4
-                            + "  %d," + i4 + "  %d" + i4 + "]" + i3 + "}")
-                prime = "%d"
-            else:
-                rows, at = map(tuple, _runs(rec.degrees)), 0
-                evidence, prime = (encode(v, i3).replace("%", "%%")
-                                   for v in (rec.evidence, rec.prime))
-            template = ("{" + i3 + '"evidence": ' + evidence + "," + i3
-                        + '"k_range": [' + i4 + "%d," + i4 + "%d" + i3 + "],"
-                        + i3 + '"method": ' + encode_str(rec.method.value)
-                        + "," + i3 + '"prime": ' + prime + i2 + "}")
-            entries.extend((row[at], template % row) for row in rows)
-        # sorted on the low end alone, as to_json_dict sorts
-        entries.sort(key=lambda e: e[0])
-        records = ("[" + i2 + ("," + i2).join(text for _, text in entries)
-                   + i1 + "]") if entries else "[]"
+            method = (i3 + "]," + i3 + '"method": '
+                      + encode_str(rec.method.value) + "," + i3 + '"prime": ')
+            if rec.method is not Method.WITNESS_PRIME:
+                pre = head + encode(rec.evidence, i3) + k_range
+                post = method + encode(rec.prime, i3) + i2 + "}"
+                for lo, hi in _runs(rec.degrees):
+                    slots[lo] = f"{pre}{digits[lo]}{comma}{digits[hi]}{post}"
+                continue
+            delta, covered = self.params.delta, 0
+            k_at = head + "{" + i4 + '"k": '
+            window_at = "," + i4 + '"window": [' + i4 + "  "
+            window_hi = "," + i4 + "  "
+            window_end = i4 + "]" + i3 + "}" + k_range
+            for k, p in enumerate(rec.evidence["primes"], 1):
+                if p is None:
+                    continue
+                hi = delta * k
+                lo = hi - delta + 1
+                low, high = digits[lo], digits[hi]
+                pre = (f"{k_at}{digits[k]}{window_at}{low}{window_hi}{high}"
+                       f"{window_end}")
+                post = f"{method}{p}{i2}}}"
+                if m - hi <= hi + 1:
+                    slots[lo] = f"{pre}{low}{comma}{digits[m - lo]}{post}"
+                    covered += m - 2 * lo + 1
+                else:
+                    slots[lo] = f"{pre}{low}{comma}{high}{post}"
+                    slots[m - hi] = (f"{pre}{digits[m - hi]}{comma}"
+                                     f"{digits[m - lo]}{post}")
+                    covered += 2 * delta
+            if covered != len(rec.degrees):
+                raise CertificationInternalError(
+                    f"witness windows miss the record's {len(rec.degrees)} "
+                    "degrees")
+        records = ("," + i2).join(filter(None, slots))
         members = (
             '"notes": ' + encode(list(self.notes), i1),
             '"params": ' + encode(self._params_dict(), i1),
-            '"records": ' + records,
+            '"records": ' + ("[" + i2 + records + i1 + "]" if records
+                             else "[]"),
             '"residual": ' + encode(list(self.residual), i1),
             '"schema_version": 1',
             self._seed_text(i1),

@@ -193,7 +193,8 @@ def _cmd_certify(args) -> int:
     """Certify every n in --batch-n's lo:hi, or lo = hi = --n."""
     # a batch certifies every n in its range with the --seed kind
     _refuse_combined(args, "--batch-n", "--n", "--seed-file")
-    if args.batch_n:
+    batch = args.batch_n is not None
+    if batch:
         lo, hi = _parse_batch(args.batch_n, "--batch-n")
     else:
         lo = hi = args.n
@@ -204,13 +205,13 @@ def _cmd_certify(args) -> int:
                   base.delta * (lo + hi) * (hi - lo + 1) // 2,
                   "--batch-n summed degree")
     _refuse_above(PRIMALITY_LIMIT - 1, base.term(hi),
-                  "--batch-n top linear factor" if args.batch_n
+                  "--batch-n top linear factor" if batch
                   else "top linear factor")
     certs = [certify_mod.full_certify(
                  GhlParams(d=base.d, u=base.u, alpha=base.alpha, n=n,
                            delta=base.delta), _seed_from_args(args, n))
              for n in range(lo, hi + 1)]
-    _write_certificates(certs, batch=bool(args.batch_n))
+    _write_certificates(certs, batch)
     return 1 if any(cert.residual for cert in certs) else 0
 
 

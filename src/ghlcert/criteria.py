@@ -227,14 +227,17 @@ def witness_windows(primes, delta: int):
 
 def witness_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Witness-prime exclusions for k = 1..n//2 as one claim, the bitmask
-    of the windows of witness_windows (pairwise disjoint, so summed), with
-    evidence {"delta": delta, "primes": primes}, where primes[k-1] is the
-    prime of k from one pass of witness_primes (None at a gap).  Each
-    window meets its own mirror at most at the centre degree."""
+    of the windows of witness_windows, with evidence {"delta": delta,
+    "primes": primes}, where primes[k-1] is the prime of k from one pass of
+    witness_primes (None at a gap).  The windows tile 1..delta*(n//2) in
+    k order, so the mask is one int(bits, 2) of delta-wide blocks, k = 1
+    last, shifted past degree 0.  Each window meets its own mirror at most
+    at the centre degree."""
     delta = cache.params.delta
     primes = [p for _, p in witness_primes(cache.params, cache.seed)]
-    windows = sum(((1 << delta) - 1) << lo
-                  for _, lo, _, _ in witness_windows(primes, delta))
+    block = ("0" * delta, "1" * delta)
+    windows = int("0" + "".join([block[p is not None]
+                                 for p in reversed(primes)]), 2) << 1
     ledger.claim(Method.WITNESS_PRIME, windows, None,
                  {"delta": delta, "primes": primes})
 

@@ -15,6 +15,15 @@ import sys
 encode_str = json.encoder.encode_basestring_ascii
 encode_int = int.__repr__
 _STR_KEYS = {str}
+_DECIMALS = ["0"]
+
+
+def decimals(m: int) -> list:
+    """The process's table of decimal strings, str(i) at index i, grown to
+    the largest m asked for.  Shared by every caller: read only."""
+    if len(_DECIMALS) <= m:
+        _DECIMALS.extend(map(encode_int, range(len(_DECIMALS), m + 1)))
+    return _DECIMALS
 
 
 def encode(obj, pad: str) -> str:

@@ -262,6 +262,11 @@ def term_table(d: int, u: int, alpha: int) -> TermTable:
     return TermTable(d, u, alpha)
 
 
+# F_p[i] = nu_p(i!) per prime p, grown to the largest n asked for; a prime
+# above n divides no C(n, j), so it gets no table
+_FACTORIAL_VALUATIONS: dict[int, list[int]] = {}
+
+
 def coefficient_valuations(p: int, params: GhlParams, seed: SeedCoefficients) -> list:
     """Ordinates of the Newton-polygon point set of the seeded polynomial
     after the x -> x^delta substitution, indexed from the leading side:
@@ -269,9 +274,12 @@ def coefficient_valuations(p: int, params: GhlParams, seed: SeedCoefficients) ->
 
     Computed factored: the coefficient at seed index j is
     seed[j] * prod(term(i) for i in j+1..n), so its valuation is the seed
-    valuation plus S_p[n] - S_p[j], read from the family's TermTable.
-    Entries at indices that are not multiples of delta are INFINITY (zero
-    coefficients).
+    valuation plus S_p[n] - S_p[j], read from the family's TermTable.  The
+    seed valuation is 0 for a ones seed, and for a laguerre seed
+    nu_p(C(n, j)) = F_p[n] - F_p[j] - F_p[n-j] (Legendre), with F_p[i] =
+    nu_p(i!) from a per-prime prefix table, or 0 when p > n; only a custom
+    seed's values are divided.  Entries at indices that are not multiples
+    of delta are INFINITY (zero coefficients).
     """
     values = seed.values
     if len(values) != params.n + 1:
@@ -282,8 +290,18 @@ def coefficient_valuations(p: int, params: GhlParams, seed: SeedCoefficients) ->
     sums = term_table(params.d, params.u, params.alpha).valuation_sums(p, n)
     top = sums[n]
     ordinates = [INFINITY] * (delta * n + 1)
-    ordinates[::delta] = [top - s if v % p else _nu(p, v) + (top - s)
-                          for v, s in zip(values[::-1], sums[n::-1])]
+    if seed.kind == "custom":
+        ordinates[::delta] = [top - s if v % p else _nu(p, v) + (top - s)
+                              for v, s in zip(values[::-1], sums[n::-1])]
+    elif seed.kind == "ones" or p > n:
+        ordinates[::delta] = [top - s for s in sums[n::-1]]
+    else:
+        f = _FACTORIAL_VALUATIONS.setdefault(p, [0])
+        for i in range(len(f), n + 1):
+            f.append(f[-1] + _nu(p, i))
+        top += f[n]
+        ordinates[::delta] = [top - a - b - s for a, b, s
+                              in zip(f[n::-1], f, sums[n::-1])]
     return ordinates
 
 

@@ -89,8 +89,8 @@ def test_json_text_on_seed_kinds_notes_residuals_and_split_runs():
 
 
 def test_json_text_edge_shapes():
-    # the writer fills a %-template per entry, so a % in a record's
-    # evidence must be written as itself
+    # odd evidence (%, escapes, non-str keys, floats) must come out as the
+    # stdlib encoder writes it
     cert = certify_instance(3, 0, 1, 5, 3)
     witness, handler = cert.records[:2]
     assert (witness.method, handler.method) == (Method.WITNESS_PRIME,

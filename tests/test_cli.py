@@ -792,6 +792,15 @@ def test_range_without_colon_names_its_flag(capsys, argv, flag):
     assert f"{flag} takes lo:hi, got '5'" in captured.err
 
 
+def test_empty_batch_range_is_a_batch_usage_error(capsys):
+    # an empty --batch-n is given, not absent: it must be refused as a
+    # range, not fall back to --n
+    assert main(["certify", "--q", "1/3", "--batch-n=", "--delta", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--batch-n takes lo:hi, got ''" in captured.err
+
+
 @pytest.mark.parametrize("argv, flag, spec", [
     (["certify", "--q", "1/3", "--batch-n", "2:x", "--delta", "3"],
      "--batch-n", "2:x"),

@@ -49,14 +49,15 @@ def test_sieve_output_matches_reference(command, expected, capsys):
 
 def test_w1_polygon_work_is_pinned(monkeypatch, capsys):
     # the W1 commands build 758 polygons and 704 admissible-degree sets,
-    # factorise 1,584 numbers, take 66,910 valuations (_nu, recursion
-    # included, from cold family tables) and make 1,299 ledger claims,
-    # 1,264 of which record; a change that does more work (a polygon at a
-    # prime dividing neither the leading nor the constant coefficient, a
-    # second build of one polygon, a p = 3 window read with no degree open,
-    # a window or margin stage back in the pipeline, a term factorised
-    # twice, valuation sums no longer shared by a family) fails here
-    # without timing
+    # factorise 1,584 numbers, take 8,038 valuations (_nu, recursion
+    # included, from cold family and factorial tables), make 1,299 ledger
+    # claims, 1,264 of which record, and write 11,378,692 bytes; a change
+    # that does more work (a polygon at a prime dividing neither the
+    # leading nor the constant coefficient, a second build of one polygon,
+    # a p = 3 window read with no degree open, a window or margin stage
+    # back in the pipeline, a term factorised twice, valuation sums no
+    # longer shared by a family, a binomial seed value divided for its
+    # valuation) or writes more fails here without timing
     calls = {"polygon_from_params": 0, "admissible_degrees": 0,
              "factorize": 0, "_nu": 0, "claim": 0, "recorded": 0}
 
@@ -76,13 +77,16 @@ def test_w1_polygon_work_is_pinned(monkeypatch, capsys):
     counted(criteria.DegreeLedger, "claim")
     # warm tables from earlier tests would hide the W1 run's own valuations
     valuation.term_table.cache_clear()
+    monkeypatch.setattr(valuation, "_FACTORIAL_VALUATIONS", {})
+    written = 0
     for command, expected in sorted(
             json.loads(REFERENCE.read_text())["w1_grid"].items()):
         assert main(command.split()) == expected["exit"]
-        capsys.readouterr()
+        written += len(capsys.readouterr().out.encode())
     assert calls == {"polygon_from_params": 758, "admissible_degrees": 704,
-                     "factorize": 1584, "_nu": 66910, "claim": 1299,
+                     "factorize": 1584, "_nu": 8038, "claim": 1299,
                      "recorded": 1264}
+    assert written == 11_378_692
 
 
 def test_layer_trace_installs():

@@ -345,6 +345,26 @@ def test_ap_prime_gaps_memory_is_one_block():
     assert sum(p for p, _ in report.exceptions) == 2_740_365_560
 
 
+def test_ap_prime_gaps_memory_grows_only_with_the_base_primes(monkeypatch):
+    # with blocks of 2^18 odd numbers both limits sieve full blocks, and the
+    # first, densest block sets both peaks; ten times the limit may then
+    # cost only the int64 base primes up to its square root (384 more),
+    # within 1 KiB; a whole-range buffer here costs ~9 MB
+    monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", 1 << 18)
+    ap_prime_gaps(4, (1, 3), 10 ** 4, 270)   # lazy set-up outside the peaks
+    peaks = []
+    for limit in (2 * 10 ** 6, 2 * 10 ** 7):
+        tracemalloc.start()
+        try:
+            ap_prime_gaps(4, (1, 3), limit, 270)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    growth = len(primes_up_to(math.isqrt(2 * 10 ** 7))) - len(
+        primes_up_to(math.isqrt(2 * 10 ** 6)))
+    assert peaks[1] - peaks[0] <= 8 * growth + 1024, peaks
+
+
 def test_sieve_above_the_cap_allocates_nothing():
     tracemalloc.start()
     try:

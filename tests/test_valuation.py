@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ghlcert.polynomials import GhlParams, SeedCoefficients, build_substituted
 from ghlcert.sieve import primes_up_to
@@ -16,6 +18,7 @@ from ghlcert.valuation import (
     nu,
     ord_factorial,
     ordinates_from_polynomial,
+    prime_factors,
     term_table,
 )
 
@@ -97,6 +100,44 @@ def test_coefficient_valuations_match_polynomial(rng):
         direct = ordinates_from_polynomial(p, build_substituted(params, seed))
         assert len(analytic) == delta * n + 1
         assert analytic == direct
+
+
+@st.composite
+def seeded_instances(draw):
+    """(p, params, seed): a family with d <= 12 and u in {-1, 0}, n <= 300,
+    either delta, a ones, laguerre or custom seed, and p drawn from the
+    primes up to 50, the prime divisors of n and of the top term, and the
+    least prime above n."""
+    d = draw(st.integers(2, 12))
+    alpha = draw(st.sampled_from(
+        [a for a in range(1, d) if math.gcd(a, d) == 1]))
+    n = draw(st.integers(1, 300))
+    params = GhlParams(d=d, u=draw(st.sampled_from((-1, 0))), alpha=alpha,
+                       n=n, delta=draw(st.sampled_from((1, d))))
+    kind = draw(st.sampled_from(("ones", "laguerre", "custom")))
+    if kind == "custom":
+        inner = st.integers(-10 ** 6, 10 ** 6)
+        ends = inner.filter(bool)
+        seed_coeffs = SeedCoefficients((draw(ends), *draw(st.lists(
+            inner, min_size=n - 1, max_size=n - 1)), draw(ends)))
+    else:
+        seed_coeffs = SeedCoefficients.of_kind(n, kind)
+    above = next(q for q in range(n + 1, 2 * n + 3) if is_prime(q))
+    primes = {*SMALL_PRIMES, *prime_factors(n),
+              *prime_factors(params.top_term), above}
+    return draw(st.sampled_from(sorted(primes))), params, seed_coeffs
+
+
+@seed(33)
+@settings(max_examples=150, deadline=None, database=None)
+@given(seeded_instances())
+def test_coefficient_valuations_match_the_built_polynomial(instance):
+    # the factored ordinates (Legendre for a binomial seed, 0 for ones,
+    # divided values for a custom seed) against the valuations of the
+    # coefficients of the polynomial built in full
+    p, params, seed_coeffs = instance
+    assert coefficient_valuations(p, params, seed_coeffs) == \
+        ordinates_from_polynomial(p, build_substituted(params, seed_coeffs))
 
 
 def test_large_primes_match_the_trial_division_oracle(rng):
