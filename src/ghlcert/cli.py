@@ -10,6 +10,7 @@ residual, 2 usage or hypothesis errors, 3 internal errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import resource
@@ -241,6 +242,10 @@ def _cmd_sieve(args) -> int:
         for name in ("d", "k", "bound"):
             if getattr(args, name) is None:
                 raise InvalidParameters(f"--{name} is required for gpf-bound")
+        # RangeFilter tests the divisor for truth: a 0 would drop the filter
+        if args.not_divisible_by is not None and args.not_divisible_by < 1:
+            raise InvalidParameters("--not-divisible-by must be at least 1, "
+                                    f"got {args.not_divisible_by}")
         flt = sieve_mod.RangeFilter(
             min_exclusive=args.min_exclusive or 0,
             odd_only=bool(args.odd_only),
@@ -258,7 +263,11 @@ def _cmd_sieve(args) -> int:
         if args.modulus is None or args.gap_bound is None:
             raise InvalidParameters(
                 "--modulus and --gap-bound are required for ap-gaps")
-        residues = [int(r) for r in (args.residues or "").split(",") if r]
+        try:
+            residues = [int(r) for r in (args.residues or "").split(",") if r]
+        except ValueError:
+            raise InvalidParameters("--residues takes comma-separated "
+                                    f"integers, got {args.residues!r}") from None
         if not residues:
             raise InvalidParameters("--residues is required for ap-gaps")
         report = sieve_mod.ap_prime_gaps(
@@ -295,7 +304,12 @@ def _cmd_sieve(args) -> int:
     raise InvalidParameters(f"unknown sieve query {query!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one in the process: callers must treat it as read-only.
+    Each parse_args call returns a fresh Namespace and leaves the parser
+    as it was, so main() reuses it from one command to the next."""
     parser = argparse.ArgumentParser(
         prog="ghlcert",
         description="Factor-degree certificates for integer polynomials "

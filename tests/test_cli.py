@@ -354,6 +354,8 @@ def test_sieve_ap_gaps_rejects_bad_limit(capsys, limit, message):
      "modulus 100,000,000,000,000,000,000 does not fit int64"),
     # a repeated residue printed each exception twice
     ("3", "1,1", "residue 1 given more than once"),
+    # int()'s own message named neither the flag nor the value
+    ("4", "1,x", "--residues takes comma-separated integers, got '1,x'"),
 ])
 def test_sieve_ap_gaps_rejects_bad_classes(capsys, modulus, residues, message):
     assert main(["sieve", "ap-gaps", "--modulus", modulus, "--residues",
@@ -449,7 +451,9 @@ def test_sieve_gpf_bound(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--k", "0"), ("--d", "0"), ("--limit", "-5"), ("--limit", "0")])
+    ("--k", "0"), ("--d", "0"), ("--limit", "-5"), ("--limit", "0"),
+    # a divisor of 0 dropped the filter and the query ran unfiltered
+    ("--not-divisible-by", "0"), ("--not-divisible-by", "-3")])
 def test_sieve_gpf_bound_rejects_bad_input(capsys, flag, value):
     args = {"--d": "4", "--k": "2", "--bound": "12", "--limit": "200"}
     args[flag] = value

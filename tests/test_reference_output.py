@@ -6,6 +6,7 @@ refactor of the pipeline or the sieve that changes one byte of output fails
 here, and so does one that removes a name the benchmark's layer trace
 wraps."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -14,17 +15,20 @@ from pathlib import Path
 
 import pytest
 
-from ghlcert import criteria, valuation
+from ghlcert import cli, criteria, valuation
 from ghlcert.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference.json"
 
 
+def _reference(workload):
+    return sorted(json.loads(REFERENCE.read_text())[workload].items())
+
+
 def _commands(*workloads):
-    reference = json.loads(REFERENCE.read_text())
     for workload in workloads:
-        for command, expected in sorted(reference[workload].items()):
+        for command, expected in _reference(workload):
             yield pytest.param(command, expected, id=command)
 
 
@@ -79,14 +83,59 @@ def test_w1_polygon_work_is_pinned(monkeypatch, capsys):
     valuation.term_table.cache_clear()
     monkeypatch.setattr(valuation, "_FACTORIAL_VALUATIONS", {})
     written = 0
-    for command, expected in sorted(
-            json.loads(REFERENCE.read_text())["w1_grid"].items()):
+    for command, expected in _reference("w1_grid"):
         assert main(command.split()) == expected["exit"]
         written += len(capsys.readouterr().out.encode())
     assert calls == {"polygon_from_params": 758, "admissible_degrees": 704,
                      "factorize": 1584, "_nu": 8038, "claim": 1299,
                      "recorded": 1264}
     assert written == 11_378_692
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    # one process, one parser: W3, an argparse usage error, a refused
+    # instance and a command taking --not-divisible-by from --config, then
+    # W3 and a W1 command again; each matches its reference, and the
+    # config value does not reach the W3 queries run after it
+    w3, w1 = _reference("w3_sweeps"), _reference("w1_grid")
+    for command, expected in w3:
+        _check(command, expected, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["sieve", "gpf-bound", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(["sieve", "gpf-bound", "--d", "4", "--k", "2", "--bound",
+                 "12", "--limit", "1000", "--not-divisible-by", "0"]) == 2
+    assert capsys.readouterr().out == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"not_divisible_by": 3}))
+    command = ("sieve gpf-bound --d 3 --k 2 --bound 6 --limit 1000000 "
+               "--min-exclusive 6")
+    _check(f"{command} --config {cfg}",
+           dict(w3)[f"{command} --not-divisible-by 3"], capsys)
+    for command, expected in w3:
+        _check(command, expected, capsys)
+    command = "certify --q=-2/3 --batch-n 2:100 --delta 3"
+    _check(command, dict(w1)[command], capsys)
+
+
+@pytest.mark.parametrize("workload", ["w1_grid", "w3_sweeps"])
+def test_parser_is_built_once_per_process(workload, monkeypatch, capsys):
+    # the top-level parser and its four subcommand parsers are built by the
+    # first command and reused by the rest: 5 constructions for the whole
+    # workload, where one build per command made 40 (W1) and 35 (W3)
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for command, expected in _reference(workload):
+        assert main(command.split()) == expected["exit"]
+        capsys.readouterr()
+    assert built == 5
 
 
 def test_layer_trace_installs():
