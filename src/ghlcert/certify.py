@@ -16,9 +16,8 @@ import enum
 from collections import namedtuple
 from itertools import chain
 
-from .criteria import (DegreeLedger, ExclusionRecord, Method, PolygonCache,
-                       degree_set_stage, delta_stage, witness_stage,
-                       witness_windows)
+from .criteria import (DegreeLedger, Method, PolygonCache, degree_set_stage,
+                       delta_stage, witness_stage)
 from .jsontext import decimals, encode, encode_int, encode_str
 from .newton import degrees_of, viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
@@ -267,26 +266,6 @@ def _runs(degrees):
     return out
 
 
-def _witness_rows(rec: ExclusionRecord, params: GhlParams) -> list:
-    """The entries of the witness stage's record as rows (k, window low,
-    window high, run low, run high, prime): for each window of
-    witness_windows over its primes, a row for the window and one for its
-    mirror, or one row where the two meet or touch at the centre.  The
-    stage claims first, on a fresh ledger, so the rows must cover exactly
-    len(rec.degrees) degrees, or CertificationInternalError is raised."""
-    m = params.delta * params.n
-    rows = []
-    for k, lo, hi, p in witness_windows(rec.evidence["primes"], params.delta):
-        if m - hi <= hi + 1:
-            rows.append((k, lo, hi, lo, m - lo, p))
-        else:
-            rows += ((k, lo, hi, lo, hi, p), (k, lo, hi, m - hi, m - lo, p))
-    if sum(row[4] - row[3] + 1 for row in rows) != len(rec.degrees):
-        raise CertificationInternalError(
-            f"witness windows miss the record's {len(rec.degrees)} degrees")
-    return rows
-
-
 class Certificate(namedtuple("Certificate", "params seed records residual "
                                           "verdict notes", defaults=((),))):
     """One certification run: instance, seed, records, residual, verdict."""
@@ -305,26 +284,41 @@ class Certificate(namedtuple("Certificate", "params seed records residual "
 
     def to_json_dict(self) -> dict:
         """The certificate as JSON-ready data, one record entry per run of
-        consecutive degrees, entries in order of their low end.  The
-        witness stage's record gives one entry per row of _witness_rows (a
-        window, its mirror, or the two joined at the centre), with that
-        k's prime and evidence {"k": k, "window": [lo, hi]}; any other
-        record's entries share its evidence dict, so treat the result as
-        read-only.  json_text writes this layout without building it."""
+        consecutive degrees, entries in order of their low end.  For each k
+        with a prime p, the witness stage's record takes the window [lo, hi]
+        = [delta*k-delta+1, delta*k] and its mirror as one degree set and
+        gives an entry per run of it, with prime p and evidence {"k": k,
+        "window": [lo, hi]}; the stage claims first, on a fresh ledger, so
+        the runs must cover exactly len(rec.degrees) degrees, or
+        CertificationInternalError is raised.  Any other record's entries
+        share its evidence dict, so treat the result as read-only.
+        json_text writes this layout without building it."""
+        m, delta = self.total_degree, self.params.delta
         entries = []
         for rec in self.records:
             if rec.method is Method.WITNESS_PRIME:
-                entries.extend(
-                    {"k_range": [lo, hi], "method": rec.method.value,
-                     "prime": p, "evidence": {"k": k, "window": [w_lo, w_hi]}}
-                    for k, w_lo, w_hi, lo, hi, p
-                    in _witness_rows(rec, self.params))
+                covered = 0
+                for k, p in enumerate(rec.evidence["primes"], 1):
+                    if p is None:
+                        continue
+                    lo, hi = delta * k - delta + 1, delta * k
+                    runs = _runs(sorted({*range(lo, hi + 1),
+                                         *range(m - hi, m - lo + 1)}))
+                    covered += sum(b - a + 1 for a, b in runs)
+                    entries.extend(
+                        {"k_range": run, "method": rec.method.value,
+                         "prime": p, "evidence": {"k": k, "window": [lo, hi]}}
+                        for run in runs)
+                if covered != len(rec.degrees):
+                    raise CertificationInternalError(
+                        f"witness windows miss the record's "
+                        f"{len(rec.degrees)} degrees")
                 continue
             entries.extend({"k_range": k_range, "method": rec.method.value,
                             "prime": rec.prime, "evidence": rec.evidence}
                            for k_range in _runs(rec.degrees))
-        # the ledger keeps record degree sets disjoint, and the rows of the
-        # witness record disjoint, so no two runs share a low end
+        # the ledger keeps record degree sets disjoint, and distinct k have
+        # disjoint windows and mirrors, so no two runs share a low end
         entries.sort(key=lambda e: e["k_range"][0])
         return {
             "schema_version": 1,
@@ -345,9 +339,10 @@ class Certificate(namedtuple("Certificate", "params seed records residual "
         read from jsontext.decimals(m), into the slot of its run's low end;
         the filled slots, in order, are the entries in the order to_json_dict
         sorts them.  The witness stage's record writes its entries straight
-        from its primes, as _witness_rows lists them, under the same count
-        check; any other record has its evidence and prime encoded once and
-        writes one entry per run of its degrees."""
+        from its primes: a window and its mirror give one entry where they
+        meet or touch at the centre and two otherwise, under to_json_dict's
+        count check.  Any other record has its evidence and prime encoded
+        once and writes one entry per run of its degrees."""
         i1 = pad + "  "
         i2 = i1 + "  "
         i3, i4 = i2 + "  ", i2 + "    "

@@ -291,7 +291,8 @@ def _cmd_sieve(args) -> int:
                "N_digits": decimal_digits(n_exact)})
         return 0
     if query == "rset-mismatch":
-        if args.k_range:
+        _refuse_combined(args, "--k-range", "--k")
+        if args.k_range is not None:
             lo, hi = _parse_batch(args.k_range, "--k-range")
         elif args.k is not None:
             lo = hi = args.k

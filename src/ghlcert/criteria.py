@@ -53,12 +53,9 @@ class ExclusionRecord(namedtuple("ExclusionRecord",
                                   "method degrees prime evidence")):
     """One certified exclusion: these factor degrees (a sorted tuple) are
     impossible, by this method at this prime; evidence is what the method
-    read there.  The four fields are what each certificate entry shows,
-    except for the one WITNESS_PRIME record of the witness stage: its
-    prime is None, its evidence {"delta": delta, "primes": [...]} holds the
-    prime of each k = 1..n//2 (None at a gap), and the certificate writes
-    an entry for each window of witness_windows and one for its mirror (one
-    where the two meet at the centre), each with that k's prime and window."""
+    read there.  The one WITNESS_PRIME record of the witness stage has
+    prime None and evidence {"delta": delta, "primes": [...]}, the prime
+    of each k = 1..n//2 (None at a gap)."""
 
     __slots__ = ()
 
@@ -96,7 +93,7 @@ def witness_primes(params: GhlParams, seed: SeedCoefficients):
     k lowest ones, nor the seed endpoints, with p > d and
     p >= min(2k, d(d-1)); p is None when no prime qualifies.  Such a prime
     rules out a degree-k factor of the unsubstituted polynomial, and so the
-    degrees of k's window (witness_windows) after the substitution.
+    degrees of k's window [delta*k-delta+1, delta*k] after the substitution.
 
     One incremental scan: every condition is monotone in k (the top block
     only gains primes, the low block only gains primes, the threshold only
@@ -216,23 +213,13 @@ class PolygonCache:
 # from the run's cache, claims degree bitmasks into the ledger, and returns
 # None or a note.
 
-def witness_windows(primes, delta: int):
-    """Yield (k, lo, hi, p) for each k = 1, 2, ... whose prime p =
-    primes[k-1] is not None: a witness prime for k excludes the degree
-    window [lo, hi] = [delta*k-delta+1, delta*k] of G(x^delta)."""
-    for k, p in enumerate(primes, 1):
-        if p is not None:
-            yield k, delta * k - delta + 1, delta * k, p
-
-
 def witness_stage(cache: PolygonCache, ledger: DegreeLedger) -> None:
     """Witness-prime exclusions for k = 1..n//2 as one claim, the bitmask
-    of the windows of witness_windows, with evidence {"delta": delta,
-    "primes": primes}, where primes[k-1] is the prime of k from one pass of
-    witness_primes (None at a gap).  The windows tile 1..delta*(n//2) in
-    k order, so the mask is one int(bits, 2) of delta-wide blocks, k = 1
-    last, shifted past degree 0.  Each window meets its own mirror at most
-    at the centre degree."""
+    of the windows [delta*k-delta+1, delta*k] of the k with a prime, with
+    evidence {"delta": delta, "primes": primes}, where primes[k-1] is the
+    prime of k from one pass of witness_primes (None at a gap).  The
+    windows tile 1..delta*(n//2) in k order, so the mask is one
+    int(bits, 2) of delta-wide blocks, k = 1 last, shifted past degree 0."""
     delta = cache.params.delta
     primes = [p for _, p in witness_primes(cache.params, cache.seed)]
     block = ("0" * delta, "1" * delta)

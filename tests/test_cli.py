@@ -624,7 +624,10 @@ def test_sieve_smoothness_rejects_negative_k(capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (["sieve", "smoothness", "--k", "401", "--l", "0"], "need l >= 1, got 0"),
     (["sieve", "rset-mismatch", "--k-range", "1:5"],
-     "k must be at least 2, got 1")])
+     "k must be at least 2, got 1"),
+    (["sieve", "rset-mismatch", "--k-range="], "--k-range takes lo:hi, got ''"),
+    (["sieve", "rset-mismatch", "--k-range", "2:12", "--k", "5"],
+     "--k-range cannot be combined with --k")])
 def test_sieve_closed_form_usage_errors(capsys, argv, message):
     assert main(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err

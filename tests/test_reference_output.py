@@ -8,15 +8,20 @@ wraps."""
 
 import argparse
 import hashlib
+import heapq
 import json
 import subprocess
 import sys
+import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ghlcert import cli, criteria, valuation
+from ghlcert.certify import full_certify
 from ghlcert.cli import main
+from ghlcert.polynomials import GhlParams, SeedCoefficients
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference.json"
@@ -90,6 +95,55 @@ def test_w1_polygon_work_is_pinned(monkeypatch, capsys):
                      "factorize": 1584, "_nu": 8038, "claim": 1299,
                      "recorded": 1264}
     assert written == 11_378_692
+
+
+def test_witness_scan_pushes_each_candidate_prime_once(monkeypatch):
+    # from cold tables, the witness scan of the binomial-seeded q = 1/3,
+    # delta = 3 certificate pushes 148 primes onto its heap at n = 500 and
+    # 268 at n = 1,000 (ratio 1.81): each candidate once, as the top block
+    # gains it; a heap rebuilt at every k pushes every candidate again at
+    # each k and fails the ratio
+    pushes = 0
+
+    def counted(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heapq.heappush(heap, item)
+    monkeypatch.setattr(criteria, "heapq", types.SimpleNamespace(
+        heappush=counted, heappop=heapq.heappop))
+    counts = {}
+    for n in (500, 1000):
+        valuation.term_table.cache_clear()
+        monkeypatch.setattr(valuation, "_FACTORIAL_VALUATIONS", {})
+        pushes = 0
+        full_certify(GhlParams.from_q(Fraction(1, 3), n, delta=3),
+                     SeedCoefficients.laguerre(n))
+        counts[n] = pushes
+    assert counts[500] <= 148 and counts[1000] <= 268, counts
+    assert counts[1000] <= 2.2 * counts[500], counts
+
+
+@pytest.mark.parametrize("hi, sieves", [(100, 7), (200, 8), (400, 9)])
+def test_family_primes_are_sieved_once_per_doubling(hi, sieves, monkeypatch,
+                                                    capsys):
+    # a batch over n = 2..hi grows the family's TermTable by doubling, so
+    # it sieves the primes up to its length once per doubling: 7, 8 and 9
+    # times for hi = 100, 200 and 400; a table grown by a fixed step
+    # sieves once per step
+    calls = 0
+    sieve = valuation._primes_up_to
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return sieve(n)
+    monkeypatch.setattr(valuation, "_primes_up_to", counted)
+    valuation.term_table.cache_clear()
+    monkeypatch.setattr(valuation, "_FACTORIAL_VALUATIONS", {})
+    assert main(["certify", "--q", "1/3", "--batch-n", f"2:{hi}",
+                 "--delta", "3"]) == 0
+    capsys.readouterr()
+    assert calls == sieves
 
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
