@@ -292,7 +292,7 @@ class Certificate(namedtuple("Certificate", "params seed records residual "
         the runs must cover exactly len(rec.degrees) degrees, or
         CertificationInternalError is raised.  Any other record's entries
         share its evidence dict, so treat the result as read-only.
-        json_text writes this layout without building it."""
+        json_pieces writes this layout without building it."""
         m, delta = self.total_degree, self.params.delta
         entries = []
         for rec in self.records:
@@ -330,21 +330,18 @@ class Certificate(namedtuple("Certificate", "params seed records residual "
             "notes": list(self.notes),
         }
 
-    def json_text(self, pad: str = "\n") -> str:
-        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) with
-        every newline written as pad (a newline and the indentation the
-        certificate sits at), built straight from the records.  Each entry
-        is fixed pieces of the entry layout (evidence, k_range, method,
-        prime: sorted-key order) joined with the digits of its small ints,
-        read from jsontext.decimals(m), into the slot of its run's low end;
-        the filled slots, in order, are the entries in the order to_json_dict
-        sorts them.  The witness stage's record writes its entries straight
-        from its primes: a window and its mirror give one entry where they
-        meet or touch at the centre and two otherwise, under to_json_dict's
-        count check.  Any other record has its evidence and prime encoded
-        once and writes one entry per run of its degrees."""
-        i1 = pad + "  "
-        i2 = i1 + "  "
+    def json_pieces(self, pad: str = "\n") -> list:
+        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2), each
+        newline written as pad (a newline and the certificate's indentation),
+        as five pieces: head, records, middle, seed values, tail.  Records
+        and values are one join each, never copied again.  An entry is fixed
+        layout pieces and the digits of its small ints (jsontext.decimals),
+        put in the slot of its run's low end: the filled slots are in
+        to_json_dict's order.  A window and its mirror give one witness
+        entry where they meet or touch at the centre, two otherwise, under
+        to_json_dict's count check.  C(n, j) = C(n, n-j): a seed value a_j,
+        j > n/2, takes the digits of a_{n-j} when a_j = +-a_{n-j}."""
+        i1, i2 = pad + "  ", pad + "    "
         i3, i4 = i2 + "  ", i2 + "    "
         m = self.total_degree
         digits = decimals(m)
@@ -387,36 +384,25 @@ class Certificate(namedtuple("Certificate", "params seed records residual "
                 raise CertificationInternalError(
                     f"witness windows miss the record's {len(rec.degrees)} "
                     "degrees")
-        records = ("," + i2).join(filter(None, slots))
-        members = (
-            '"notes": ' + encode(list(self.notes), i1),
-            '"params": ' + encode(self._params_dict(), i1),
-            '"records": ' + ("[" + i2 + records + i1 + "]" if records
-                             else "[]"),
-            '"residual": ' + encode(list(self.residual), i1),
-            '"schema_version": 1',
-            self._seed_text(i1),
-            '"verdict": ' + encode_str(self.verdict.value),
-        )
-        return "{" + i1 + ("," + i1).join(members) + pad + "}"
-
-    def _seed_text(self, i1: str) -> str:
-        """The "seed" member as encode writes it after i1, in one join.
-        C(n, j) = C(n, n-j), so a_j for j > n/2 takes the digits of
-        a_{n-j} when a_j = +-a_{n-j}, and each magnitude is converted once."""
-        seed, i2 = self.seed.values, i1 + "  "
-        n = len(seed) - 1
-        digits = [encode_int(v) for v in seed[:n // 2 + 1]]
+        seed, n = self.seed.values, len(self.seed.values) - 1
+        values = [encode_int(v) for v in seed[:n // 2 + 1]]
         for j in range(n // 2 + 1, n + 1):
-            v, w, s = seed[j], seed[n - j], digits[n - j]
+            v, w, s = seed[j], seed[n - j], values[n - j]
             if v != w:
                 s = (s[1:] if w < 0 else "-" + s) if v == -w else encode_int(v)
-            digits.append(s)
-        values = (("[", i2 + "  ", ("," + i2 + "  ").join(digits), i2, "]")
-                  if digits else ("[]",))
-        return "".join(('"seed": {', i2, '"kind": ',
-                        encode_str(self.seed.kind), ",", i2, '"values": ',
-                        *values, i1, "}"))
+            values.append(s)
+        records = ("," + i2).join(filter(None, slots))
+        values = ("," + i2 + "  ").join(values)
+        return [f'{{{i1}"notes": {encode(list(self.notes), i1)},{i1}"params": '
+                f'{encode(self._params_dict(), i1)},{i1}"records": '
+                + ("[" + i2 if records else "[]"), records,
+                (i1 + "]" if records else "")
+                + f',{i1}"residual": {encode(list(self.residual), i1)},{i1}'
+                f'"schema_version": 1,{i1}"seed": {{{i2}"kind": '
+                f'{encode_str(self.seed.kind)},{i2}"values": '
+                + ("[" + i2 + "  " if values else "[]"), values,
+                (i2 + "]" if values else "") + f'{i1}}},{i1}"verdict": '
+                f'{encode_str(self.verdict.value)}{pad}}}']
 
 
 def verify_certificate(cert: Certificate) -> bool:

@@ -46,7 +46,8 @@ def decimal_digits(n: int) -> int:
 def _emit(obj) -> None:
     """Write obj to stdout as json.dumps(obj, sort_keys=True, indent=2) plus
     a newline.  The whole text is built before any of it is written."""
-    sys.stdout.write(encode(obj, "\n") + "\n")
+    sys.stdout.write(encode(obj, "\n"))
+    sys.stdout.write("\n")
 
 
 def _report_query(report) -> None:
@@ -80,13 +81,17 @@ INSTANCE_FLAGS = ("--d", "--u", "--alpha", "--q", "--n", "--delta", "--seed",
                   "--seed-file")
 
 
+def _given(args, flag: str) -> bool:
+    """Given, as a flag or in --config: neither None nor a switch left off."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    return value is not None and value is not False
+
+
 def _refuse_combined(args, flag: str, *others: str) -> None:
     """Refuse flag given with any of others: the two would give the same
-    thing, and one of them would be ignored.  A --config value counts."""
-    def given(name):
-        return getattr(args, name[2:].replace("-", "_")) is not None
-    clash = [other for other in others if given(other)]
-    if clash and given(flag):
+    thing, and one of them would be ignored."""
+    clash = [other for other in others if _given(args, other)]
+    if clash and _given(args, flag):
         raise InvalidParameters(
             f"{flag} cannot be combined with {', '.join(clash)}")
 
@@ -219,29 +224,43 @@ def _cmd_certify(args) -> int:
 def _write_certificates(certs, batch: bool) -> None:
     """Write the certificates to stdout as json.dumps(..., sort_keys=True,
     indent=2) writes the list of their to_json_dict forms (batch) or the
-    one form alone, plus a newline.  Each certificate's text is built
-    whole before any of it is written."""
-    write = sys.stdout.write
+    one form alone, plus a newline.  Each certificate's pieces are all
+    built before the first of them is written."""
+    out = sys.stdout
     pad, sep = ("\n  ", "[\n  ") if batch else ("\n", "")
     for cert in certs:
-        write(sep + cert.json_text(pad))
+        out.write(sep)
+        out.writelines(cert.json_pieces(pad))
         sep = ",\n  "
-    write("\n]\n" if batch else "\n")
+    out.write("\n]\n" if batch else "\n")
 
 
-def _sieve_limit(args) -> int:
-    if args.limit is None:
-        raise InvalidParameters("--limit is required")
-    return args.limit
+# each sieve query's options: those it requires, then those it may read;
+# any other option given is refused
+SIEVE_OPTIONS = {
+    "gpf-bound": ("--d --k --bound --limit",
+                  "--odd-only --min-exclusive --not-divisible-by"),
+    "p5-pairs": ("--limit", ""),
+    "ap-gaps": ("--modulus --residues --limit --gap-bound", ""),
+    "smoothness": ("--k", "--l --pow2 --printed-inner-pi"),
+    "rset-mismatch": ("", "--k --k-range"),
+}
 
 
 def _cmd_sieve(args) -> int:
-    from . import sieve as sieve_mod  # numpy: loaded for this command only
     query = args.query
+    required, optional = (flags.split() for flags in SIEVE_OPTIONS[query])
+    unread = sorted({flag for flags in SIEVE_OPTIONS.values()
+                     for flag in " ".join(flags).split()
+                     if _given(args, flag)} - {*required, *optional})
+    if unread:
+        raise InvalidParameters(
+            f"sieve {query} cannot be combined with {', '.join(unread)}")
+    for flag in required:
+        if not _given(args, flag):
+            raise InvalidParameters(f"{flag} is required")
+    from . import sieve as sieve_mod  # numpy: loaded for this command only
     if query == "gpf-bound":
-        for name in ("d", "k", "bound"):
-            if getattr(args, name) is None:
-                raise InvalidParameters(f"--{name} is required for gpf-bound")
         # RangeFilter tests the divisor for truth: a 0 would drop the filter
         if args.not_divisible_by is not None and args.not_divisible_by < 1:
             raise InvalidParameters("--not-divisible-by must be at least 1, "
@@ -251,32 +270,28 @@ def _cmd_sieve(args) -> int:
             odd_only=bool(args.odd_only),
             not_divisible_by=args.not_divisible_by)
         report = sieve_mod.verify_gpf_bound(
-            args.d, args.k, args.bound, _sieve_limit(args), flt)
+            args.d, args.k, args.bound, args.limit, flt)
         _report_query(report)
         return 0
     if query == "p5-pairs":
-        pairs = sieve_mod.exact_p5_pairs(_sieve_limit(args))
-        _emit({"query": "exact-p5-pairs", "limit": _sieve_limit(args),
+        pairs = sieve_mod.exact_p5_pairs(args.limit)
+        _emit({"query": "exact-p5-pairs", "limit": args.limit,
                "pairs": [list(p) for p in pairs]})
         return 0
     if query == "ap-gaps":
-        if args.modulus is None or args.gap_bound is None:
-            raise InvalidParameters(
-                "--modulus and --gap-bound are required for ap-gaps")
         try:
-            residues = [int(r) for r in (args.residues or "").split(",") if r]
+            residues = [int(r) for r in args.residues.split(",") if r]
         except ValueError:
             raise InvalidParameters("--residues takes comma-separated "
                                     f"integers, got {args.residues!r}") from None
         if not residues:
             raise InvalidParameters("--residues is required for ap-gaps")
         report = sieve_mod.ap_prime_gaps(
-            args.modulus, residues, _sieve_limit(args), args.gap_bound)
+            args.modulus, residues, args.limit, args.gap_bound)
         _report_query(report)
         return 0
     if query == "smoothness":
-        if args.k is None:
-            raise InvalidParameters("--k is required for smoothness")
+        _refuse_combined(args, "--pow2", "--l", "--printed-inner-pi")
         if args.pow2:
             bound = sieve_mod.smoothness_bound(args.k, 1)
             _emit({"query": "smoothness", "k": args.k, "variant": "pow2",
@@ -302,7 +317,6 @@ def _cmd_sieve(args) -> int:
         _emit({"query": "rset-mismatch", "k_range": [lo, hi],
                "mismatches": [list(r) for r in rows]})
         return 0
-    raise InvalidParameters(f"unknown sieve query {query!r}")
 
 
 @functools.cache
@@ -347,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(func=_cmd_certify)
 
     p_sieve = subs.add_parser("sieve", help="numeric survey queries")
-    p_sieve.add_argument("query", choices=(
-        "gpf-bound", "p5-pairs", "ap-gaps", "smoothness", "rset-mismatch"))
+    p_sieve.add_argument("query", choices=tuple(SIEVE_OPTIONS))
     p_sieve.add_argument("--d", type=int)
     p_sieve.add_argument("--k", type=int)
     p_sieve.add_argument("--l", type=int)

@@ -3,7 +3,7 @@
 With indent set, CPython's json runs its pure-Python encoder; encode
 writes the same text for the value types ghlcert outputs, and hands any
 other subtree to json.dumps.  The certificate writer
-(certify.Certificate.json_text) and the CLI's other commands both use it.
+(certify.Certificate.json_pieces) and the CLI's other commands both use it.
 """
 
 from __future__ import annotations

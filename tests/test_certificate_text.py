@@ -1,9 +1,13 @@
-"""The certificate writer against its reference view: Certificate.json_text
-(pad) must equal json.dumps(cert.to_json_dict(), sort_keys=True, indent=2)
-with every newline written as pad, for every record shape the stages
-produce, every seed kind, notes, residuals and any indentation."""
+"""The certificate writer against its reference view: the pieces of
+Certificate.json_pieces(pad), joined, must equal json.dumps(
+cert.to_json_dict(), sort_keys=True, indent=2) with every newline written
+as pad, for every record shape the stages produce, every seed kind, notes,
+residuals and any indentation.  The writer's memory is pinned on W2."""
 
+import contextlib
+import io
 import json
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from ghlcert.certify import (Certificate, CertificationInternalError,
                              HypothesisViolation, Verdict, certify_instance,
                              full_certify, verify_certificate)
+from ghlcert.cli import main
 from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
                               delta_stage, margin_stage, window_stage)
 from ghlcert.jsontext import unlimited_int_digits
@@ -28,7 +33,10 @@ W1_FAMILIES = ("1/3", "-1/3", "2/3", "-2/3", "1/4", "-1/4", "3/4", "-3/4")
 def assert_text_matches(cert, pads=("\n", "\n  ")):
     reference = json.dumps(cert.to_json_dict(), sort_keys=True, indent=2)
     for pad in pads:
-        assert cert.json_text(pad) == reference.replace("\n", pad), pad
+        pieces = cert.json_pieces(pad)
+        # a few large pieces, not one per entry or per seed value
+        assert len(pieces) <= 8, len(pieces)
+        assert "".join(pieces) == reference.replace("\n", pad), pad
 
 
 def stage_alone(stage, params, seed, notes=()):
@@ -124,7 +132,7 @@ def test_writers_refuse_a_witness_record_its_windows_do_not_cover():
     for rec in trimmed + stray:
         shape = cert._replace(records=(rec,) + cert.records[1:])
         with pytest.raises(CertificationInternalError):
-            shape.json_text()
+            shape.json_pieces()
         with pytest.raises(CertificationInternalError):
             shape.to_json_dict()
     # a swapped degree keeps the count: the writers still write the
@@ -165,8 +173,34 @@ def test_seed_writer_reuses_mirrored_digits_only_where_they_match():
     for kind, n in (("ones", 6), ("laguerre", 7), ("laguerre", 8),
                     ("ones", 1), ("laguerre", 1)):
         assert_text_matches(certify_instance(3, 0, 1, n, 3, seed_kind=kind))
-    assert '"values": []' in with_values(cert, ()).json_text()
+    assert '"values": []' in "".join(with_values(cert, ()).json_pieces())
     assert_text_matches(with_values(cert, ()))
+
+
+def test_w2_writer_peak_stays_below_three_times_its_output():
+    # W2's certificate is 1.34 MB, mostly records and seed values: each is
+    # one join written as it is, so a copy of the whole text (the pieces
+    # concatenated, or the separator prepended) lifts the traced peak of
+    # the command past 3x the output
+    argv = ["certify", "--q", "1/3", "--n", "2000", "--delta", "3"]
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        return out
+    run()   # fills the process tables: decimals, term tables, primes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = len(out.getvalue())
+    assert size > 1_300_000
+    assert peak < 3 * size, f"traced peak {peak / size:.2f}x the output"
 
 
 @st.composite

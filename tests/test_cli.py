@@ -633,6 +633,55 @@ def test_sieve_closed_form_usage_errors(capsys, argv, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sieve", "p5-pairs", "--limit", "2000", "--d", "4", "--modulus", "7",
+      "--pow2"], "sieve p5-pairs cannot be combined with --d, --modulus, "
+                 "--pow2"),
+    (["sieve", "smoothness", "--k", "401", "--l", "3", "--limit", "5",
+      "--residues", "1,x", "--odd-only"],
+     "sieve smoothness cannot be combined with --limit, --odd-only, "
+     "--residues"),
+    (["sieve", "gpf-bound", "--d", "4", "--k", "2", "--bound", "12",
+      "--limit", "200", "--gap-bound", "9"],
+     "sieve gpf-bound cannot be combined with --gap-bound"),
+    (["sieve", "ap-gaps", "--modulus", "4", "--residues", "1,3", "--limit",
+      "1000", "--gap-bound", "10", "--k", "3", "--printed-inner-pi"],
+     "sieve ap-gaps cannot be combined with --k, --printed-inner-pi"),
+    (["sieve", "rset-mismatch", "--k", "5", "--bound", "0"],
+     "sieve rset-mismatch cannot be combined with --bound"),
+    # --pow2 reads neither --l nor --printed-inner-pi
+    (["sieve", "smoothness", "--k", "401", "--l", "3", "--pow2"],
+     "--pow2 cannot be combined with --l"),
+    (["sieve", "smoothness", "--k", "401", "--pow2", "--printed-inner-pi"],
+     "--pow2 cannot be combined with --printed-inner-pi"),
+    (["sieve", "gpf-bound", "--k", "2", "--bound", "12", "--limit", "200"],
+     "--d is required"),
+    (["sieve", "ap-gaps", "--modulus", "4", "--residues", "1,3",
+      "--limit", "1000"], "--gap-bound is required"),
+    (["sieve", "smoothness", "--l", "3"], "--k is required")])
+def test_sieve_queries_refuse_options_they_do_not_read(capsys, argv,
+                                                       message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}\n" in captured.err
+
+
+def test_sieve_refuses_an_unread_option_from_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pow2": True, "odd_only": False}))
+    assert main(["--config", str(cfg), "sieve", "p5-pairs",
+                 "--limit", "100"]) == 2
+    captured = capsys.readouterr()
+    assert "error: sieve p5-pairs cannot be combined with --pow2\n" in (
+        captured.err)
+    # a switch the config sets false is not given, so nothing is refused
+    cfg.write_text(json.dumps({"odd_only": False}))
+    code, blob = run(capsys, "--config", str(cfg), "sieve", "p5-pairs",
+                     "--limit", "2000")
+    assert code == 0 and len(blob["pairs"]) == 4
+
+
 def test_sieve_ap_gaps(capsys):
     code, blob = run(capsys, "sieve", "ap-gaps", "--modulus", "3",
                      "--residues", "1,2", "--limit", "1000",

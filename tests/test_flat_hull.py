@@ -83,7 +83,7 @@ def test_certificates_match_with_flat_skip_off(rng, monkeypatch):
     cases = list(_cases(rng))
 
     def texts():
-        return [full_certify(params, seed).json_text()
+        return ["".join(full_certify(params, seed).json_pieces())
                 for params, seed in cases]
     with_skip = texts()
     monkeypatch.setattr(PolygonCache, "flat", lambda self, p: False)
