@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from itertools import chain
 
 from .criteria import (DegreeLedger, Method, PolygonCache, degree_set_stage,
                        delta_stage, witness_stage)
 from .jsontext import decimals, encode, encode_int, encode_str
 from .newton import degrees_of, viable_margin, widest_window
 from .polynomials import GhlParams, SeedCoefficients, build_substituted
-from .valuation import nu, ord_factorial, term_table
+from .valuation import nu, term_table
 
 
 class Verdict(str, enum.Enum):
@@ -73,90 +72,30 @@ def exception_family(params: GhlParams):
 # 2-adic handler: d = 3, top linear factor a power of two
 # ---------------------------------------------------------------------------
 
-class BreakSequence(namedtuple("BreakSequence", "eta s a u n breaks")):
-    """Predicted vertex abscissas (in unsubstituted units), the tuple
-    breaks, of the 2-adic polygon when the top linear factor is 2^a."""
-
-    __slots__ = ()
-
-
-def expected_breaks(params: GhlParams) -> BreakSequence:
-    """The break sequence of an instance with d = 3 whose top linear factor
-    is a power of two 2^a >= 2, the family _stages yields the 2-adic
-    handler for; s may be 0, which leaves only the breaks (0, n)."""
-    top = params.top_term
-    a = nu(2, top)
-    eta = 0 if params.alpha == 1 else 1
-    # 2^a = alpha + 3(u+n) forces a = eta (mod 2), so s is integral.
-    if (a - eta) % 2 != 0:
-        raise CertificationInternalError(
-            f"parity mismatch: a={a}, eta={eta} for top={top}")
-    s = (a - eta) // 2
-    n_formula = -params.u + (1 << eta) * (4 ** s - 1) // 3
-    if n_formula != params.n:
-        raise CertificationInternalError(
-            f"break closed form gives n={n_formula}, instance has n={params.n}")
-    breaks = [0]
-    acc = 0
-    for i in range(1, s):
-        acc += 4 ** (s - i)
-        breaks.append((1 << eta) * acc)
-    breaks.append(params.n)
-    return BreakSequence(eta=eta, s=s, a=a, u=params.u, n=params.n,
-                         breaks=tuple(breaks))
-
-
-def verify_break_valuations(bs: BreakSequence) -> bool:
-    """Closed forms for nu_2((n_i - 1)!) at every predicted break against a
-    direct Legendre evaluation."""
-    for i, ni in enumerate(bs.breaks[1:], 1):
-        if i < bs.s:
-            expected = ni - bs.a + i
-        else:
-            # nu_2((n-1)!) = n-1-s_2(n-1), and the binary digit sum of n-1
-            # is s-1 when (u, eta) = (0, 0) and s otherwise; the uniform
-            # closed form n - s + u + 1 - 2^eta therefore needs a unit
-            # correction in the (u, eta) = (-1, 1) case.
-            expected = bs.n - bs.s + bs.u + 1 - (1 << bs.eta)
-            if (bs.u, bs.eta) == (-1, 1):
-                expected += 1
-        if ord_factorial(2, ni - 1) != expected:
-            return False
-    return True
-
-
 def special_2adic_certify(cache: PolygonCache,
                           ledger: DegreeLedger) -> str | None:
     """Low-degree exclusions from the 2-adic polygon when d = 3 and the top
-    linear factor is a power of two (witness primes are structurally
+    linear factor is a power of two 2^a (witness primes are structurally
     unavailable there); its margins are read on the ones carrier, so
     _stages yields it only for odd seed endpoints.  The p = 2 polygons and
-    admissible degrees come from the run's cache.  Claims the degrees it
-    could certify, which may be a proper subset of [1, delta]; returns a
-    note when s < 1, when the realized vertices match no expected break
-    pattern, or when nothing at all is certified."""
+    admissible degrees come from the run's cache.  The record gives
+    a = nu_2(top), eta = [alpha != 1], s = (a - eta) / 2 and the carrier
+    polygon's vertices as read: the tests check those vertices against
+    the paper's closed form for the breaks (in tests/oracles.py), so a run
+    does not.  Claims the degrees it could certify, which may be a proper
+    subset of [1, delta]; returns a note when s < 1 or when nothing at all
+    is certified."""
     params = cache.params
-    n, delta = params.n, params.delta
-    bs = expected_breaks(params)
-    if bs.s < 1:
-        return f"top factor {params.top_term} too small (s={bs.s})"
-    if not verify_break_valuations(bs):
-        raise CertificationInternalError(
-            f"break valuation closed forms disagree with Legendre at {bs}")
+    a = nu(2, params.top_term)
+    eta = int(params.alpha != 1)
+    s = (a - eta) // 2
+    if s < 1:
+        return f"top factor {params.top_term} too small (s={s})"
     carrier_poly = cache.polygon(2, "ones")
-    realized = tuple(carrier_poly.vertex_xs())
-    full = tuple(delta * b for b in bs.breaks)
-    accepted = {full, (0, delta * n)}
-    if (params.u, params.alpha) == (-1, 1) and bs.s >= 2:
-        # for this family the next-to-last predicted break is not extremal
-        accepted.add(tuple(x for x in full if x != delta * bs.breaks[-2]))
-    if realized not in accepted:
-        return (f"2-adic vertex sequence {realized} does not match any "
-                f"expected break pattern {sorted(accepted)}")
     seeded_admissible = cache.admissible(2, "self")
     degrees = 0
     margins: dict[int, int] = {}
-    for K in range(1, delta + 1):
+    for K in range(1, params.delta + 1):
         r = viable_margin(carrier_poly, K)
         if r is not None:
             margins[K] = r
@@ -165,8 +104,8 @@ def special_2adic_certify(cache: PolygonCache,
     if not degrees:
         return "2-adic polygon excluded no low degree"
     ledger.claim(Method.SPECIAL_2ADIC, degrees, 2, {
-        "prime": 2, "eta": bs.eta, "s": bs.s, "a": bs.a,
-        "vertices": list(realized),
+        "prime": 2, "eta": eta, "s": s, "a": a,
+        "vertices": list(carrier_poly.vertex_xs()),
         "margins": {str(K): r for K, r in sorted(margins.items())},
         "min_slope": str(carrier_poly.min_slope),
         "max_slope": str(carrier_poly.max_slope),
@@ -231,9 +170,7 @@ def laguerre_np_certify(cache: PolygonCache,
                 f"(vertices [0, {n}])")
     poly = cache.polygon(p, "self")
     admissible = cache.admissible(p, "self")
-    if any(x % d for x in poly.vertex_xs()):
-        raise CertificationInternalError(
-            f"vertex abscissa not a multiple of d: {poly.vertex_xs()}")
+    # polygon_from_params takes its vertices at multiples of delta == d
     xs = [x // d for x in poly.vertex_xs()]
     # a polygon has two vertices at least; the inner gaps need 2 apiece
     if not (xs[1] >= 2 and xs[-2] <= n - 2 and all(
@@ -405,14 +342,6 @@ class Certificate(namedtuple("Certificate", "params seed records residual "
                 f'{encode_str(self.verdict.value)}{pad}}}']
 
 
-def verify_certificate(cert: Certificate) -> bool:
-    """Partition invariant: every degree in [1, total-1] appears in exactly
-    one record's degree set or in the residual."""
-    degrees = sorted(chain(cert.residual,
-                           *(rec.degrees for rec in cert.records)))
-    return degrees == list(range(1, cert.total_degree))
-
-
 def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
     """u in {-1, 0} and a seed of n + 1 values; any nonzero endpoints, at
     every d (a handler's own precondition is a runs-when test of _stages)."""
@@ -504,11 +433,4 @@ def full_certify(params: GhlParams, seed: SeedCoefficients, *,
         verdict = Verdict.EXCLUSIONS_ONLY
     return Certificate(params=params, seed=seed, records=tuple(ledger.records),
                        residual=residual, verdict=verdict, notes=tuple(notes))
-
-
-def certify_instance(d: int, u: int, alpha: int, n: int, delta: int,
-                     seed_kind: str = "laguerre", **kwargs) -> Certificate:
-    params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=delta)
-    return full_certify(params, SeedCoefficients.of_kind(n, seed_kind),
-                        **kwargs)
 

@@ -51,9 +51,9 @@ def _emit(obj) -> None:
 
 
 def _report_query(report) -> None:
-    """Stdout gets the report as _emit writes report.to_json_dict(), its
-    exceptions REPORT_CHUNK at a time; stderr gets the query's own time
-    and the process's peak resident set so far."""
+    """Stdout gets the report as report.json_chunks writes it, its
+    exceptions REPORT_CHUNK at a time, plus a newline; stderr gets the
+    query's own time and the process's peak resident set so far."""
     sys.stdout.writelines(report.json_chunks(REPORT_CHUNK))
     sys.stdout.write("\n")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -282,10 +282,10 @@ def _cmd_sieve(args) -> int:
         try:
             residues = [int(r) for r in args.residues.split(",") if r]
         except ValueError:
-            raise InvalidParameters("--residues takes comma-separated "
-                                    f"integers, got {args.residues!r}") from None
+            residues = []
         if not residues:
-            raise InvalidParameters("--residues is required for ap-gaps")
+            raise InvalidParameters("--residues takes comma-separated "
+                                    f"integers, got {args.residues!r}")
         report = sieve_mod.ap_prime_gaps(
             args.modulus, residues, args.limit, args.gap_bound)
         _report_query(report)
@@ -298,7 +298,7 @@ def _cmd_sieve(args) -> int:
                    "bound": bound})
             return 0
         if args.l is None:
-            raise InvalidParameters("--l is required for smoothness")
+            raise InvalidParameters("--l is required")
         n_exact, t = sieve_mod.smoothness_bound_exact(
             args.k, args.l, printed_inner_pi=bool(args.printed_inner_pi))
         _emit({"query": "smoothness", "k": args.k, "l": args.l, "T": t,
@@ -385,17 +385,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(argv) -> list[str]:
     """Splice --config values (given as --config PATH or --config=PATH) in
-    as if they were flags given first, so that explicit flags still win."""
+    as if they were flags given first, so that explicit flags still win.
+    A second --config is refused before any file is read."""
     argv = list(argv)
-    for idx, tok in enumerate(argv):
-        if tok == "--config" and idx + 1 < len(argv):
-            path, head = argv[idx + 1], argv[:idx] + argv[idx + 2:]
-            break
-        if tok.startswith("--config="):
-            path, head = tok[len("--config="):], argv[:idx] + argv[idx + 1:]
-            break
-    else:
+    given = [idx for idx, tok in enumerate(argv)
+             if tok == "--config" or tok.startswith("--config=")]
+    if len(given) > 1:
+        raise ValueError("--config given more than once")
+    if not given:
         return argv
+    idx = given[0]
+    if argv[idx] != "--config":
+        path, head = argv[idx][len("--config="):], argv[:idx] + argv[idx + 1:]
+    elif idx + 1 < len(argv):
+        path, head = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+    else:
+        return argv  # argparse reports the missing PATH
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
@@ -433,8 +438,7 @@ def main(argv=None) -> int:
         # int <-> str conversion, both when read and when written
         with unlimited_int_digits():
             code = args.func(args)
-    except (InvalidParameters, certify_mod.HypothesisViolation,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # usage errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except certify_mod.CertificationInternalError as exc:

@@ -126,10 +126,6 @@ class SeedCoefficients(namedtuple("SeedCoefficients", "values kind")):
             raise InvalidParameters(f"unknown seed kind {kind!r}")
         return getattr(cls, kind)(n)
 
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
 
 class IntegerPolynomial(namedtuple("IntegerPolynomial", "coeffs")):
     """Dense integer polynomial, lowest power first, trailing zeros trimmed."""
@@ -158,12 +154,6 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coeffs")):
 
     def coefficient(self, j: int) -> int:
         return self.coeffs[j] if 0 <= j <= self.degree else 0
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def build_ghl(params: GhlParams, seed: SeedCoefficients) -> IntegerPolynomial:

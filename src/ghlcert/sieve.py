@@ -187,18 +187,10 @@ class SieveReport(namedtuple("SieveReport",
 
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "params": self.params,
-            "exceptions": [list(e) if isinstance(e, tuple) else e
-                           for e in self.exceptions],
-            "extremal": self.extremal,
-        }
-
     def json_chunks(self, size: int):
-        """Yield json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-        in pieces of size exceptions (ints or (p, q) pairs, one %-template
+        """Yield json.dumps of {"exceptions", "extremal", "params",
+        "query"} (a (p, q) pair as a list), sort_keys=True, indent=2, in
+        pieces of size exceptions (ints or (p, q) pairs, one %-template
         each), so that ap-gaps' million pairs never exist as one text."""
         ex = self.exceptions
         row = ("\n    [\n      %d,\n      %d\n    ]" if ex

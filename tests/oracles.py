@@ -2,14 +2,21 @@
 
 Everything here is deliberately written from first principles (direct
 counting, textbook recurrences, numeric root clustering) so that a bug in
-the package cannot hide inside the checks.
+the package cannot hide inside the checks.  The paper's closed forms for
+the 2-adic breaks live here too, and, at the end, the few helpers that
+call the package: test conveniences and reference views that no command
+needs.
 """
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath as mp
+
+from ghlcert.certify import full_certify
+from ghlcert.polynomials import GhlParams, SeedCoefficients
 
 
 def legendre_direct(p: int, m: int) -> int:
@@ -377,3 +384,107 @@ def ap_prime_gaps_from_prime_list(primes, modulus: int, residues,
         if q - p > gap_bound:
             pairs.append((p, q))
     return max_gap, sorted(pairs)
+
+
+def evaluate(coeffs, x: int) -> int:
+    """The polynomial with these coefficients (lowest first) at x, as the
+    defining sum."""
+    return sum(c * x ** j for j, c in enumerate(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# The paper's 2-adic breaks: d = 3, top linear factor 2^a
+# ---------------------------------------------------------------------------
+
+class BreakSequence(namedtuple("BreakSequence", "eta s a u n breaks")):
+    """Predicted vertex abscissas (in unsubstituted units), the tuple
+    breaks, of the 2-adic polygon when the top linear factor is 2^a."""
+
+    __slots__ = ()
+
+
+def expected_breaks(params) -> BreakSequence:
+    """The break sequence of an instance with d = 3 whose top linear factor
+    is a power of two 2^a >= 2, with eta = [alpha != 1] and
+    s = (a - eta) / 2; s may be 0, which leaves only the breaks (0, n)."""
+    a = p_exponent(2, params.top_term)
+    eta = 0 if params.alpha == 1 else 1
+    # 2^a = alpha + 3(u+n) forces a = eta (mod 2), so s is integral
+    if (a - eta) % 2 != 0:
+        raise ValueError(f"parity mismatch: a={a}, eta={eta}")
+    s = (a - eta) // 2
+    n_formula = -params.u + (1 << eta) * (4 ** s - 1) // 3
+    if n_formula != params.n:
+        raise ValueError(
+            f"break closed form gives n={n_formula}, instance has n={params.n}")
+    breaks = [0]
+    acc = 0
+    for i in range(1, s):
+        acc += 4 ** (s - i)
+        breaks.append((1 << eta) * acc)
+    breaks.append(params.n)
+    return BreakSequence(eta=eta, s=s, a=a, u=params.u, n=params.n,
+                         breaks=tuple(breaks))
+
+
+def verify_break_valuations(bs: BreakSequence) -> bool:
+    """Closed forms for nu_2((n_i - 1)!) at every predicted break against a
+    direct Legendre count."""
+    for i, ni in enumerate(bs.breaks[1:], 1):
+        if i < bs.s:
+            expected = ni - bs.a + i
+        else:
+            # nu_2((n-1)!) = n-1-s_2(n-1), and the binary digit sum of n-1
+            # is s-1 when (u, eta) = (0, 0) and s otherwise; the uniform
+            # closed form n - s + u + 1 - 2^eta therefore needs a unit
+            # correction in the (u, eta) = (-1, 1) case.
+            expected = bs.n - bs.s + bs.u + 1 - (1 << bs.eta)
+            if (bs.u, bs.eta) == (-1, 1):
+                expected += 1
+        if legendre_direct(2, ni - 1) != expected:
+            return False
+    return True
+
+
+def accepted_vertex_patterns(bs: BreakSequence, delta: int) -> set:
+    """The vertex abscissas the 2-adic polygon of G(x^delta) may have: every
+    predicted break, only the two ends, or, for (u, alpha) = (-1, 1) with
+    s >= 2, every break but the next-to-last, which is not extremal there."""
+    full = tuple(delta * b for b in bs.breaks)
+    accepted = {full, (0, delta * bs.n)}
+    if (bs.u, bs.eta) == (-1, 0) and bs.s >= 2:
+        accepted.add(full[:-2] + full[-1:])
+    return accepted
+
+
+# ---------------------------------------------------------------------------
+# Helpers that call the package: conveniences and reference views
+# ---------------------------------------------------------------------------
+
+def certify_instance(d: int, u: int, alpha: int, n: int, delta: int,
+                     seed_kind: str = "laguerre", **kwargs):
+    """full_certify of the instance with the named seed of degree n."""
+    params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=delta)
+    return full_certify(params, SeedCoefficients.of_kind(n, seed_kind),
+                        **kwargs)
+
+
+def verify_certificate(cert) -> bool:
+    """Partition invariant: every degree in [1, total-1] appears in exactly
+    one record's degree set or in the residual."""
+    degrees = sorted(itertools.chain(
+        cert.residual, *(rec.degrees for rec in cert.records)))
+    return degrees == list(range(1, cert.total_degree))
+
+
+def sieve_report_dict(report) -> dict:
+    """A sieve report as JSON-ready data, a (p, q) pair as a list: what
+    SieveReport.json_chunks writes, as json.dumps(..., sort_keys=True,
+    indent=2) would."""
+    return {
+        "query": report.query,
+        "params": report.params,
+        "exceptions": [list(e) if isinstance(e, tuple) else e
+                       for e in report.exceptions],
+        "extremal": report.extremal,
+    }

@@ -10,8 +10,7 @@ import random
 import sys
 import time
 
-from ghlcert.certify import Verdict, certify_instance, expected_breaks, \
-    verify_break_valuations, verify_certificate
+from ghlcert.certify import Verdict
 from ghlcert.newton import admissible_degrees, build_polygon, degrees_of
 from ghlcert.polynomials import (GhlParams, IntegerPolynomial,
                                  SeedCoefficients, build_substituted)
@@ -19,7 +18,9 @@ from ghlcert.sieve import (RangeFilter, ap_prime_gaps, exact_p5_pairs,
                            primes_up_to, verify_gpf_bound)
 from ghlcert.valuation import digit_sum, ord_factorial
 
-from oracles import factor_of_degree, legendre_direct, poly_mul
+from oracles import (certify_instance, expected_breaks, factor_of_degree,
+                     legendre_direct, poly_mul, verify_break_valuations,
+                     verify_certificate)
 
 FAMILIES = [(3, -1, 1), (3, -1, 2), (3, 0, 1), (3, 0, 2),
             (4, -1, 1), (4, -1, 3), (4, 0, 1), (4, 0, 3)]

@@ -16,8 +16,7 @@ from hypothesis import given, reject, seed, settings
 from hypothesis import strategies as st
 
 from ghlcert.certify import (Certificate, CertificationInternalError,
-                             HypothesisViolation, Verdict, certify_instance,
-                             full_certify, verify_certificate)
+                             HypothesisViolation, Verdict, full_certify)
 from ghlcert.cli import main
 from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
                               delta_stage, margin_stage, window_stage)
@@ -25,7 +24,8 @@ from ghlcert.jsontext import unlimited_int_digits
 from ghlcert.newton import degrees_of
 from ghlcert.polynomials import GhlParams, SeedCoefficients
 
-from oracles import witness_primes_per_k
+from oracles import (certify_instance, verify_certificate,
+                     witness_primes_per_k)
 
 W1_FAMILIES = ("1/3", "-1/3", "2/3", "-2/3", "1/4", "-1/4", "3/4", "-3/4")
 

@@ -10,20 +10,16 @@ from ghlcert.certify import (
     CertificationInternalError,
     HypothesisViolation,
     Verdict,
-    certify_instance,
     exception_family,
-    expected_breaks,
     full_certify,
     laguerre_np_certify,
     special_2adic_certify,
     special_3adic_check,
-    verify_break_valuations,
-    verify_certificate,
 )
 from ghlcert.cli import main
 from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
                               delta_stage, witness_stage)
-from ghlcert.newton import degrees_of, subset_sums
+from ghlcert.newton import degrees_of, polygon_from_params, subset_sums
 from ghlcert.polynomials import (
     GhlParams,
     SeedCoefficients,
@@ -31,8 +27,10 @@ from ghlcert.polynomials import (
 )
 from ghlcert.valuation import TERM_TABLES, ord_factorial, term_table
 
-from oracles import (factor_of_degree, irreducible_over_z,
-                     subset_sums_per_copy, three_adic_check_loop)
+from oracles import (accepted_vertex_patterns, certify_instance,
+                     expected_breaks, factor_of_degree, irreducible_over_z,
+                     subset_sums_per_copy, three_adic_check_loop,
+                     verify_break_valuations, verify_certificate)
 
 
 def test_exception_family_tags():
@@ -97,6 +95,21 @@ def test_break_valuations_all_shapes(u, alpha, eta):
         bs = expected_breaks(GhlParams(d=3, u=u, alpha=alpha, n=n))
         assert (bs.eta, bs.s) == (eta, s)
         assert verify_break_valuations(bs)
+
+
+@pytest.mark.parametrize("u,alpha", [(-1, 1), (-1, 2), (0, 1), (0, 2)])
+def test_two_adic_polygon_vertices_follow_the_closed_form(u, alpha):
+    # the paper's breaks, checked here and not on every certificate: the
+    # ones carrier's p = 2 polygon of G(x^3) has the vertices of one of the
+    # patterns the closed form accepts, for s = 1..9 (n up to 174,763)
+    eta = int(alpha != 1)
+    for s in range(1, 10):
+        n = -u + 2 ** eta * (4 ** s - 1) // 3
+        params = GhlParams(d=3, u=u, alpha=alpha, n=n, delta=3)
+        bs = expected_breaks(params)
+        assert (bs.eta, bs.s) == (eta, s)
+        poly = polygon_from_params(2, params, SeedCoefficients.ones(n))
+        assert poly.vertex_xs() in accepted_vertex_patterns(bs, 3), s
 
 
 def test_break_valuation_unit_correction():
@@ -580,8 +593,9 @@ def test_classify_seed():
 
 def _kind_by_comparison(seed):
     """The seed's kind found by building both reference seeds of its n."""
+    n = len(seed.values) - 1
     for kind in ("ones", "laguerre"):
-        if seed.values == SeedCoefficients.of_kind(seed.n, kind).values:
+        if seed.values == SeedCoefficients.of_kind(n, kind).values:
             return kind
     return "custom"
 

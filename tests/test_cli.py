@@ -20,6 +20,8 @@ from ghlcert.polynomials import GhlParams, SeedCoefficients, build_substituted
 from ghlcert.sieve import smoothness_bound_exact
 from ghlcert.valuation import PRIMALITY_LIMIT
 
+from oracles import sieve_report_dict
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -658,7 +660,11 @@ def test_sieve_closed_form_usage_errors(capsys, argv, message):
      "--d is required"),
     (["sieve", "ap-gaps", "--modulus", "4", "--residues", "1,3",
       "--limit", "1000"], "--gap-bound is required"),
-    (["sieve", "smoothness", "--l", "3"], "--k is required")])
+    (["sieve", "smoothness", "--l", "3"], "--k is required"),
+    (["sieve", "smoothness", "--k", "401"], "--l is required"),
+    (["sieve", "ap-gaps", "--modulus", "4", "--residues", ",", "--limit",
+      "1000", "--gap-bound", "10"],
+     "--residues takes comma-separated integers, got ','")])
 def test_sieve_queries_refuse_options_they_do_not_read(capsys, argv,
                                                        message):
     assert main(argv) == 2
@@ -724,7 +730,7 @@ def test_sieve_report_is_written_a_chunk_at_a_time(monkeypatch):
     assert main(["sieve", "ap-gaps", "--modulus", "4", "--residues", "1,3",
                  "--limit", "2000", "--gap-bound", "0"]) == 0
     report = sieve.ap_prime_gaps(4, (1, 3), 2000, 0)
-    assert out.getvalue() == json.dumps(report.to_json_dict(),
+    assert out.getvalue() == json.dumps(sieve_report_dict(report),
                                         sort_keys=True, indent=2) + "\n"
     assert out.writes == math.ceil(len(report.exceptions) / 4) + 2
 
@@ -793,6 +799,11 @@ _BATCH = ["certify", "--q", "1/3", "--delta", "3", "--batch-n", "2:2"]
     pytest.param(["polygon", "--config", "CFG", "--coeff-file", "SEED",
                   "--prime", "2"], ("--coeff-file", "--seed"),
                  id="polygon-coeff-file-and-config-seed"),
+    pytest.param(["--config", "CFG", "--config", "MISSING", "sieve",
+                  "gpf-bound", "--d", "4", "--k", "2", "--bound", "12",
+                  "--limit", "100"],
+                 ("error: bad --config: --config given more than once",),
+                 id="config-twice"),
 ])
 def test_certify_batch_rejects_per_instance_flags(tmp_path, capsys, argv,
                                                   flags):
@@ -801,7 +812,8 @@ def test_certify_batch_rejects_per_instance_flags(tmp_path, capsys, argv,
     # build --hermite or polygon --coeff-file and any instance flag) are a
     # usage error naming both, in every command that reads them, before
     # any file is read; a --config value (here {"q": "1/3", "seed":
-    # "ones"}) counts as a flag given first
+    # "ones"}) counts as a flag given first, and a second --config is
+    # refused before either file is read
     paths = {"SEED": tmp_path / "seed.txt", "CFG": tmp_path / "cfg.json",
              "MISSING": tmp_path / "missing.txt"}
     paths["SEED"].write_text("1\n1\n1\n")

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,26 @@ def test_zero_seed_entries_give_the_assembled_polygon():
             assert all(y < INFINITY for _, y in from_params.vertices)
             assert all(newton_function(from_params, x) <= y
                        for x, y in enumerate(from_params.ordinates))
+
+
+def test_polygon_from_params_puts_every_vertex_at_a_multiple_of_delta(rng):
+    # the own-prime handler reads the vertices x // d at delta == d unchecked:
+    # the hull is taken over the points at multiples of delta alone, even
+    # with zero entries in a custom seed
+    for _ in range(300):
+        d = rng.randint(2, 7)
+        alpha = rng.choice([a for a in range(1, d) if math.gcd(a, d) == 1])
+        n = rng.randint(1, 40)
+        params = GhlParams(d=d, u=rng.choice([-1, 0]), alpha=alpha, n=n,
+                           delta=d)
+        seed = rng.choice([
+            SeedCoefficients.ones(n), SeedCoefficients.laguerre(n),
+            SeedCoefficients((rng.choice([-1, 1]) * rng.randint(1, 12),
+                              *(rng.randint(-12, 12) for _ in range(n - 1)),
+                              rng.randint(1, 12)))])
+        for p in (2, 3, 5, 7, 11, 13):
+            xs = polygon_from_params(p, params, seed).vertex_xs()
+            assert all(x % d == 0 for x in xs), (params, seed, p, xs)
 
 
 def test_renderings():

@@ -23,7 +23,8 @@ from ghlcert.sieve import (
 from ghlcert.valuation import factorize, prime_factors
 from oracles import (ap_prime_gap_pairs, ap_prime_gaps_from_prime_list,
                      distinct_prime_factors, eratosthenes, gpf,
-                     progression_prime_set, progression_prime_set_sizes)
+                     progression_prime_set, progression_prime_set_sizes,
+                     sieve_report_dict)
 
 
 def brute_factorize(m):
@@ -92,7 +93,7 @@ def test_verify_gpf_bound_small_range():
     brute = [m for m in range(9, 201, 2)
              if gpf(m * (m + 4)) <= 12]
     assert report.exceptions == brute
-    blob = report.to_json_dict()
+    blob = sieve_report_dict(report)
     json.dumps(blob)
     assert blob["params"]["filter"] == "n>8, odd"
     assert "elapsed_ms" not in blob
@@ -326,7 +327,7 @@ def test_sieve_report_json_chunks_match_stdlib_encoder():
                           (pairs, 23), (ints, 0), (ints, 5)):
         part = report._replace(exceptions=report.exceptions[:count])
         pieces = list(part.json_chunks(5))
-        assert "".join(pieces) == json.dumps(part.to_json_dict(),
+        assert "".join(pieces) == json.dumps(sieve_report_dict(part),
                                              sort_keys=True, indent=2)
         assert len(pieces) == 1 + math.ceil(count / 5)
 
