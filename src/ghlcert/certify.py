@@ -7,12 +7,14 @@ module and the special handlers defined here for the exceptional shapes
 Every stage is stage(cache, ledger) -> note | None over the run's
 PolygonCache.  Whatever degrees survive become the residual, and the
 verdict says whether the instance is fully certified, lands in a known
-exceptional family, or simply was not closed.
+exceptional family, or simply was not closed.  Certificate.json_pieces
+is the one statement of the certificate's JSON layout.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 from collections import namedtuple
 
 from .criteria import (DegreeLedger, Method, PolygonCache, degree_set_stage,
@@ -145,13 +147,13 @@ def laguerre_np_certify(cache: PolygonCache,
                         ledger: DegreeLedger) -> str | None:
     """For a binomial-seeded instance in an exceptional family with
     delta == d (the instances _stages yields this handler for), take the
-    polygon of G(x^d) at the largest prime divisor p of n that avoids the
-    top factor and the three lowest linear factors, check the vertex
-    spacing, and exclude every degree outside the lattice-admissible set.
-    The polygon and its admissible set come from the run's cache.  At a
-    flat p (see PolygonCache.flat) the polygon is one slope-0 edge, so
-    degree d stays admissible and none is built.  Returns a note when no
-    such p exists or nothing can be excluded."""
+    polygon of G(x^d) at the largest prime divisor p of n that divides
+    neither the top factor nor term(-1)*term(0)*term(1) = d(q-1)*dq*d(q+1),
+    and exclude every degree outside its lattice-admissible set, the delta
+    stage's rule, sound at any p.  The polygon and its admissible set come
+    from the run's cache.  At a flat p (see PolygonCache.flat) the polygon
+    is one slope-0 edge, so degree d stays admissible and none is built.
+    Returns a note when no such p exists or degree d stays admissible."""
     params = cache.params
     d, n = params.d, params.n
     low = ((params.alpha + (params.u - 1) * d)
@@ -165,24 +167,17 @@ def laguerre_np_certify(cache: PolygonCache,
                 f"{params.top_term} and the low factors {abs(low)}")
     p = max(candidates)
     if cache.flat(p):
-        # p | n, so n >= 2 and the one edge passes the spacing check
         return (f"degree {d} stays lattice-admissible at p={p} "
                 f"(vertices [0, {n}])")
     poly = cache.polygon(p, "self")
     admissible = cache.admissible(p, "self")
     # polygon_from_params takes its vertices at multiples of delta == d
     xs = [x // d for x in poly.vertex_xs()]
-    # a polygon has two vertices at least; the inner gaps need 2 apiece
-    if not (xs[1] >= 2 and xs[-2] <= n - 2 and all(
-            b - a >= 2 for a, b in zip(xs[1:-2], xs[2:-1]))):
-        return f"vertex spacing too tight at p={p}: {xs}"
     if (admissible >> d) & 1:
         return (f"degree {d} stays lattice-admissible at p={p} "
                 f"(vertices {xs})")
-    degrees = ((1 << d * n) - 2) & ~admissible
-    if not degrees:
-        return f"polygon at p={p} excluded nothing"
-    ledger.claim(Method.LAGUERRE_NP, degrees, p,
+    # p | n forces n >= 2, so the inadmissible d < dn keeps this nonempty
+    ledger.claim(Method.LAGUERRE_NP, ((1 << d * n) - 2) & ~admissible, p,
                  {"prime": p, "vertices": xs,
                   "min_slope": str(poly.min_slope),
                   "max_slope": str(poly.max_slope)})
@@ -220,63 +215,22 @@ class Certificate(namedtuple("Certificate", "params seed records residual "
                 "total_degree": self.total_degree}
 
     def to_json_dict(self) -> dict:
-        """The certificate as JSON-ready data, one record entry per run of
-        consecutive degrees, entries in order of their low end.  For each k
-        with a prime p, the witness stage's record takes the window [lo, hi]
-        = [delta*k-delta+1, delta*k] and its mirror as one degree set and
-        gives an entry per run of it, with prime p and evidence {"k": k,
-        "window": [lo, hi]}; the stage claims first, on a fresh ledger, so
-        the runs must cover exactly len(rec.degrees) degrees, or
-        CertificationInternalError is raised.  Any other record's entries
-        share its evidence dict, so treat the result as read-only.
-        json_pieces writes this layout without building it."""
-        m, delta = self.total_degree, self.params.delta
-        entries = []
-        for rec in self.records:
-            if rec.method is Method.WITNESS_PRIME:
-                covered = 0
-                for k, p in enumerate(rec.evidence["primes"], 1):
-                    if p is None:
-                        continue
-                    lo, hi = delta * k - delta + 1, delta * k
-                    runs = _runs(sorted({*range(lo, hi + 1),
-                                         *range(m - hi, m - lo + 1)}))
-                    covered += sum(b - a + 1 for a, b in runs)
-                    entries.extend(
-                        {"k_range": run, "method": rec.method.value,
-                         "prime": p, "evidence": {"k": k, "window": [lo, hi]}}
-                        for run in runs)
-                if covered != len(rec.degrees):
-                    raise CertificationInternalError(
-                        f"witness windows miss the record's "
-                        f"{len(rec.degrees)} degrees")
-                continue
-            entries.extend({"k_range": k_range, "method": rec.method.value,
-                            "prime": rec.prime, "evidence": rec.evidence}
-                           for k_range in _runs(rec.degrees))
-        # the ledger keeps record degree sets disjoint, and distinct k have
-        # disjoint windows and mirrors, so no two runs share a low end
-        entries.sort(key=lambda e: e["k_range"][0])
-        return {
-            "schema_version": 1,
-            "params": self._params_dict(),
-            "seed": {"kind": self.seed.kind, "values": list(self.seed.values)},
-            "records": entries,
-            "residual": list(self.residual),
-            "verdict": self.verdict.value,
-            "notes": list(self.notes),
-        }
+        """The written certificate read back: json_pieces' text, parsed."""
+        return json.loads("".join(self.json_pieces()))
 
     def json_pieces(self, pad: str = "\n") -> list:
-        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2), each
-        newline written as pad (a newline and the certificate's indentation),
-        as five pieces: head, records, middle, seed values, tail.  Records
-        and values are one join each, never copied again.  An entry is fixed
-        layout pieces and the digits of its small ints (jsontext.decimals),
-        put in the slot of its run's low end: the filled slots are in
-        to_json_dict's order.  A window and its mirror give one witness
-        entry where they meet or touch at the centre, two otherwise, under
-        to_json_dict's count check.  C(n, j) = C(n, n-j): a seed value a_j,
+        """The certificate's JSON text, as json.dumps(..., sort_keys=True,
+        indent=2) writes it, each newline written as pad (a newline and the
+        certificate's indentation), in five pieces: head, records, middle,
+        seed values, tail; records and values are one join each, never
+        copied again.  A record gives an entry per run [lo, hi] of its
+        degrees, in order of lo: fixed layout pieces and the digits of its
+        small ints (jsontext.decimals), in the slot of lo.  The witness
+        record's entries are, for each k with a prime, its window
+        [delta*k-delta+1, delta*k] and the mirror, or one entry where they
+        meet or touch at the centre, with evidence {"k", "window"}; entries
+        that cover other than len(rec.degrees) degrees raise
+        CertificationInternalError.  C(n, j) = C(n, n-j): a seed value a_j,
         j > n/2, takes the digits of a_{n-j} when a_j = +-a_{n-j}."""
         i1, i2 = pad + "  ", pad + "    "
         i3, i4 = i2 + "  ", i2 + "    "
@@ -355,13 +309,13 @@ def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
 def _three_adic_stage(cache: PolygonCache,
                       ledger: DegreeLedger) -> str | None:
     """Once the family inequality holds, record the widest flat-tail window
-    at p=3 as a SPECIAL_3ADIC claim; with no degree open it builds no polygon."""
+    at p=3 as a SPECIAL_3ADIC claim; with no degree open it builds no
+    polygon.  3 | top divides the constant coefficient a_0 * prod term(i),
+    so every carrier's polygon ends above height 0."""
     if not special_3adic_check(cache.params):
         return "family inequalities failed"
     best = None
     for carrier, poly in cache.carriers(3) if ledger.remaining else ():
-        if poly.ordinates[poly.degree] == 0:
-            continue
         k = widest_window(poly, 0)
         if k is not None and (best is None or k > best[0]):
             best = (k, carrier, poly)

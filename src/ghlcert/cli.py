@@ -223,9 +223,9 @@ def _cmd_certify(args) -> int:
 
 def _write_certificates(certs, batch: bool) -> None:
     """Write the certificates to stdout as json.dumps(..., sort_keys=True,
-    indent=2) writes the list of their to_json_dict forms (batch) or the
-    one form alone, plus a newline.  Each certificate's pieces are all
-    built before the first of them is written."""
+    indent=2) writes their list (batch) or the one alone, plus a newline,
+    each from its json_pieces.  Each certificate's pieces are all built
+    before the first of them is written."""
     out = sys.stdout
     pad, sep = ("\n  ", "[\n  ") if batch else ("\n", "")
     for cert in certs:
@@ -400,7 +400,7 @@ def _apply_config(argv) -> list[str]:
     elif idx + 1 < len(argv):
         path, head = argv[idx + 1], argv[:idx] + argv[idx + 2:]
     else:
-        return argv  # argparse reports the missing PATH
+        raise ValueError("--config needs a PATH")
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):

@@ -5,7 +5,8 @@ counting, textbook recurrences, numeric root clustering) so that a bug in
 the package cannot hide inside the checks.  The paper's closed forms for
 the 2-adic breaks live here too, and, at the end, the few helpers that
 call the package: test conveniences and reference views that no command
-needs.
+needs, among them certificate_dict, the layout that the certificate
+writer's text is tested against.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ghlcert.certify import full_certify
+from ghlcert.certify import CertificationInternalError, full_certify
 from ghlcert.polynomials import GhlParams, SeedCoefficients
 
 
@@ -487,4 +488,68 @@ def sieve_report_dict(report) -> dict:
         "exceptions": [list(e) if isinstance(e, tuple) else e
                        for e in report.exceptions],
         "extremal": report.extremal,
+    }
+
+
+def _runs(degrees) -> list:
+    """Maximal runs of consecutive integers in a sorted sequence, as
+    [lo, hi] lists."""
+    out = []
+    for k in degrees:
+        if out and k == out[-1][1] + 1:
+            out[-1][1] = k
+        else:
+            out.append([k, k])
+    return out
+
+
+def certificate_dict(cert) -> dict:
+    """A certificate as JSON-ready data, one record entry per run of
+    consecutive degrees, entries in order of their low end: the layout
+    that Certificate.json_pieces writes, built as data.  For each k with
+    a prime p, the witness stage's record takes the window [lo, hi] =
+    [delta*k-delta+1, delta*k] and its mirror as one degree set and gives
+    an entry per run of it, with prime p and evidence {"k": k, "window":
+    [lo, hi]}; the stage claims first, on a fresh ledger, so the runs must
+    cover exactly len(rec.degrees) degrees, or CertificationInternalError
+    is raised.  Any other record's entries share its evidence dict, so
+    treat the result as read-only."""
+    params = cert.params
+    m, delta = params.delta * params.n, params.delta
+    entries = []
+    for rec in cert.records:
+        if rec.method.value != "WITNESS_PRIME":
+            entries.extend({"k_range": k_range, "method": rec.method.value,
+                            "prime": rec.prime, "evidence": rec.evidence}
+                           for k_range in _runs(rec.degrees))
+            continue
+        covered = 0
+        for k, p in enumerate(rec.evidence["primes"], 1):
+            if p is None:
+                continue
+            lo, hi = delta * k - delta + 1, delta * k
+            runs = _runs(sorted({*range(lo, hi + 1),
+                                 *range(m - hi, m - lo + 1)}))
+            covered += sum(b - a + 1 for a, b in runs)
+            entries.extend({"k_range": run, "method": rec.method.value,
+                            "prime": p, "evidence": {"k": k,
+                                                     "window": [lo, hi]}}
+                           for run in runs)
+        if covered != len(rec.degrees):
+            raise CertificationInternalError(
+                f"witness windows miss the record's {len(rec.degrees)} "
+                "degrees")
+    # the ledger keeps record degree sets disjoint, and distinct k have
+    # disjoint windows and mirrors, so no two runs share a low end
+    entries.sort(key=lambda e: e["k_range"][0])
+    return {
+        "schema_version": 1,
+        "params": {"d": params.d, "u": params.u, "alpha": params.alpha,
+                   "n": params.n, "delta": delta, "q": str(params.q),
+                   "total_degree": m},
+        "seed": {"kind": cert.seed.kind, "values": list(cert.seed.values)},
+        "records": entries,
+        "residual": list(cert.residual),
+        "verdict": cert.verdict.value,
+        "notes": list(cert.notes),
     }

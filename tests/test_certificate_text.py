@@ -1,8 +1,11 @@
-"""The certificate writer against its reference view: the pieces of
+"""The certificate writer against its oracle: the pieces of
 Certificate.json_pieces(pad), joined, must equal json.dumps(
-cert.to_json_dict(), sort_keys=True, indent=2) with every newline written
-as pad, for every record shape the stages produce, every seed kind, notes,
-residuals and any indentation.  The writer's memory is pinned on W2."""
+certificate_dict(cert), sort_keys=True, indent=2) with every newline
+written as pad, for every record shape the stages produce, every seed
+kind, notes, residuals and any indentation.  certificate_dict, in
+tests/oracles.py, builds the layout as data and derives the witness
+entries from runs, so it checks json_pieces' join rule rather than
+copying it.  The writer's memory is pinned on W2."""
 
 import contextlib
 import io
@@ -24,14 +27,14 @@ from ghlcert.jsontext import unlimited_int_digits
 from ghlcert.newton import degrees_of
 from ghlcert.polynomials import GhlParams, SeedCoefficients
 
-from oracles import (certify_instance, verify_certificate,
+from oracles import (certificate_dict, certify_instance, verify_certificate,
                      witness_primes_per_k)
 
 W1_FAMILIES = ("1/3", "-1/3", "2/3", "-2/3", "1/4", "-1/4", "3/4", "-3/4")
 
 
 def assert_text_matches(cert, pads=("\n", "\n  ")):
-    reference = json.dumps(cert.to_json_dict(), sort_keys=True, indent=2)
+    reference = json.dumps(certificate_dict(cert), sort_keys=True, indent=2)
     for pad in pads:
         pieces = cert.json_pieces(pad)
         # a few large pieces, not one per entry or per seed value
@@ -80,6 +83,9 @@ def test_json_text_covers_every_method():
     assert seen == set(Method)
     for cert in certs:
         assert_text_matches(cert)
+        # to_json_dict, kept for the layer trace, reads the text back
+        assert cert.to_json_dict() == json.loads(
+            json.dumps(certificate_dict(cert)))
 
 
 def test_json_text_on_seed_kinds_notes_residuals_and_split_runs():
@@ -91,7 +97,7 @@ def test_json_text_on_seed_kinds_notes_residuals_and_split_runs():
     assert (ones.seed.kind, custom.seed.kind) == ("ones", "custom")
     assert residual.residual and noted.residual and noted.notes
     # a witness record covers a window and its mirror: two entries
-    assert len(custom.to_json_dict()["records"]) > len(custom.records)
+    assert len(certificate_dict(custom)["records"]) > len(custom.records)
     for cert in (ones, custom, residual, noted):
         assert_text_matches(cert)
 
@@ -121,7 +127,8 @@ def test_json_text_edge_shapes():
 def test_writers_refuse_a_witness_record_its_windows_do_not_cover():
     # the witness stage claims first, on a fresh ledger, so the windows of
     # its primes and their mirrors cover its record's degrees exactly;
-    # either writer raises on a record whose degree count they miss
+    # the writer and the oracle raise on a record whose degree count they
+    # miss
     cert = certify_instance(3, 0, 1, 5, 3)
     witness = cert.records[0]
     degrees = witness.degrees
@@ -134,12 +141,12 @@ def test_writers_refuse_a_witness_record_its_windows_do_not_cover():
         with pytest.raises(CertificationInternalError):
             shape.json_pieces()
         with pytest.raises(CertificationInternalError):
-            shape.to_json_dict()
-    # a swapped degree keeps the count: the writers still write the
-    # stage's windows, and the partition invariant refuses the record
+            certificate_dict(shape)
+    # a swapped degree keeps the count: both still give the stage's
+    # windows, and the partition invariant refuses the record
     swapped = cert._replace(records=(
         witness._replace(degrees=degrees[:-1] + (100,)),) + cert.records[1:])
-    assert swapped.to_json_dict() == cert.to_json_dict()
+    assert certificate_dict(swapped) == certificate_dict(cert)
     assert_text_matches(swapped)
     assert not verify_certificate(swapped)
 
@@ -274,7 +281,7 @@ def oracle_witness_entries(cert, seed_coeffs):
 
 
 def assert_witness_entries_match_oracle(cert, seed_coeffs):
-    written = [e for e in cert.to_json_dict()["records"]
+    written = [e for e in certificate_dict(cert)["records"]
                if e["method"] == "WITNESS_PRIME"]
     assert written == oracle_witness_entries(cert, seed_coeffs)
 
@@ -307,7 +314,7 @@ def assert_mirror_closed(cert):
     for rec in cert.records:
         assert {m - K for K in rec.degrees} == set(rec.degrees), rec
     assert all(type(entry["prime"]) is int
-               for entry in cert.to_json_dict()["records"])
+               for entry in certificate_dict(cert)["records"])
 
 
 def test_records_are_mirror_closed_on_the_w1_grid():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from ghlcert import certify, criteria, polynomials, valuation
+from ghlcert import certify, cli, criteria, polynomials, valuation
 from ghlcert.certify import (
     CertificationInternalError,
     HypothesisViolation,
@@ -19,7 +19,8 @@ from ghlcert.certify import (
 from ghlcert.cli import main
 from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
                               delta_stage, witness_stage)
-from ghlcert.newton import degrees_of, polygon_from_params, subset_sums
+from ghlcert.newton import (admissible_degrees, degrees_of,
+                            polygon_from_params, subset_sums)
 from ghlcert.polynomials import (
     GhlParams,
     SeedCoefficients,
@@ -27,7 +28,8 @@ from ghlcert.polynomials import (
 )
 from ghlcert.valuation import TERM_TABLES, ord_factorial, term_table
 
-from oracles import (accepted_vertex_patterns, certify_instance,
+from oracles import (accepted_vertex_patterns, certificate_dict,
+                     certify_instance, distinct_prime_factors,
                      expected_breaks, factor_of_degree, irreducible_over_z,
                      subset_sums_per_copy, three_adic_check_loop,
                      verify_break_valuations, verify_certificate)
@@ -254,6 +256,61 @@ def test_laguerre_np_reads_the_prime_divisors_of_n_from_the_cache(
         Method.WITNESS_PRIME, Method.DELTA_DIVISIBILITY}
 
 
+def own_prime_instances():
+    """Every instance a certify command gives the own-prime handler: d in
+    {3, 4}, u in {-1, 0}, alpha coprime to d, an exceptional family,
+    delta = d and d*n up to cli.MAX_DEGREE (with the laguerre seed)."""
+    for d in (3, 4):
+        for u, alpha in itertools.product((-1, 0), range(1, d)):
+            if math.gcd(alpha, d) != 1:
+                continue
+            for n in range(1, cli.MAX_DEGREE // d + 1):
+                params = GhlParams(d=d, u=u, alpha=alpha, n=n, delta=d)
+                if exception_family(params) is not None:
+                    yield params
+
+
+def test_own_prime_handler_on_every_instance_a_command_reaches():
+    # the paper's own prime is the largest prime p | n dividing neither the
+    # top factor nor term(-1) * term(0) * term(1).  At it, the vertices of
+    # G(x^d)'s polygon sit at multiples of d with the paper's spacing (the
+    # handler does not check it), and the handler's record is every degree
+    # outside the admissible set, or its note says that degree d is
+    # admissible; 6 instances have no such p
+    outcomes = Counter()
+    for params in own_prime_instances():
+        d, n = params.d, params.n
+        seed = SeedCoefficients.laguerre(n)
+        low = math.prod(params.alpha + (params.u + i) * d for i in (-1, 0, 1))
+        primes = [p for p in distinct_prime_factors(n)
+                  if params.top_term % p and low % p]
+        ledger = DegreeLedger(d * n)
+        note = laguerre_np_certify(PolygonCache(params, seed), ledger)
+        if not primes:
+            assert note.startswith(f"no prime divisor of n={n} "), params
+            outcomes["no prime"] += 1
+            continue
+        p = max(primes)
+        poly = polygon_from_params(p, params, seed)
+        assert all(x % d == 0 for x in poly.vertex_xs()), (params, p)
+        xs = [x // d for x in poly.vertex_xs()]
+        assert xs[1] >= 2 and xs[-2] <= n - 2 and all(
+            b - a >= 2 for a, b in zip(xs[1:-2], xs[2:-1])), (params, p, xs)
+        admissible = admissible_degrees(poly)
+        if admissible >> d & 1:
+            assert note == (f"degree {d} stays lattice-admissible at p={p} "
+                            f"(vertices {xs})"), params
+            outcomes["admissible"] += 1
+            continue
+        assert note is None, (params, note)
+        [rec] = ledger.records
+        assert (rec.method, rec.prime) == (Method.LAGUERRE_NP, p), params
+        assert rec.degrees == tuple(
+            K for K in range(1, d * n) if not admissible >> K & 1), params
+        outcomes["record"] += 1
+    assert outcomes == {"record": 45, "no prime": 6, "admissible": 4}
+
+
 def certified(d, u, alpha, n):
     return certify_instance(d, u, alpha, n, d)
 
@@ -405,6 +462,11 @@ def test_handlers_exclude_nothing_new_at_delta_1():
                 continue
             for kind in ("ones", "laguerre"):
                 seed = SeedCoefficients.of_kind(n, kind)
+                # 3 | top divides the constant coefficient: no carrier
+                # the 3-adic handler reads ends at height 0
+                assert d == 3 or all(
+                    poly.ordinates[poly.degree] >= 1 for _, poly in
+                    PolygonCache(params, seed).carriers(3)), (params, kind)
                 for first in ((witness_stage,), ()):
                     ledgers = []
                     for stages in (first + (handlers[d], delta_stage),
@@ -519,7 +581,7 @@ def test_degree_sets_close_the_irreducible_residuals():
                     degrees_of(subset_sums(counts.items())))
                 assert set(rec.degrees) == impossible - earlier
             earlier.update(rec.degrees)
-        blob = cert.to_json_dict()
+        blob = certificate_dict(cert)
         json.dumps(blob, sort_keys=True)
         assert any(entry["method"] == "DEGREE_SET" and entry["prime"] == prime
                    for entry in blob["records"])
@@ -638,7 +700,7 @@ def test_named_seeds_state_their_kind_without_classifying(monkeypatch):
 
 def test_certificate_json_shape():
     cert = certified(4, 0, 1, 2)
-    blob = cert.to_json_dict()
+    blob = certificate_dict(cert)
     json.dumps(blob)      # must be serializable as-is
     assert blob["schema_version"] == 1
     assert blob["verdict"] == "EXCEPTIONAL_FAMILY"

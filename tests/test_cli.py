@@ -20,7 +20,7 @@ from ghlcert.polynomials import GhlParams, SeedCoefficients, build_substituted
 from ghlcert.sieve import smoothness_bound_exact
 from ghlcert.valuation import PRIMALITY_LIMIT
 
-from oracles import sieve_report_dict
+from oracles import certificate_dict, sieve_report_dict
 
 
 def run(capsys, *argv):
@@ -122,7 +122,7 @@ def test_certificates_write_integers_past_the_str_digit_cap(
     assert code == (1 if cert.residual else 0)
     with unlimited_int_digits():
         blob = json.loads(out)
-        assert blob == json.loads(json.dumps(cert.to_json_dict()))
+        assert blob == json.loads(json.dumps(certificate_dict(cert)))
     assert blob["seed"]["values"] == list(seed.values)
 
 
@@ -195,13 +195,18 @@ def test_polygon_of_a_large_step_does_not_factorise_its_terms(capsys):
                                 for x in poly.vertex_xs()]
 
 
-def test_polygon_tsv_stdout(capsys):
+def test_polygon_tsv_stdout(capsys, tmp_path):
     code, out = run(capsys, "polygon", "--q", "1/3", "--n", "2", "--delta", "3",
                     "--prime", "2", "--tsv", "-")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "x\ty\tis_vertex"
     assert len(lines) == 8
+    # --tsv PATH writes the same table to the file, and nothing to stdout
+    path = tmp_path / "poly.tsv"
+    assert run(capsys, "polygon", "--q", "1/3", "--n", "2", "--delta", "3",
+               "--prime", "2", "--tsv", str(path)) == (0, "")
+    assert path.read_text() == out
 
 
 def test_polygon_coeff_file_and_svg(tmp_path, capsys):
@@ -664,7 +669,8 @@ def test_sieve_closed_form_usage_errors(capsys, argv, message):
     (["sieve", "smoothness", "--k", "401"], "--l is required"),
     (["sieve", "ap-gaps", "--modulus", "4", "--residues", ",", "--limit",
       "1000", "--gap-bound", "10"],
-     "--residues takes comma-separated integers, got ','")])
+     "--residues takes comma-separated integers, got ','"),
+    (["sieve", "rset-mismatch"], "--k or --k-range is required")])
 def test_sieve_queries_refuse_options_they_do_not_read(capsys, argv,
                                                        message):
     assert main(argv) == 2
@@ -748,7 +754,10 @@ def test_config_defaults_and_precedence(tmp_path, capsys):
     assert code == 0 and blob["params"]["q"] == "-2/3"
     missing = main(["certify", "--config", str(tmp_path / "nope.json")])
     assert missing == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:   # no subcommand to follow
+        main(["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "required: command" in capsys.readouterr().err
 
 
 def test_config_equals_form(tmp_path, capsys):
@@ -804,6 +813,12 @@ _BATCH = ["certify", "--q", "1/3", "--delta", "3", "--batch-n", "2:2"]
                   "--limit", "100"],
                  ("error: bad --config: --config given more than once",),
                  id="config-twice"),
+    pytest.param(["certify", "--q", "1/3", "--n", "3", "--config"],
+                 ("error: bad --config: --config needs a PATH",),
+                 id="config-without-path"),
+    pytest.param(["certify", "--d", "3", "--n", "4"],
+                 ("give either --q or all of --d/--u/--alpha",),
+                 id="d-without-u-and-alpha"),
 ])
 def test_certify_batch_rejects_per_instance_flags(tmp_path, capsys, argv,
                                                   flags):
