@@ -308,24 +308,25 @@ def _check_hypotheses(params: GhlParams, seed: SeedCoefficients) -> None:
 
 def _three_adic_stage(cache: PolygonCache,
                       ledger: DegreeLedger) -> str | None:
-    """Once the family inequality holds, record the widest flat-tail window
-    at p=3 as a SPECIAL_3ADIC claim; with no degree open it builds no
-    polygon.  3 | top divides the constant coefficient a_0 * prod term(i),
-    so every carrier's polygon ends above height 0."""
+    """Once the family inequality holds, record the flat-tail window at
+    p=3 of the seeded polygon, the first that cache.carriers(3) yields, as
+    a SPECIAL_3ADIC claim; with no degree open it builds no polygon.  3 |
+    top divides the constant coefficient, so it ends above height 0.  The
+    ones window is never wider: if 3 divides a seed endpoint no ones
+    polygon is yielded, else the seeded polygon has its endpoints and lies
+    on or above it (README, the Dumas lemma), so its last slope is no
+    larger, every later ordinate no smaller, and widest_window(seeded, 0)
+    >= widest_window(ones, 0) when the right side is not None."""
     if not special_3adic_check(cache.params):
         return "family inequalities failed"
-    best = None
-    for carrier, poly in cache.carriers(3) if ledger.remaining else ():
-        k = widest_window(poly, 0)
-        if k is not None and (best is None or k > best[0]):
-            best = (k, carrier, poly)
-    if best is not None:
-        k, carrier, poly = best
-        if ledger.claim(
-                Method.SPECIAL_3ADIC, (2 << k) - 2, 3,
-                {"prime": 3, "carrier": carrier, "k": k,
-                 "max_slope": str(poly.max_slope)}) is not None:
-            return None
+    carrier, poly = next(cache.carriers(3) if ledger.remaining else iter(()),
+                         (None, None))
+    k = None if poly is None else widest_window(poly, 0)
+    if k is not None and ledger.claim(
+            Method.SPECIAL_3ADIC, (2 << k) - 2, 3,
+            {"prime": 3, "carrier": carrier, "k": k,
+             "max_slope": str(poly.max_slope)}) is not None:
+        return None
     return "window at p=3 excluded nothing new"
 
 

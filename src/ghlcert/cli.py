@@ -106,20 +106,18 @@ def _params_from_args(args, n: int | None) -> GhlParams:
     if n is None:
         raise InvalidParameters("--n is required")
     _refuse_combined(args, "--q", "--d", "--u", "--alpha")
+    delta = 1 if args.delta is None else args.delta
     if args.q is not None:
         try:
             q = Fraction(args.q)
         except ZeroDivisionError:
             raise InvalidParameters(
                 f"--q {args.q} has a zero denominator") from None
-        params = GhlParams.from_q(q, n, delta=1)
-        d, u, alpha = params.d, params.u, params.alpha
+        params = GhlParams.from_q(q, n, delta)
+    elif None in (args.d, args.u, args.alpha):
+        raise InvalidParameters("give either --q or all of --d/--u/--alpha")
     else:
-        if None in (args.d, args.u, args.alpha):
-            raise InvalidParameters("give either --q or all of --d/--u/--alpha")
-        d, u, alpha = args.d, args.u, args.alpha
-    params = GhlParams(d=d, u=u, alpha=alpha, n=n,
-                       delta=1 if args.delta is None else args.delta)
+        params = GhlParams(args.d, args.u, args.alpha, n, delta)
     _refuse_above(MAX_DEGREE, params.delta * params.n, "degree delta*n")
     return params
 
@@ -293,7 +291,8 @@ def _cmd_sieve(args) -> int:
     if query == "smoothness":
         _refuse_combined(args, "--pow2", "--l", "--printed-inner-pi")
         if args.pow2:
-            bound = sieve_mod.smoothness_bound(args.k, 1)
+            bound = sieve_mod.smoothness_root(
+                *sieve_mod.smoothness_bound_exact(args.k, 1))
             _emit({"query": "smoothness", "k": args.k, "variant": "pow2",
                    "bound": bound})
             return 0
@@ -441,9 +440,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # usage errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except certify_mod.CertificationInternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

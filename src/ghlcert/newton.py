@@ -102,8 +102,6 @@ def _build(p: int, ordinates: tuple, step: int) -> NewtonPolygon:
             "leading and constant coefficients must be nonzero")
     points = zip(range(0, degree + 1, step), ordinates[::step])
     hull = _lower_hull([pt for pt in points if pt[1] < INFINITY])
-    if len(hull) < 2:
-        raise PreconditionError("polygon degenerated to a single point")
     return NewtonPolygon(p, degree, ordinates, tuple(hull), tuple(
         Edge(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(hull, hull[1:])))
 

@@ -558,8 +558,3 @@ def smoothness_bound_exact(k: int, l: int, printed_inner_pi: bool = False) -> tu
 def smoothness_root(n_exact: int, T: int) -> float:
     """N**(1/T) as a float, for the exact core (N, T)."""
     return math.exp(math.log(n_exact) / T) if n_exact > 1 else float(n_exact)
-
-
-def smoothness_bound(k: int, l: int, printed_inner_pi: bool = False) -> float:
-    """Real value of the smooth-range bound N**(1/T)."""
-    return smoothness_root(*smoothness_bound_exact(k, l, printed_inner_pi))

@@ -3,7 +3,9 @@ import json
 import math
 from collections import Counter
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from ghlcert import certify, cli, criteria, polynomials, valuation
 from ghlcert.certify import (
@@ -20,7 +22,7 @@ from ghlcert.cli import main
 from ghlcert.criteria import (DegreeLedger, Method, PolygonCache,
                               delta_stage, witness_stage)
 from ghlcert.newton import (admissible_degrees, degrees_of,
-                            polygon_from_params, subset_sums)
+                            polygon_from_params, subset_sums, widest_window)
 from ghlcert.polynomials import (
     GhlParams,
     SeedCoefficients,
@@ -481,6 +483,106 @@ def test_handlers_exclude_nothing_new_at_delta_1():
                     claimed += any(rec.method.value.startswith("SPECIAL")
                                    for rec in ledgers[0].records)
     assert claimed == 180               # the handlers are not vacuous here
+
+
+def _three_adic_instances(n_max):
+    """The instances _stages yields the 3-adic handler for, n <= n_max:
+    d = delta = 4, q = -3/4 or 3/4, and 3 dividing the top factor."""
+    for u, alpha in certify._THREE_ADIC_FAMILIES:
+        for n in range(1, n_max + 1):
+            params = GhlParams(d=4, u=u, alpha=alpha, n=n, delta=4)
+            if params.top_term % 3 == 0:
+                yield params
+
+
+def _ones_window_is_never_wider(params, seed):
+    """The lemma behind the 3-adic handler's one read: carriers(3) yields
+    the seeded polygon first, and the ones polygon's window at p = 3, if
+    any, is no wider than the seeded one's.  Whether the ones polygon was
+    yielded."""
+    carriers = dict(PolygonCache(params, seed).carriers(3))
+    assert list(carriers)[:1] == ["self"], (params, seed)
+    if "ones" not in carriers:
+        return False
+    ones = widest_window(carriers["ones"], 0)
+    seeded = widest_window(carriers["self"], 0)
+    assert ones is None or (seeded is not None and seeded >= ones), (
+        params, seed, ones, seeded)
+    return True
+
+
+def test_three_adic_ones_window_is_never_wider_on_named_seeds():
+    # every (instance, named seed) pair with n <= 1,000 a command can give
+    # the 3-adic handler; both named seeds have endpoints +-1, so the ones
+    # polygon is read beside the seeded one on each
+    pairs = 0
+    for params in _three_adic_instances(1000):
+        for kind in ("ones", "laguerre"):
+            assert _ones_window_is_never_wider(
+                params, SeedCoefficients.of_kind(params.n, kind))
+            pairs += 1
+    assert pairs == 1332
+
+
+@st.composite
+def _coprime_custom_seeds(draw):
+    """An instance the 3-adic handler runs on, n < 400, and a custom seed
+    whose endpoints 3 does not divide."""
+    u, alpha = draw(st.sampled_from(sorted(certify._THREE_ADIC_FAMILIES)))
+    n = 3 * draw(st.integers(1, 133))     # 3 | top exactly when 3 | n
+    ends = st.integers(-50, 50).filter(lambda v: v % 3)
+    values = (draw(ends), *draw(st.lists(st.integers(-10 ** 4, 10 ** 4),
+                                         min_size=n - 1, max_size=n - 1)),
+              draw(ends))
+    return GhlParams(d=4, u=u, alpha=alpha, n=n, delta=4), values
+
+
+@hypothesis.seed(39)
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(_coprime_custom_seeds())
+def test_three_adic_ones_window_is_never_wider_on_custom_seeds(case):
+    params, values = case
+    assert params.top_term % 3 == 0
+    assert _ones_window_is_never_wider(params, SeedCoefficients(values))
+
+
+def _handler_records(instances, method, p):
+    """full_certify's records of the handler's method over both named seeds
+    of each instance, each checked to claim only degrees that the delta
+    stage's rule excludes at the handler's prime p on the seeded polygon."""
+    records = []
+    for params in instances:
+        for kind in ("ones", "laguerre"):
+            seed = SeedCoefficients.of_kind(params.n, kind)
+            admissible = PolygonCache(params, seed).admissible(p, "self")
+            for rec in full_certify(params, seed).records:
+                if rec.method is method:
+                    assert not any((admissible >> k) & 1
+                                   for k in rec.degrees), (params, kind)
+                    records.append(rec)
+    return records
+
+
+def test_two_adic_claims_lie_outside_the_admissible_set():
+    # every instance a command can give the 2-adic handler (d = 3, top
+    # factor a power of 2, 3n <= 25,000) with both named seeds: each degree
+    # a SPECIAL_2ADIC record claims is inadmissible on the seeded p = 2
+    # polygon, so the delta stage would exclude it at the same prime
+    instances = [GhlParams(d=3, u=u, alpha=alpha, n=n, delta=3)
+                 for u, alpha in ((-1, 1), (-1, 2), (0, 1), (0, 2))
+                 for n in range(1, 25_000 // 3 + 1)
+                 if certify._is_power_of(alpha + (u + n) * 3, 2)]
+    assert len(instances) == 27
+    assert len(_handler_records(instances, Method.SPECIAL_2ADIC, 2)) == 52
+
+
+def test_three_adic_claims_lie_outside_the_admissible_set():
+    # likewise for the 3-adic handler's window at p = 3, over the instances
+    # with n <= 600 and both named seeds
+    records = _handler_records(_three_adic_instances(600),
+                               Method.SPECIAL_3ADIC, 3)
+    assert len(records) == 22
+    assert {rec.evidence["carrier"] for rec in records} == {"self"}
 
 
 def test_stages_return_the_certificate_notes():

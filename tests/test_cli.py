@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from ghlcert import cli, sieve
-from ghlcert.certify import full_certify
+from ghlcert.certify import CertificationInternalError, full_certify
 from ghlcert.cli import decimal_digits, main
 from ghlcert.jsontext import unlimited_int_digits
 from ghlcert.newton import build_polygon
@@ -819,6 +819,13 @@ _BATCH = ["certify", "--q", "1/3", "--delta", "3", "--batch-n", "2:2"]
     pytest.param(["certify", "--d", "3", "--n", "4"],
                  ("give either --q or all of --d/--u/--alpha",),
                  id="d-without-u-and-alpha"),
+    pytest.param(["polygon", "--coeff-file", "EMPTY", "--prime", "2"],
+                 ("empty.txt: no coefficients found",), id="empty-coeff-file"),
+    pytest.param(["polygon", "--coeff-file", "ZERO", "--prime", "2"],
+                 ("constant term must be nonzero",), id="zero-constant-term"),
+    pytest.param(["build", "--q", "1/3", "--n", "3", "--seed-file", "TWO"],
+                 ("seed length 2 does not match degree n=3",),
+                 id="seed-file-too-short"),
 ])
 def test_certify_batch_rejects_per_instance_flags(tmp_path, capsys, argv,
                                                   flags):
@@ -828,15 +835,37 @@ def test_certify_batch_rejects_per_instance_flags(tmp_path, capsys, argv,
     # usage error naming both, in every command that reads them, before
     # any file is read; a --config value (here {"q": "1/3", "seed":
     # "ones"}) counts as a flag given first, and a second --config is
-    # refused before either file is read
+    # refused before either file is read; the last three read a file
+    # that holds no coefficient, a zero constant term or too few values
     paths = {"SEED": tmp_path / "seed.txt", "CFG": tmp_path / "cfg.json",
-             "MISSING": tmp_path / "missing.txt"}
+             "MISSING": tmp_path / "missing.txt",
+             "EMPTY": tmp_path / "empty.txt", "ZERO": tmp_path / "zero.txt",
+             "TWO": tmp_path / "two.txt"}
     paths["SEED"].write_text("1\n1\n1\n")
+    paths["EMPTY"].write_text("")
+    paths["ZERO"].write_text("0\n1\n2\n")
+    paths["TWO"].write_text("1\n1\n")
     paths["CFG"].write_text(json.dumps({"q": "1/3", "seed": "ones"}))
     assert main([str(paths.get(tok, tok)) for tok in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert all(flag in captured.err for flag in flags), captured.err
+
+
+@pytest.mark.parametrize("exc", [
+    CertificationInternalError("x"), RuntimeError("y")])
+def test_internal_errors_exit_3_naming_the_exception(capsys, monkeypatch,
+                                                     exc):
+    # one last-resort boundary: any exception that is not a usage error
+    # exits 3 with its type and text on stderr and nothing on stdout
+    def raising(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli.certify_mod, "full_certify", raising)
+    assert main(["certify", "--q", "1/3", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"internal error: {type(exc).__name__}: {exc.args[0]}\n")
 
 
 def test_elapsed_goes_to_stderr(capsys):

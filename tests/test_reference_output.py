@@ -57,16 +57,17 @@ def test_sieve_output_matches_reference(command, expected, capsys):
 
 
 def test_w1_polygon_work_is_pinned(monkeypatch, capsys):
-    # the W1 commands build 758 polygons and 704 admissible-degree sets,
+    # the W1 commands build 721 polygons and 704 admissible-degree sets,
     # factorise 1,584 numbers, take 8,038 valuations (_nu, recursion
     # included, from cold family and factorial tables), make 1,299 ledger
     # claims, 1,264 of which record, and write 11,378,692 bytes; a change
     # that does more work (a polygon at a prime dividing neither the
     # leading nor the constant coefficient, a second build of one polygon,
-    # a p = 3 window read with no degree open, a window or margin stage
-    # back in the pipeline, a term factorised twice, valuation sums no
-    # longer shared by a family, a binomial seed value divided for its
-    # valuation) or writes more fails here without timing
+    # a p = 3 window read with no degree open or on the ones carrier, a
+    # window or margin stage back in the pipeline, a term factorised
+    # twice, valuation sums no longer shared by a family, a binomial seed
+    # value divided for its valuation) or writes more fails here without
+    # timing
     calls = {"polygon_from_params": 0, "admissible_degrees": 0,
              "factorize": 0, "_nu": 0, "claim": 0, "recorded": 0}
 
@@ -91,7 +92,7 @@ def test_w1_polygon_work_is_pinned(monkeypatch, capsys):
     for command, expected in _reference("w1_grid"):
         assert main(command.split()) == expected["exit"]
         written += len(capsys.readouterr().out.encode())
-    assert calls == {"polygon_from_params": 758, "admissible_degrees": 704,
+    assert calls == {"polygon_from_params": 721, "admissible_degrees": 704,
                      "factorize": 1584, "_nu": 8038, "claim": 1299,
                      "recorded": 1264}
     assert written == 11_378_692

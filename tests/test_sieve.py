@@ -16,8 +16,8 @@ from ghlcert.sieve import (
     prime_flags,
     primes_up_to,
     progression_prime_set_mismatches,
-    smoothness_bound,
     smoothness_bound_exact,
+    smoothness_root,
     verify_gpf_bound,
 )
 from ghlcert.valuation import factorize, prime_factors
@@ -450,8 +450,8 @@ def test_smoothness_bound_values():
     n_exact, t = smoothness_bound_exact(401, 3)
     assert t == 149
     assert len(str(n_exact)) == 750
-    assert round(smoothness_bound(401, 3), 2) == 106866.68
-    assert round(smoothness_bound(100, 3)) == 355699
+    assert round(smoothness_root(n_exact, t), 2) == 106866.68
+    assert round(smoothness_root(*smoothness_bound_exact(100, 3))) == 355699
     with pytest.raises(ValueError):
         smoothness_bound_exact(1, 1)
 
@@ -466,7 +466,7 @@ def test_smoothness_bound_pow2_matches_first_prime():
         t = k + 1 - sum(1 for m in range(4 * k + 4)
                         if distinct_prime_factors(m) == {m})
         assert smoothness_bound_exact(k, 1) == (odd, t)
-        assert smoothness_bound(k, 1) == math.exp(math.log(odd) / t)
+        assert smoothness_root(odd, t) == math.exp(math.log(odd) / t)
 
 
 def test_smoothness_bound_printed_variant():
